@@ -7,8 +7,9 @@ next to every artifact.  Reruns with identical configuration and seed
 produce byte-identical files: nothing time- or host-dependent is ever
 written.
 
-Exit codes: 0 success, 2 configuration error, 3 capacity error,
-4 verification failure (the invariant suite found a violation).
+Exit codes: 0 success, 1 no data (too few samples to estimate or fit),
+2 configuration error, 3 capacity error, 4 verification failure (the
+invariant suite found a violation).
 """
 from __future__ import annotations
 
@@ -46,9 +47,17 @@ FORMAT_VERSION = "1"
 OUTPUT_DIR_ENV = "BANDPERM_OUTPUT_DIR"
 
 EXIT_OK = 0
+EXIT_NO_DATA = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFICATION = 4
+
+# Chain seeds feed numpy's PCG64, which takes a 64-bit unsigned integer.
+SEED_LIMIT = 2**64
+
+# Largest k_max = k_max_factor * W^3 the recurrence checker may allocate
+# for; each check holds several float arrays of this length.
+RECURRENCE_K_MAX_CAP = 1_000_000
 
 
 class ConfigurationError(ValueError):
@@ -149,15 +158,22 @@ def _parse_int_list(key: str, raw, lo: Optional[int] = None) -> list[int]:
             pieces = raw.split(":")
             if len(pieces) not in (2, 3):
                 raise ConfigurationError(f"{key}: range syntax is start:stop[:step]")
-            start, stop = int(pieces[0]), int(pieces[1])
-            step = int(pieces[2]) if len(pieces) == 3 else 1
+            start, stop = _parse_int(key, pieces[0]), _parse_int(key, pieces[1])
+            step = _parse_int(f"{key} step", pieces[2], lo=1) if len(pieces) == 3 else 1
             raw = list(range(start, stop + 1, step))
         else:
-            raw = [int(tok) for tok in raw.split(",") if tok.strip()]
+            raw = [tok for tok in raw.split(",") if tok.strip()]
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigurationError(f"{key}: expected a nonempty integer list, got {raw!r}")
     values = [_parse_int(key, v, lo) for v in raw]
     return values
+
+
+def _parse_seed(key: str, raw) -> int:
+    seed = _parse_int(key, raw, lo=0)
+    if seed >= SEED_LIMIT:
+        raise ConfigurationError(f"{key}: must be below 2^64, got {seed}")
+    return seed
 
 
 def default_lambda_grid(n: int, W: int) -> list[int]:
@@ -221,7 +237,7 @@ def parse_config(
             )
 
     if command in ("sample", "tail", "sweep"):
-        values["seed"] = _parse_int("seed", merged.pop("seed", 1), lo=0)
+        values["seed"] = _parse_seed("seed", merged.pop("seed", 1))
         values["steps"] = _parse_int("steps", merged.pop("steps", 100_000), lo=0)
         if "burn_in" in merged:
             values["burn_in"] = _parse_int("burn_in", merged.pop("burn_in"), lo=0)
@@ -283,7 +299,7 @@ def parse_config(
                         "p": _parse_p(job.get("p", values.get("p", "inf"))),
                         "W": _parse_int("W", job.get("W", 1), lo=1),
                         "n": _parse_int("n", job.get("n", 1), lo=1),
-                        "seed": _parse_int("seed", job["seed"], lo=0)
+                        "seed": _parse_seed(f"jobs[{k}].seed", job["seed"])
                         if "seed" in job
                         else None,
                     }
@@ -294,11 +310,10 @@ def parse_config(
                 values["p"] = _parse_p("inf")
             w_list = _parse_int_list("W_list", merged.pop("W_list", [1]), lo=1)
             n_list = _parse_int_list("n_list", merged.pop("n_list", [values.get("n", 50)]), lo=1)
-            seeds = (
-                _parse_int_list("seeds", merged.pop("seeds"), lo=0)
-                if "seeds" in merged
-                else [None]
-            )
+            seeds = [None]
+            if "seeds" in merged:
+                raw_seeds = _parse_int_list("seeds", merged.pop("seeds"))
+                seeds = [_parse_seed("seeds", s) for s in raw_seeds]
             values["jobs"] = [
                 {"p": values["p"], "W": w, "n": nn, "seed": s}
                 for w in w_list
@@ -456,7 +471,7 @@ def _cmd_sample(config: RunConfig) -> int:
 
 def _tail_job(
     params: ModelParams, sampler_cfg: SamplerConfig, j: int, grid: list[int]
-) -> tuple[TailCurve, ChainSummary, list[int], list[int]]:
+) -> tuple[TailCurve, ChainSummary, list[int]]:
     diams: list[int] = []
     disp0: list[int] = []
 
@@ -466,7 +481,7 @@ def _tail_job(
 
     summary = sample_cycle_observables(params, sampler_cfg, j, observe)
     curve = estimate_tail_curve(diams, grid, params, j)
-    return curve, summary, diams, disp0
+    return curve, summary, disp0
 
 
 def _tail_artifacts(
@@ -517,7 +532,7 @@ def _cmd_tail(config: RunConfig) -> int:
     params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
     sampler_cfg = _sampler_config(v, params, v["seed"])
-    curve, summary, _, disp0 = _tail_job(params, sampler_cfg, v["j"], grid)
+    curve, summary, disp0 = _tail_job(params, sampler_cfg, v["j"], grid)
     artifacts = _tail_artifacts(config, params, v["seed"], curve, summary, disp0, sampler_cfg)
     _write_manifest(config, artifacts)
     return EXIT_OK
@@ -530,7 +545,7 @@ def _run_sweep_job(args: tuple) -> tuple[dict, list[str]]:
     v = config.values
     sampler_cfg = _sampler_config(v, params, job["seed"])
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
-    curve, summary, _, disp0 = _tail_job(params, sampler_cfg, j, grid)
+    curve, summary, disp0 = _tail_job(params, sampler_cfg, j, grid)
     artifacts = _tail_artifacts(
         config, params, job["seed"], curve, summary, disp0, sampler_cfg
     )
@@ -616,6 +631,12 @@ def _cmd_uncross_verify(config: RunConfig) -> int:
 def _cmd_recurrence(config: RunConfig) -> int:
     v = config.values
     p = v["p"]
+    k_max = max(v["k_max_factor"] * W**3 for W in v["W_list"])
+    if k_max > RECURRENCE_K_MAX_CAP:
+        raise CapacityError(
+            f"k_max = k_max_factor * W^3 = {k_max} exceeds the recurrence cap "
+            f"{RECURRENCE_K_MAX_CAP}"
+        )
     rows = []
     certificate = {
         "format_version": FORMAT_VERSION,
@@ -785,7 +806,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CAPACITY
     except (NoDataError, UnfittableError) as exc:
         print(json.dumps({"error": "no-data", "message": str(exc)}))
-        return 1
+        return EXIT_NO_DATA
 
 
 if __name__ == "__main__":

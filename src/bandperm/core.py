@@ -4,7 +4,10 @@ Everything in this package is built on bijections pi of the interval
 [-n, n].  This module holds the value types (model parameters, permutations,
 cycle statistics) and the handful of primitives the other modules consume:
 orbit extraction, displacement energy, band-support membership and the
-image-swap move.
+image-swap move.  Each primitive is written once over a raw image tuple
+(``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``),
+which the exhaustive layers call directly; the Permutation-level functions
+validate their arguments and delegate to it.
 
 All operations are pure: inputs are never mutated and results are fresh
 values, so they are safe to call from concurrent workers.
@@ -142,26 +145,39 @@ class CycleStats:
     diam: int
 
 
-def cycle_of(pi: Permutation, j: int) -> CycleStats:
-    """Orbit of j under iteration of pi, with its summary statistics.
+def orbit(image: tuple[int, ...], j: int) -> list[int]:
+    """The orbit j, pi(j), pi^2(j), ... of j under an image tuple, one period long.
 
-    Terminates after exactly ``length`` applications of pi (bijectivity
-    guarantees the walk returns to j).
+    The image tuple is (pi(-n), ..., pi(n)); the walk stops when it returns
+    to j, which bijectivity guarantees.
     """
+    n = len(image) // 2
+    members = [j]
+    x = image[j + n]
+    while x != j:
+        members.append(x)
+        x = image[x + n]
+    return members
+
+
+def cycle_of(pi: Permutation, j: int) -> CycleStats:
+    """Orbit of j under iteration of pi, with its summary statistics."""
     n = pi.n
     if not -n <= j <= n:
         raise DomainError(f"point {j} outside [{-n}, {n}]")
-    image = pi.image
-    members = []
-    x = j
-    while True:
-        members.append(x)
-        x = image[x + n]
-        if x == j:
-            break
+    members = orbit(pi.image, j)
     lo = min(members)
     hi = max(members)
     return CycleStats(frozenset(members), len(members), lo, hi, hi - lo)
+
+
+def displacement_sum(image: tuple[int, ...], p: float) -> float:
+    """sum_i |pi(i) - i|^p over an image tuple, accumulated from i = -n up."""
+    n = len(image) // 2
+    total = 0.0
+    for k, v in enumerate(image):
+        total += abs(v - (k - n)) ** p
+    return total
 
 
 def energy(pi: Permutation, params: ModelParams) -> float:
@@ -179,18 +195,18 @@ def energy(pi: Permutation, params: ModelParams) -> float:
             f"params are for [-{params.n}, {params.n}] but permutation is "
             f"for [-{pi.n}, {pi.n}]"
         )
-    p = params.p
-    n = pi.n
-    total = 0.0
-    for k, v in enumerate(pi.image):
-        total += abs(v - (k - n)) ** p
-    return total / params.W**p
+    return displacement_sum(pi.image, params.p) / params.W**params.p
 
 
 def max_displacement(pi: Permutation) -> int:
     """max_i |pi(i) - i|."""
-    n = pi.n
-    return max(abs(v - (k - n)) for k, v in enumerate(pi.image))
+    return image_max_displacement(pi.image)
+
+
+def image_max_displacement(image: tuple[int, ...]) -> int:
+    """max_i |pi(i) - i| over an image tuple."""
+    n = len(image) // 2
+    return max(abs(v - (k - n)) for k, v in enumerate(image))
 
 
 def in_support(pi: Permutation, W: int) -> bool:
@@ -210,9 +226,15 @@ def swap_images(pi: Permutation, a: int, b: int) -> Permutation:
     n = pi.n
     if not -n <= a <= n or not -n <= b <= n:
         raise DomainError(f"positions ({a}, {b}) not both inside [{-n}, {n}]")
-    image = list(pi.image)
-    image[a + n], image[b + n] = image[b + n], image[a + n]
-    return Permutation(tuple(image))
+    return Permutation(swapped(pi.image, a, b))
+
+
+def swapped(image: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """The image tuple with the images at positions a and b traded."""
+    n = len(image) // 2
+    out = list(image)
+    out[a + n], out[b + n] = out[b + n], out[a + n]
+    return tuple(out)
 
 
 def reflect(pi: Permutation) -> Permutation:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import ModelParams, Permutation, cycle_of, energy
+from .core import ModelParams, Permutation, displacement_sum, orbit
 
 # Largest interval size 2n+1 admitted to the factorial mode (9! = 362880
 # permutations keeps every oracle run under a few seconds).
@@ -120,47 +120,58 @@ def _band_images(n: int, W: int) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
-def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
-    """Every admissible permutation exactly once, in lexicographic image order.
+def _band_size(params: ModelParams) -> int:
+    """|S_W| from the counting DP, raising CapacityError over the band cap."""
+    total = count_band_permutations(params.interval_size, params.W)
+    if total > BAND_ENUMERATION_CAP:
+        raise CapacityError(
+            f"|S_W| = {total} exceeds the band enumeration cap "
+            f"{BAND_ENUMERATION_CAP} (W={params.W}, 2n+1={params.interval_size})"
+        )
+    return total
+
+
+def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
+    """Every admissible image tuple exactly once, in lexicographic order.
 
     Finite p: all (2n+1)! permutations (full Gibbs support).  Infinite p:
     exactly the members of S_W.  Raises CapacityError, naming the cap, when
-    the instance is too large.
+    the instance is too large; the check runs on the call, before iteration.
     """
     if params.infinite_p:
-        total = count_band_permutations(params.interval_size, params.W)
-        if total > BAND_ENUMERATION_CAP:
-            raise CapacityError(
-                f"|S_W| = {total} exceeds the band enumeration cap "
-                f"{BAND_ENUMERATION_CAP} (W={params.W}, 2n+1={params.interval_size})"
-            )
-        return (Permutation(img) for img in _band_images(params.n, params.W))
+        _band_size(params)
+        return _band_images(params.n, params.W)
     m = params.interval_size
     if m > FULL_ENUMERATION_CAP:
         raise CapacityError(
             f"interval size {m} exceeds the exhaustive cap "
             f"{FULL_ENUMERATION_CAP} for finite p ((2n+1)! mode)"
         )
-    return (
-        Permutation(img)
-        for img in itertools.permutations(range(-params.n, params.n + 1))
-    )
+    return itertools.permutations(range(-params.n, params.n + 1))
+
+
+def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
+    """:func:`enumerate_images`, each image wrapped in a Permutation."""
+    return (Permutation(img) for img in enumerate_images(params))
+
+
+def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(image, unnormalized Gibbs weight) for every admissible image.
+
+    The weight is exp(-energy) at finite p and 1.0 on S_W at p = infinity.
+    """
+    images = enumerate_images(params)
+    if params.infinite_p:
+        return ((img, 1.0) for img in images)
+    p, wp = params.p, params.W**params.p
+    return ((img, math.exp(-(displacement_sum(img, p) / wp))) for img in images)
 
 
 def exact_distribution(params: ModelParams) -> ExactDistribution:
     """Materialize the exact Gibbs distribution for an enumerable instance."""
-    if params.infinite_p:
-        perms = list(enumerate_permutations(params))
-        prob = 1.0 / len(perms)
-        entries = tuple((pi, prob) for pi in perms)
-        return ExactDistribution(params, entries, float(len(perms)))
-    perms = []
-    weights = []
-    for pi in enumerate_permutations(params):
-        perms.append(pi)
-        weights.append(math.exp(-energy(pi, params)))
-    z = math.fsum(weights)
-    entries = tuple((pi, w / z) for pi, w in zip(perms, weights))
+    pairs = list(_weighted(params))
+    z = math.fsum(w for _, w in pairs)
+    entries = tuple((Permutation(img), w / z) for img, w in pairs)
     return ExactDistribution(params, entries, z)
 
 
@@ -171,16 +182,9 @@ def exact_partition(params: ModelParams) -> tuple[float, int]:
     finite p the weights are streamed.
     """
     if params.infinite_p:
-        total = count_band_permutations(params.interval_size, params.W)
-        if total > BAND_ENUMERATION_CAP:
-            raise CapacityError(
-                f"|S_W| = {total} exceeds the band enumeration cap "
-                f"{BAND_ENUMERATION_CAP} (W={params.W}, 2n+1={params.interval_size})"
-            )
+        total = _band_size(params)
         return float(total), total
-    weights = [
-        math.exp(-energy(pi, params)) for pi in enumerate_permutations(params)
-    ]
+    weights = [w for _, w in _weighted(params)]
     return math.fsum(weights), len(weights)
 
 
@@ -196,12 +200,9 @@ def exact_tail_curve(
             raise ValueError(f"lambda must be nonnegative, got {lam}")
     # weight mass grouped by cycle diameter (diameters are in 0..2n)
     mass = [0.0] * (2 * n + 1)
-    if params.infinite_p:
-        for pi in enumerate_permutations(params):
-            mass[cycle_of(pi, j).diam] += 1.0
-    else:
-        for pi in enumerate_permutations(params):
-            mass[cycle_of(pi, j).diam] += math.exp(-energy(pi, params))
+    for img, w in _weighted(params):
+        members = orbit(img, j)
+        mass[max(members) - min(members)] += w
     suffix = [0.0] * (2 * n + 2)
     for d in range(2 * n, -1, -1):
         suffix[d] = suffix[d + 1] + mass[d]
@@ -219,20 +220,12 @@ def exact_tail(params: ModelParams, j: int, lam: int) -> float:
 def exact_expectation(params: ModelParams, observable) -> float:
     """Expectation of observable(pi) under the exact distribution.
 
-    Streams the enumeration twice instead of materializing it, so it works
+    Streams the enumeration once instead of materializing it, so it works
     at the full capacity of the enumerator.
     """
-    if params.infinite_p:
-        total = 0
-        acc = []
-        for pi in enumerate_permutations(params):
-            acc.append(observable(pi))
-            total += 1
-        return math.fsum(acc) / total
     z_terms = []
     num_terms = []
-    for pi in enumerate_permutations(params):
-        w = math.exp(-energy(pi, params))
+    for img, w in _weighted(params):
         z_terms.append(w)
-        num_terms.append(w * observable(pi))
+        num_terms.append(w * observable(Permutation(img)))
     return math.fsum(num_terms) / math.fsum(z_terms)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     INFINITY,
@@ -26,12 +26,13 @@ from .core import (
     ModelParams,
     Permutation,
     UnsupportedExponentError,
-    cycle_of,
-    energy,
-    in_support,
+    displacement_sum,
+    image_max_displacement,
+    orbit,
     reflect,
-    swap_images,
+    swapped,
 )
+from .exact import enumerate_images
 
 # Multiplicative slack for floating-point comparisons of energy ratios.
 RATIO_GUARD = 1e-9
@@ -95,30 +96,34 @@ class CrossingRecord:
             raise ValueError("up and down crossing sources coincide")
 
 
-def _orbit_of_zero(pi: Permutation) -> list[int]:
-    image = pi.image
-    n = pi.n
-    orbit = [0]
-    x = image[n]
-    while x != 0:
-        orbit.append(x)
-        x = image[x + n]
-    return orbit
+Image = tuple[int, ...]
+
+
+def _crossings(image: Image, t: int) -> tuple[Optional[tuple], Optional[tuple]]:
+    """First up-crossing and last down-crossing of the orbit of 0 at t.
+
+    One walk of the orbit finds both as (index, source, target) triples;
+    each is None when absent, and both are None exactly when the orbit never
+    exceeds t.  Requires t >= 0 so that the orbit starts at or below the
+    threshold.
+    """
+    if t < 0:
+        raise ValueError(f"threshold must be nonnegative, got {t}")
+    members = orbit(image, 0)
+    up = down = None
+    for j, (here, nxt) in enumerate(zip(members, members[1:] + [0])):
+        if up is None and here <= t < nxt:
+            up = (j, here, nxt)
+        elif nxt <= t < here:
+            down = (j, here, nxt)
+    return up, down
 
 
 def first_upcrossing(pi: Permutation, t: int) -> Optional[UpCrossing]:
     """Least j >= 0 with pi^j(0) <= t < pi^(j+1)(0), or None if the orbit
     never exceeds t.  Requires t >= 0 so that the orbit starts below."""
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
-    orbit = _orbit_of_zero(pi)
-    period = len(orbit)
-    for j in range(period):
-        here = orbit[j]
-        nxt = orbit[(j + 1) % period]
-        if here <= t < nxt:
-            return UpCrossing(j, here, nxt)
-    return None
+    up, _ = _crossings(pi.image, t)
+    return None if up is None else UpCrossing(*up)
 
 
 def last_downcrossing(pi: Permutation, t: int) -> Optional[DownCrossing]:
@@ -127,26 +132,26 @@ def last_downcrossing(pi: Permutation, t: int) -> Optional[DownCrossing]:
     period is the length of the cycle of 0, so the search covers exactly one
     traversal and pi^period(0) = 0 closes it.
     """
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
-    orbit = _orbit_of_zero(pi)
-    period = len(orbit)
-    for j in range(period - 1, -1, -1):
-        here = orbit[j]
-        nxt = orbit[(j + 1) % period]
-        if nxt <= t < here:
-            return DownCrossing(j, here, nxt)
-    return None
+    _, down = _crossings(pi.image, t)
+    return None if down is None else DownCrossing(*down)
 
 
 def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
     """Both crossings at threshold t, or None when the orbit stays below."""
-    up = first_upcrossing(pi, t)
+    up, down = _crossings(pi.image, t)
     if up is None:
         return None
-    down = last_downcrossing(pi, t)
-    assert down is not None  # an orbit that goes up must come back down
-    return CrossingRecord(t, up, down)
+    return CrossingRecord(t, UpCrossing(*up), DownCrossing(*down))
+
+
+def _uncross_image(image: Image, t: int) -> Image:
+    """:func:`uncross` on an image tuple."""
+    up, down = _crossings(image, t)
+    if up is None:
+        raise NoCrossingError(
+            f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
+        )
+    return swapped(image, up[1], down[1])
 
 
 def uncross(pi: Permutation, t: int) -> Permutation:
@@ -157,12 +162,7 @@ def uncross(pi: Permutation, t: int) -> Permutation:
     energy never exceeds pi's; and if pi lies in S_W then so does rho, with
     max C_rho(0) > t - 2W.
     """
-    rec = crossing_record(pi, t)
-    if rec is None:
-        raise NoCrossingError(
-            f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
-        )
-    return swap_images(pi, rec.up.source, rec.down.source)
+    return Permutation(_uncross_image(pi.image, t))
 
 
 def uncross_min(pi: Permutation, t: int) -> Permutation:
@@ -174,31 +174,33 @@ def uncross_min(pi: Permutation, t: int) -> Permutation:
     return reflect(uncross(reflect(pi), t))
 
 
-def _preimage_candidates(
-    tau: Permutation, t: int, params: ModelParams
-) -> Iterable[tuple[int, int]]:
-    """Candidate (a, b) source pairs whose image swap might invert the map.
+def _preimage_images(tau: Image, t: int, band: Optional[int]) -> list[Image]:
+    """:func:`uncross_preimage` on an image tuple whose 0-cycle stays <= t.
 
-    a runs over the cycle of 0 with a, tau(a) <= t; b over points with
-    b, tau(b) > t.  At infinite p both are pinned to W-windows around the
-    threshold because band membership forces the crossing sources there.
+    band is W at infinite p and None at finite p.  Candidate source pairs
+    (a, b) have a on the cycle of 0 with a, tau(a) <= t and b, tau(b) > t;
+    at infinite p both are pinned to W-windows around the threshold because
+    band membership forces the crossing sources there.
     """
-    n = tau.n
-    cyc = cycle_of(tau, 0).elements
-    if params.infinite_p:
-        W = params.W
-        a_lo, a_hi = max(-n, t - W + 1), min(n, t)
-        b_hi = min(n, t + W)
-    else:
-        a_lo, a_hi = -n, min(n, t)
-        b_hi = n
+    n = len(tau) // 2
+    cycle = set(orbit(tau, 0))
+    reach = 2 * n + 1 if band is None else band  # finite p: the whole interval
+    a_lo, b_hi = max(-n, t - reach + 1), min(n, t + reach)
     a_values = [
-        a for a in range(a_lo, a_hi + 1) if a in cyc and tau(a) <= t
+        a for a in range(a_lo, min(n, t) + 1) if a in cycle and tau[a + n] <= t
     ]
-    b_values = [b for b in range(t + 1, b_hi + 1) if tau(b) > t]
+    b_values = [b for b in range(t + 1, b_hi + 1) if tau[b + n] > t]
+    found = []
     for a in a_values:
         for b in b_values:
-            yield a, b
+            candidate = swapped(tau, a, b)
+            if band is not None and image_max_displacement(candidate) > band:
+                continue
+            up, down = _crossings(candidate, t)
+            if up is not None and swapped(candidate, up[1], down[1]) == tau:
+                found.append(candidate)
+    found.sort()
+    return found
 
 
 def uncross_preimage(
@@ -212,23 +214,12 @@ def uncross_preimage(
     infinite p the preimage is additionally restricted to S_W, which caps
     its size at W^2.  Results are sorted by image tuple.
     """
-    if cycle_of(tau, 0).max > t:
+    if max(orbit(tau.image, 0)) > t:
         raise DomainError(
             f"max of the cycle of 0 exceeds {t}; tau is outside the map's image"
         )
-    found = []
-    infinite = params.infinite_p
-    for a, b in _preimage_candidates(tau, t, params):
-        candidate = swap_images(tau, a, b)
-        if infinite and not in_support(candidate, params.W):
-            continue
-        rec = crossing_record(candidate, t)
-        if rec is None:
-            continue
-        if swap_images(candidate, rec.up.source, rec.down.source) == tau:
-            found.append(candidate)
-    found.sort(key=lambda pi: pi.image)
-    return found
+    band = params.W if params.infinite_p else None
+    return [Permutation(img) for img in _preimage_images(tau.image, t, band)]
 
 
 @dataclass(frozen=True)
@@ -255,27 +246,29 @@ def crossing_ratio_check(
     """
     if params.infinite_p:
         raise UnsupportedExponentError("the ratio inequality is a finite-p statement")
-    n = tau.n
-    if not -n <= a <= n or not -n <= b <= n:
-        raise DomainError(f"positions ({a}, {b}) not both inside [{-n}, {n}]")
-    ta, tb = tau(a), tau(b)
+    ta, tb = tau(a), tau(b)  # raises DomainError outside [-n, n]
     if not (a <= t and ta <= t and b > t and tb > t):
         raise CrossingConditionError(
             f"need a, tau(a) <= {t} < b, tau(b); got a={a}, tau(a)={ta}, "
             f"b={b}, tau(b)={tb}"
         )
-    p, W = params.p, params.W
-    wp = float(W) ** p
+    wp = float(params.W) ** params.p
+    log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, params.p, wp)
+    return RatioCheck(
+        math.exp(log_ratio), math.exp(log_bound), satisfied, log_ratio, log_bound
+    )
+
+
+def _ratio_logs(
+    a: int, ta: int, b: int, tb: int, p: float, wp: float
+) -> tuple[float, float, bool]:
+    """(log ratio, log bound, satisfied) for the swap at (a, b); wp is W^p."""
     delta = (
         abs(tb - a) ** p + abs(ta - b) ** p - abs(ta - a) ** p - abs(tb - b) ** p
     ) / wp
     gap = min(b, tb) - max(a, ta)
-    log_ratio = -delta
-    log_bound = -(abs(gap) ** p) / wp
-    satisfied = log_ratio <= log_bound + math.log1p(RATIO_GUARD)
-    return RatioCheck(
-        math.exp(log_ratio), math.exp(log_bound), satisfied, log_ratio, log_bound
-    )
+    log_ratio, log_bound = -delta, -(abs(gap) ** p) / wp
+    return log_ratio, log_bound, log_ratio <= log_bound + math.log1p(RATIO_GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -330,288 +323,233 @@ class VerificationCertificate:
         }
 
 
-def _band_members(n: int, W: int) -> list[Permutation]:
-    from .exact import enumerate_permutations
+# Every admissible image in enumeration order, and the max of each one's
+# 0-cycle; parallel lists, since a pair per member costs 64 bytes more.
+Members = tuple[list[Image], list[int]]
 
-    return list(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
+
+def _members(params: ModelParams) -> Members:
+    images = list(enumerate_images(params))
+    return images, [max(orbit(img, 0)) for img in images]
 
 
-def verify_one_step_membership(
-    cert: VerificationCertificate, n: int, W: int, lam_values: Iterable[int]
-) -> None:
-    """Image membership at thresholds lam + 2W over all of S_W.
+def _fibres(members: Members, t: int) -> dict[Image, list[Image]]:
+    """The uncrossing map at t, inverted by brute force over the members.
 
-    For every band permutation whose 0-cycle exceeds lam + 2W, the uncrossed
-    permutation must stay in S_W with max C(0) in (lam, lam + 2W].  Small
-    intervals may admit no instances at all; the count records how many were
-    actually exercised.
+    Keys are the images of members whose 0-cycle exceeds t; each fibre lists
+    its preimages in enumeration order, which is lexicographic.
     """
-    members = _band_members(n, W)
-    cert.counts.setdefault("one_step_membership", 0)
+    fibres: dict[Image, list[Image]] = {}
+    for img, top in zip(*members):
+        if top > t:
+            fibres.setdefault(_uncross_image(img, t), []).append(img)
+    return fibres
+
+
+def _check_images(
+    cert: VerificationCertificate,
+    fibres: dict[Image, list[Image]],
+    W: int,
+    t: int,
+    check: str,
+    label: dict,
+) -> None:
+    """Every image of the map stays in S_W with max C(0) in (t - 2W, t]."""
+    for rho, pis in fibres.items():
+        cert._bump(check, len(pis))
+        top = max(orbit(rho, 0))
+        if not (t - 2 * W < top <= t and image_max_displacement(rho) <= W):
+            for pi in pis:
+                cert.violations.append(
+                    {
+                        "check": check,
+                        "W": W,
+                        **label,
+                        "pi": list(pi),
+                        "rho": list(rho),
+                        "max_c0": top,
+                    }
+                )
+
+
+def _check_preimages(
+    cert: VerificationCertificate,
+    members: Members,
+    t: int,
+    band: Optional[int],
+    fibres: dict[Image, list[Image]],
+) -> None:
+    """uncross_preimage equals the brute-force fibre of every tau with
+    max C(0) <= t; at infinite p (band = W) fibres also stay within W^2."""
+    check = "preimage_sets_full" if band is None else "preimage_sets_band"
+    label = {} if band is None else {"W": band}
+    for tau, top in zip(*members):
+        if top > t:
+            continue
+        cert._bump(check)
+        expected = fibres.get(tau, [])
+        got = _preimage_images(tau, t, band)
+        size = len(got)
+        if band is not None and size > cert.max_preimage_size:
+            cert.max_preimage_size = size
+            cert.max_preimage_witness = {"W": band, "t": t, "tau": list(tau), "size": size}
+        if got != expected or (band is not None and size > band * band):
+            cert.violations.append(
+                {
+                    "check": check,
+                    **label,
+                    "t": t,
+                    "tau": list(tau),
+                    "expected": [list(q) for q in expected],
+                    "got": [list(q) for q in got],
+                }
+            )
+
+
+def _band_pass(
+    cert: VerificationCertificate,
+    n: int,
+    W: int,
+    lam_values: Sequence[int],
+    t_values: Sequence[int],
+) -> None:
+    """All p = infinity checks over S_W on [-n, n], from one enumeration.
+
+    one_step_membership: at each threshold lam + 2W the uncrossed
+    permutation stays in S_W with max C(0) in (lam, lam + 2W]; small
+    intervals may admit no instances, and the count records how many were
+    exercised.  uncross_contract: the same guarantees at each t.
+    preimage_sets_band: at each t, uncross_preimage equals the forward
+    map's fibres and never exceeds W^2 members.  One threshold's fibres are
+    held at a time.
+    """
+    members = _members(ModelParams(p=INFINITY, W=W, n=n))
+    for check in ("one_step_membership", "uncross_contract", "preimage_sets_band"):
+        cert.counts.setdefault(check, 0)
     for lam in lam_values:
         t = lam + 2 * W
-        for pi in members:
-            if cycle_of(pi, 0).max <= t:
-                continue
-            cert._bump("one_step_membership")
-            rho = uncross(pi, t)
-            top = cycle_of(rho, 0).max
-            if not (in_support(rho, W) and lam < top <= t):
-                cert.violations.append(
-                    {
-                        "check": "one_step_membership",
-                        "W": W,
-                        "lam": lam,
-                        "pi": pi.to_list(),
-                        "rho": rho.to_list(),
-                        "max_c0": top,
-                    }
-                )
-
-
-def verify_uncross_contract(
-    cert: VerificationCertificate, n: int, W: int, t_values: Iterable[int]
-) -> None:
-    """General-threshold guarantees of the map over all of S_W."""
-    members = _band_members(n, W)
-    cert.counts.setdefault("uncross_contract", 0)
+        _check_images(cert, _fibres(members, t), W, t, "one_step_membership", {"lam": lam})
     for t in t_values:
-        for pi in members:
-            if cycle_of(pi, 0).max <= t:
-                continue
-            cert._bump("uncross_contract")
-            rho = uncross(pi, t)
-            top = cycle_of(rho, 0).max
-            if not (top <= t and in_support(rho, W) and top > t - 2 * W):
-                cert.violations.append(
-                    {
-                        "check": "uncross_contract",
-                        "W": W,
-                        "t": t,
-                        "pi": pi.to_list(),
-                        "rho": rho.to_list(),
-                        "max_c0": top,
-                    }
-                )
+        fibres = _fibres(members, t)
+        _check_images(cert, fibres, W, t, "uncross_contract", {"t": t})
+        _check_preimages(cert, members, t, W, fibres)
 
 
-def verify_preimages_band(
-    cert: VerificationCertificate, n: int, W: int, t_values: Iterable[int]
-) -> None:
-    """Preimage enumeration against brute-force inversion over S_W.
-
-    The forward map is applied to every band permutation with a crossing and
-    the resulting fibers are compared, as sets, with uncross_preimage; fiber
-    sizes must never exceed W^2.
-    """
-    members = _band_members(n, W)
-    cert.counts.setdefault("preimage_sets_band", 0)
-    params = ModelParams(p=INFINITY, W=W, n=n)
-    for t in t_values:
-        fibers: dict[Permutation, list[Permutation]] = {}
-        for pi in members:
-            if cycle_of(pi, 0).max > t:
-                fibers.setdefault(uncross(pi, t), []).append(pi)
-        for tau in members:
-            if cycle_of(tau, 0).max > t:
-                continue
-            cert._bump("preimage_sets_band")
-            expected = sorted(fibers.get(tau, []), key=lambda q: q.image)
-            got = uncross_preimage(tau, t, params)
-            size = len(got)
-            if size > cert.max_preimage_size:
-                cert.max_preimage_size = size
-                cert.max_preimage_witness = {
-                    "W": W,
-                    "t": t,
-                    "tau": tau.to_list(),
-                    "size": size,
-                }
-            if got != expected or size > W * W:
-                cert.violations.append(
-                    {
-                        "check": "preimage_sets_band",
-                        "W": W,
-                        "t": t,
-                        "tau": tau.to_list(),
-                        "expected": [q.to_list() for q in expected],
-                        "got": [q.to_list() for q in got],
-                    }
-                )
-
-
-def verify_energy_monotonicity(
-    cert: VerificationCertificate, n: int, p: float, t_values: Iterable[int]
-) -> None:
-    """Uncrossing never increases energy, over all permutations of [-n, n]."""
-    from .exact import enumerate_permutations
-
-    params = ModelParams(p=p, W=1, n=n)
-    for t in t_values:
-        for pi in enumerate_permutations(params):
-            if cycle_of(pi, 0).max <= t:
-                continue
-            cert._bump("energy_monotonicity")
-            rho = uncross(pi, t)
-            before = energy(pi, params)
-            after = energy(rho, params)
-            if after > before + 1e-9:
-                cert.violations.append(
-                    {
-                        "check": "energy_monotonicity",
-                        "p": p,
-                        "t": t,
-                        "pi": pi.to_list(),
-                        "energy_before": before,
-                        "energy_after": after,
-                    }
-                )
-
-
-def verify_ratio_bound(
+def _full_pass(
     cert: VerificationCertificate,
     n: int,
-    p: float,
-    W: int,
-    t_values: Iterable[int],
+    p_values: Sequence[float],
+    w_values: Sequence[int],
+    t_values: Sequence[int],
 ) -> None:
-    """The weight-ratio inequality over every admissible (tau, a, b, t)."""
-    from .exact import enumerate_permutations
+    """All finite-p checks over every permutation of [-n, n], from one enumeration.
 
-    params = ModelParams(p=p, W=W, n=n)
-    for tau in enumerate_permutations(params):
-        image = tau.image
-        for t in t_values:
-            lows = [a for a in range(-n, t + 1) if image[a + n] <= t]
-            highs = [b for b in range(t + 1, n + 1) if image[b + n] > t]
-            for a in lows:
-                for b in highs:
-                    cert._bump("ratio_bound")
-                    check = crossing_ratio_check(tau, a, b, t, params)
-                    quotient = math.exp(
-                        min(check.log_ratio - check.log_bound, 700.0)
-                    )
-                    if quotient > cert.max_ratio_quotient:
-                        cert.max_ratio_quotient = quotient
-                        cert.max_ratio_witness = {
-                            "p": p,
-                            "W": W,
-                            "t": t,
-                            "tau": tau.to_list(),
-                            "a": a,
-                            "b": b,
-                            "ratio": check.ratio,
-                            "bound": check.bound,
-                        }
-                    if not check.satisfied:
+    The fibres at each t are independent of p and W, so they are built and
+    checked against uncross_preimage (preimage_sets_full) once, then reused
+    with each p's energies: energy_monotonicity (uncrossing never increases
+    energy), ratio_bound (the weight-ratio inequality over every admissible
+    (tau, a, b, t)) and ratio_sum (each fibre's summed weight ratio).
+    """
+    members = _members(ModelParams(p=1.0, W=1, n=n))
+    for check in ("preimage_sets_full", "energy_monotonicity", "ratio_bound", "ratio_sum"):
+        cert.counts.setdefault(check, 0)
+    maps = [(t, _fibres(members, t)) for t in t_values]
+    for t, fibres in maps:
+        _check_preimages(cert, members, t, None, fibres)
+    for p in p_values:
+        # displacement sums; the energy at bandwidth W is sums[img] / W^p
+        sums = {img: displacement_sum(img, p) for img in members[0]}
+        for t, fibres in maps:
+            for rho, pis in fibres.items():
+                cert._bump("energy_monotonicity", len(pis))
+                for pi in pis:
+                    if sums[rho] > sums[pi] + 1e-9:
                         cert.violations.append(
                             {
-                                "check": "ratio_bound",
+                                "check": "energy_monotonicity",
                                 "p": p,
-                                "W": W,
                                 "t": t,
-                                "tau": tau.to_list(),
-                                "a": a,
-                                "b": b,
-                                "ratio": check.ratio,
-                                "bound": check.bound,
+                                "pi": list(pi),
+                                "energy_before": sums[pi],
+                                "energy_after": sums[rho],
                             }
                         )
+        for W in w_values:
+            wp = float(W) ** p
+            for tau, top in zip(*members):
+                for t, fibres in maps:
+                    _ratio_checks(cert, tau, top, t, fibres, sums, p, W, wp)
 
 
-def verify_ratio_sum(
+def _ratio_checks(
     cert: VerificationCertificate,
-    n: int,
+    tau: Image,
+    top: int,
+    t: int,
+    fibres: dict[Image, list[Image]],
+    sums: dict[Image, float],
     p: float,
     W: int,
-    t_values: Iterable[int],
-    k_bound: float = RATIO_SUM_K,
+    wp: float,
 ) -> None:
-    """The fiber-summed weight ratio against its frozen regression bound.
+    """Both weight-ratio checks for tau at t; top is max C_tau(0), wp is W^p.
 
-    For every tau whose 0-cycle stays at or below t, the weights of its
-    uncrossing fiber, relative to tau, must sum to at most
-    k_bound * W^2 * exp(-|t - max C(0)|^p / W^p).
+    ratio_bound: the inequality of :func:`crossing_ratio_check` for every
+    straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
+    of tau's fibre relative to tau sum to at most
+    RATIO_SUM_K * W^2 * exp(-|t - max C_tau(0)|^p / W^p).
     """
-    from .exact import enumerate_permutations
-
-    params = ModelParams(p=p, W=W, n=n)
-    wp = float(W) ** p
-    cert.counts.setdefault("ratio_sum", 0)
-    for tau in enumerate_permutations(params):
-        e_tau = energy(tau, params)
-        top = cycle_of(tau, 0).max
-        for t in t_values:
-            if top > t:
+    n = len(tau) // 2
+    lows = [(a, tau[a + n]) for a in range(-n, min(n, t) + 1) if tau[a + n] <= t]
+    highs = [(b, tau[b + n]) for b in range(t + 1, n + 1) if tau[b + n] > t]
+    cert._bump("ratio_bound", len(lows) * len(highs))
+    for a, ta in lows:
+        for b, tb in highs:
+            log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, p, wp)
+            quotient = math.exp(min(log_ratio - log_bound, 700.0))
+            if quotient <= cert.max_ratio_quotient and satisfied:
                 continue
-            fiber = uncross_preimage(tau, t, params)
-            if not fiber:
-                continue
-            cert._bump("ratio_sum")
-            total = sum(
-                math.exp(-(energy(pi, params) - e_tau)) for pi in fiber
-            )
-            bound = k_bound * W * W * math.exp(-abs(t - top) ** p / wp)
-            quotient = total / bound
-            if quotient > cert.max_ratio_sum_quotient:
-                cert.max_ratio_sum_quotient = quotient
-                cert.max_ratio_sum_witness = {
-                    "p": p,
-                    "W": W,
-                    "t": t,
-                    "tau": tau.to_list(),
-                    "fiber_size": len(fiber),
-                    "ratio_sum": total,
-                    "bound": bound,
-                }
-            if total > bound * (1.0 + RATIO_GUARD):
-                cert.violations.append(
-                    {
-                        "check": "ratio_sum",
-                        "p": p,
-                        "W": W,
-                        "t": t,
-                        "tau": tau.to_list(),
-                        "ratio_sum": total,
-                        "bound": bound,
-                    }
-                )
+            record = {
+                "p": p,
+                "W": W,
+                "t": t,
+                "tau": list(tau),
+                "a": a,
+                "b": b,
+                "ratio": math.exp(log_ratio),
+                "bound": math.exp(log_bound),
+            }
+            if quotient > cert.max_ratio_quotient:
+                cert.max_ratio_quotient = quotient
+                cert.max_ratio_witness = record
+            if not satisfied:
+                cert.violations.append({"check": "ratio_bound", **record})
 
-
-def verify_preimages_full(
-    cert: VerificationCertificate, n: int, t_values: Iterable[int]
-) -> None:
-    """Finite-p preimage enumeration against brute-force inversion.
-
-    At finite p the map acts on every permutation with a crossing and the
-    preimage enumeration is independent of p and W, so one sweep covers all
-    finite exponents.
-    """
-    from .exact import enumerate_permutations
-
-    params = ModelParams(p=1.0, W=1, n=n)
-    everyone = list(enumerate_permutations(params))
-    for t in t_values:
-        fibers: dict[Permutation, list[Permutation]] = {}
-        for pi in everyone:
-            if cycle_of(pi, 0).max > t:
-                fibers.setdefault(uncross(pi, t), []).append(pi)
-        for tau in everyone:
-            if cycle_of(tau, 0).max > t:
-                continue
-            cert._bump("preimage_sets_full")
-            expected = sorted(fibers.get(tau, []), key=lambda q: q.image)
-            got = uncross_preimage(tau, t, params)
-            if got != expected:
-                cert.violations.append(
-                    {
-                        "check": "preimage_sets_full",
-                        "t": t,
-                        "tau": tau.to_list(),
-                        "expected": [q.to_list() for q in expected],
-                        "got": [q.to_list() for q in got],
-                    }
-                )
+    if top > t or tau not in fibres:
+        return
+    fibre = fibres[tau]
+    cert._bump("ratio_sum")
+    e_tau = sums[tau] / wp
+    total = sum(math.exp(-(sums[pi] / wp - e_tau)) for pi in fibre)
+    bound = RATIO_SUM_K * W * W * math.exp(-abs(t - top) ** p / wp)
+    quotient = total / bound
+    satisfied = total <= bound * (1.0 + RATIO_GUARD)
+    if quotient <= cert.max_ratio_sum_quotient and satisfied:
+        return
+    record = {
+        "p": p,
+        "W": W,
+        "t": t,
+        "tau": list(tau),
+        "fiber_size": len(fibre),
+        "ratio_sum": total,
+        "bound": bound,
+    }
+    if quotient > cert.max_ratio_sum_quotient:
+        cert.max_ratio_sum_quotient = quotient
+        cert.max_ratio_sum_witness = record
+    if not satisfied:
+        cert.violations.append({"check": "ratio_sum", **record})
 
 
 def run_verification(
@@ -634,16 +572,8 @@ def run_verification(
 
     if any(math.isinf(p) for p in p_values):
         for W in w_values:
-            verify_one_step_membership(cert, n, W, lam_tuple)
-            verify_uncross_contract(cert, n, W, t_tuple)
-            verify_preimages_band(cert, n, W, t_tuple)
-
+            _band_pass(cert, n, W, lam_tuple, t_tuple)
     finite_ps = [p for p in p_values if not math.isinf(p)]
     if finite_ps:
-        verify_preimages_full(cert, n, t_tuple)
-        for p in finite_ps:
-            verify_energy_monotonicity(cert, n, p, t_tuple)
-            for W in w_values:
-                verify_ratio_bound(cert, n, p, W, t_tuple)
-                verify_ratio_sum(cert, n, p, W, t_tuple)
+        _full_pass(cert, n, finite_ps, w_values, t_tuple)
     return cert

@@ -24,13 +24,7 @@ from bandperm import (
     sample_cycle_observables,
     spawn_chain_seed,
 )
-from bandperm.uncross import (
-    VerificationCertificate,
-    verify_energy_monotonicity,
-    verify_one_step_membership,
-    verify_preimages_band,
-    verify_ratio_bound,
-)
+from bandperm.uncross import run_verification
 
 
 def report(number: int, detail: str) -> None:
@@ -77,9 +71,7 @@ def test_criterion_02_band_uniformity():
 def test_criterion_03_one_step_membership_exhaustive():
     t0 = time.perf_counter()
     lam_values = tuple(range(0, 5))
-    cert = VerificationCertificate(3, (1, 2), (INFINITY,), lam_values)
-    for w in (1, 2):
-        verify_one_step_membership(cert, 3, w, lam_values)
+    cert = run_verification(3, (1, 2), (INFINITY,), lam_values, t_values=())
     elapsed = time.perf_counter() - t0
     assert cert.ok, f"violations: {cert.violations[:3]}"
     assert elapsed < 60.0
@@ -95,9 +87,7 @@ def test_criterion_03_one_step_membership_exhaustive():
 
 
 def test_criterion_04_preimage_bound_exhaustive():
-    cert = VerificationCertificate(3, (1, 2, 3), (INFINITY,), ())
-    for w in (1, 2, 3):
-        verify_preimages_band(cert, 3, w, range(0, 7))
+    cert = run_verification(3, (1, 2, 3), (INFINITY,), (), t_values=range(0, 7))
     assert cert.ok, f"violations: {cert.violations[:3]}"
     checked = cert.counts["preimage_sets_band"]
     assert checked > 0
@@ -110,10 +100,7 @@ def test_criterion_04_preimage_bound_exhaustive():
 
 
 def test_criterion_05_energy_ratio_inequality():
-    cert = VerificationCertificate(3, (1, 2), (1.0, 1.5, 2.0, 4.0), ())
-    for p in (1.0, 1.5, 2.0, 4.0):
-        for w in (1, 2):
-            verify_ratio_bound(cert, 3, p, w, range(0, 3))
+    cert = run_verification(3, (1, 2), (1.0, 1.5, 2.0, 4.0), (), t_values=range(0, 3))
     assert cert.ok, f"violations: {cert.violations[:3]}"
     checked = cert.counts["ratio_bound"]
     report(
@@ -124,9 +111,7 @@ def test_criterion_05_energy_ratio_inequality():
 
 
 def test_criterion_06_energy_monotonicity():
-    cert = VerificationCertificate(3, (), (1.0, 2.0), ())
-    for p in (1.0, 2.0):
-        verify_energy_monotonicity(cert, 3, p, range(0, 3))
+    cert = run_verification(3, (), (1.0, 2.0), (), t_values=range(0, 3))
     assert cert.ok, f"violations: {cert.violations[:3]}"
     checked = cert.counts["energy_monotonicity"]
     report(6, f"uncrossing never raised energy over {checked} crossing instances")

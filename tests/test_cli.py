@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bandperm import cli
 from bandperm.cli import (
     ConfigurationError,
     default_lambda_grid,
@@ -76,6 +77,10 @@ class TestParseConfig:
         )
         assert len(cfg.values["jobs"]) == 4
 
+    def test_job_seed_bounded(self):
+        with pytest.raises(ConfigurationError, match=r"jobs\[0\]\.seed"):
+            parse_config("sweep", {"jobs": [{"seed": 2**64}]}, {})
+
     def test_sweep_explicit_jobs(self):
         cfg = parse_config(
             "sweep",
@@ -117,6 +122,37 @@ class TestExactCommand:
         assert res.returncode == 2
         payload = json.loads(res.stdout)
         assert payload["error"] == "configuration"
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--lambda-grid", "a,b"],
+            ["exact", "--lambda-grid", "0:4:0"],
+            ["tail", "--seed", str(2**64)],
+            ["sweep", "--seeds", f"1,{2**64}"],
+        ],
+    )
+    def test_config_error_is_one_json_line(self, argv, tmp_path, capsys):
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["error"] == "configuration"
+
+    def test_recurrence_capacity_checked_before_allocation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args):
+            raise AssertionError("recurrence ran past its capacity check")
+
+        monkeypatch.setattr(cli, "recurrence_check", forbidden)
+        monkeypatch.setattr(cli, "largest_propagating_c0", forbidden)
+        argv = ["recurrence", "--k-max-factor", "100000000", "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == 3
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["error"] == "capacity"
+        # the README and oracle runs (k_max_factor 50, W up to 8) stay under it
+        assert 50 * 8**3 <= cli.RECURRENCE_K_MAX_CAP
 
 
 class TestSampleCommand:
@@ -220,7 +256,12 @@ class TestUncrossVerifyCommand:
             "--p-list", "inf,1,2", "--output-dir", str(tmp_path),
         )
         assert res.returncode == 0, res.stderr
-        cert = json.loads((tmp_path / "uncross_certificate_n3.json").read_text())
+        raw = (tmp_path / "uncross_certificate_n3.json").read_bytes()
+        # the bytes recorded in perfbench/reference.json
+        assert hashlib.sha256(raw).hexdigest() == (
+            "88875eaf0ab294ce781be398a2e841e9aa1be7d6924ff9f37635080ee9968385"
+        )
+        cert = json.loads(raw)
         assert cert["violations_total"] == 0
         assert cert["counts"]["ratio_bound"] > 0
         assert cert["max_preimage_size"] <= 4

@@ -28,13 +28,6 @@ from bandperm import (
     uncross_min,
     uncross_preimage,
 )
-from bandperm.uncross import (
-    RATIO_SUM_K,
-    VerificationCertificate,
-    verify_one_step_membership,
-    verify_preimages_band,
-    verify_ratio_sum,
-)
 
 THREE_CYCLE_UP = Permutation.from_mapping(3, {0: 3, 3: 1, 1: 0})   # orbit 0,3,1
 THREE_CYCLE_LOW = Permutation.from_mapping(3, {0: 1, 1: 3, 3: 0})  # orbit 0,1,3
@@ -256,10 +249,7 @@ class TestVerificationSuite:
         # the frozen K = 1.0 must hold across the full exhaustive range;
         # the brute-force maximum quotient (0.657 at p=1, W=1) is pinned
         # as a regression value
-        cert = VerificationCertificate(3, (1, 2), (1.0, 1.5, 2.0, 4.0), ())
-        for p in (1.0, 1.5, 2.0, 4.0):
-            for w in (1, 2):
-                verify_ratio_sum(cert, 3, p, w, range(0, 3), RATIO_SUM_K)
+        cert = run_verification(3, [1, 2], [1.0, 1.5, 2.0, 4.0], t_values=range(0, 3))
         assert cert.ok, f"violations: {cert.violations[:3]}"
         assert cert.counts["ratio_sum"] > 1000
         assert 0.5 < cert.max_ratio_sum_quotient <= 1.0
@@ -268,8 +258,7 @@ class TestVerificationSuite:
     def test_one_step_membership_nonvacuous_at_m11(self):
         # at 2n+1 = 7 no band orbit can exceed lam + 2W, so the one-step
         # check only bites from 2n+1 = 11, W = 2 upward
-        cert = VerificationCertificate(5, (2,), (INFINITY,), (0, 1))
-        verify_one_step_membership(cert, 5, 2, [0, 1])
+        cert = run_verification(5, [2], [INFINITY], lam_values=[0, 1], t_values=[])
         assert cert.counts["one_step_membership"] > 0
         assert cert.ok
 
@@ -282,8 +271,7 @@ class TestVerificationSuite:
         json.dumps(payload)
 
     def test_preimage_witness_recorded(self):
-        cert = VerificationCertificate(3, (2,), (INFINITY,), ())
-        verify_preimages_band(cert, 3, 2, range(0, 3))
+        cert = run_verification(3, [2], [INFINITY], lam_values=[], t_values=range(0, 3))
         assert cert.ok
         assert cert.max_preimage_size >= 1
         assert cert.max_preimage_witness is not None
