@@ -30,7 +30,7 @@ STEPS_PER_W = 4_000_000
 
 def run_chain_curve(w: int, steps: int, seed_index: int):
     # n = 4 W^2 keeps the conjectured localization scale well inside the
-    # interval while the pair-swap chain still mixes on a desk budget
+    # interval while the local image-swap chain still mixes on a desk budget
     n = 4 * w * w
     params = ModelParams(p=1.0, W=w, n=n)
     config = SamplerConfig.with_defaults(

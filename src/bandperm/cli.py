@@ -59,6 +59,11 @@ SEED_LIMIT = 2**64
 # for; each check holds several float arrays of this length.
 RECURRENCE_K_MAX_CAP = 1_000_000
 
+# Most points a start:stop[:step] range may expand to; a chain's lambda
+# grid is only informative up to 2n, and every point is evaluated and
+# written out.
+INT_RANGE_CAP = 100_000
+
 
 class ConfigurationError(ValueError):
     """A configuration key is unknown, ill-typed or violates a constraint."""
@@ -160,7 +165,12 @@ def _parse_int_list(key: str, raw, lo: Optional[int] = None) -> list[int]:
                 raise ConfigurationError(f"{key}: range syntax is start:stop[:step]")
             start, stop = _parse_int(key, pieces[0]), _parse_int(key, pieces[1])
             step = _parse_int(f"{key} step", pieces[2], lo=1) if len(pieces) == 3 else 1
-            raw = list(range(start, stop + 1, step))
+            span = range(start, stop + 1, step)
+            if len(span) > INT_RANGE_CAP:
+                raise ConfigurationError(
+                    f"{key}: range {raw} has {len(span)} points, above the cap {INT_RANGE_CAP}"
+                )
+            raw = list(span)
         else:
             raw = [tok for tok in raw.split(",") if tok.strip()]
     if not isinstance(raw, (list, tuple)) or not raw:

@@ -1,16 +1,31 @@
-"""Seeded Metropolis chain over image-swaps targeting the Gibbs measure.
+"""Seeded Metropolis chain over local image-swaps targeting the Gibbs measure.
 
-Each step proposes a uniformly random unordered pair of positions and swaps
-their images with Metropolis acceptance min(1, exp(-delta_energy)); at
-p = infinity the proposal is accepted iff the result stays inside the band
+Proposal rule: each step draws a position a uniformly from the m = 2n+1
+positions and an offset k uniformly from {-R, ..., -1, 1, ..., R} with
+R = min(2W, m - 1), and proposes swapping the images at a and b = a + k.
+When b falls outside the interval the step is a rejected step: it still
+counts as a step for burn-in, thinning and the acceptance rate.  Every
+in-range unordered pair {a, b} is proposed with probability 1 / (m R),
+half of it from either end, so the proposal is symmetric and Metropolis
+acceptance min(1, exp(-delta_energy)) keeps the Gibbs target; at p =
+infinity the proposal is accepted iff the result stays inside the band
 support S_W.  The energy difference touches only the two affected
 displacement terms, so a step is O(1).
 
+Why R = 2W: at p = infinity a swap of the images at a and b stays in S_W
+only if pi(a) lies within W of both a and b, which forces |a - b| <= 2W.
+Every pair further apart would be rejected for certain, so dropping those
+pairs leaves the band sampler's jump chain unchanged and only removes
+wasted steps.  At finite p the adjacent swaps alone connect all of S_m, so
+the chain stays irreducible.
+
 Reproducibility contract: the random stream is numpy's PCG64 seeded with
-``SamplerConfig.seed``, consumed in fixed-size blocks, so identical
-(params, config) produce bit-identical sample streams on a fixed numpy
-version.  Parameter sweeps derive per-chain seeds with
-``spawn_chain_seed(base_seed, chain_index)``.
+``SamplerConfig.seed``, consumed in blocks of ``_BLOCK`` steps.  Each block
+draws, in this order, one integer array of positions a, one integer array
+of offset indices in [0, 2R), and at finite p one array of uniforms for
+the acceptance test.  Identical (params, config) therefore produce
+bit-identical sample streams on a fixed numpy version.  Parameter sweeps
+derive per-chain seeds with ``spawn_chain_seed(base_seed, chain_index)``.
 """
 from __future__ import annotations
 
@@ -174,6 +189,15 @@ def _initial_image(
     return list(range(-params.n, params.n + 1))
 
 
+def _proposal_offsets(m: int, W: int) -> np.ndarray:
+    """The offsets -R, ..., -1, 1, ..., R with R = min(2W, m - 1), in order.
+
+    A drawn offset index i in [0, 2R) proposes b = a + offsets[i].
+    """
+    R = min(2 * W, m - 1)
+    return np.concatenate((np.arange(-R, 0), np.arange(1, R + 1)))
+
+
 def _drive(
     params: ModelParams,
     config: SamplerConfig,
@@ -203,49 +227,45 @@ def _drive(
     debug = config.debug_energy_check
     thinning = config.thinning
     next_retain = config.burn_in + thinning
+    offsets = _proposal_offsets(m, W)
     accepted = 0
     step = 0
     while step < steps:
         block = min(_BLOCK, steps - step)
-        aa = rng.integers(0, m, size=block).tolist()
-        raw_bb = rng.integers(0, m - 1, size=block).tolist()
+        aa = rng.integers(0, m, size=block)
+        bb = (aa + offsets[rng.integers(0, len(offsets), size=block)]).tolist()
+        aa = aa.tolist()
         if infinite:
-            for idx in range(block):
-                a = aa[idx]
-                b = raw_bb[idx]
-                if b >= a:
-                    b += 1
-                pa = image[a]
-                pb = image[b]
-                if abs(pb - (a - n)) <= W and abs(pa - (b - n)) <= W:
-                    image[a] = pb
-                    image[b] = pa
-                    accepted += 1
+            for a, b in zip(aa, bb):
+                if 0 <= b < m:
+                    pa = image[a]
+                    pb = image[b]
+                    if abs(pb - (a - n)) <= W and abs(pa - (b - n)) <= W:
+                        image[a] = pb
+                        image[b] = pa
+                        accepted += 1
                 step += 1
                 if step == next_retain:
                     retain(step, image)
                     next_retain += thinning
         else:
             logu = np.log(rng.random(size=block)).tolist()
-            for idx in range(block):
-                a = aa[idx]
-                b = raw_bb[idx]
-                if b >= a:
-                    b += 1
-                pa = image[a]
-                pb = image[b]
-                delta = (
-                    costs[abs(pb - a + n)]
-                    + costs[abs(pa - b + n)]
-                    - costs[abs(pa - a + n)]
-                    - costs[abs(pb - b + n)]
-                )
-                if delta <= 0.0 or logu[idx] < -delta:
-                    image[a] = pb
-                    image[b] = pa
-                    accepted += 1
-                    if debug:
-                        running_energy += delta
+            for a, b, lu in zip(aa, bb, logu):
+                if 0 <= b < m:
+                    pa = image[a]
+                    pb = image[b]
+                    delta = (
+                        costs[abs(pb - a + n)]
+                        + costs[abs(pa - b + n)]
+                        - costs[abs(pa - a + n)]
+                        - costs[abs(pb - b + n)]
+                    )
+                    if delta <= 0.0 or lu < -delta:
+                        image[a] = pb
+                        image[b] = pa
+                        accepted += 1
+                        if debug:
+                            running_energy += delta
                 step += 1
                 if step == next_retain:
                     if debug:

@@ -130,6 +130,7 @@ class TestFailClosed:
         [
             ["exact", "--lambda-grid", "a,b"],
             ["exact", "--lambda-grid", "0:4:0"],
+            ["exact", "--lambda-grid", "0:3000000"],
             ["tail", "--seed", str(2**64)],
             ["sweep", "--seeds", f"1,{2**64}"],
         ],
@@ -138,6 +139,15 @@ class TestFailClosed:
         assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert json.loads(line)["error"] == "configuration"
+
+    def test_range_cap_names_the_key(self, tmp_path, capsys):
+        top = cli.INT_RANGE_CAP
+        argv = ["exact", "--lambda-grid", f"1:{top + 1}", "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "lambda_grid" in json.loads(line)["message"]
+        # exactly the cap still parses
+        assert len(cli._parse_int_list("lambda_grid", f"1:{top}", lo=0)) == top
 
     def test_recurrence_capacity_checked_before_allocation(
         self, tmp_path, capsys, monkeypatch

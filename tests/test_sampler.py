@@ -21,6 +21,7 @@ from bandperm import (
     spawn_chain_seed,
     swap_images,
 )
+from bandperm.sampler import _proposal_offsets
 
 
 def empirical_distribution(params, config):
@@ -159,27 +160,64 @@ class TestDetailedBalance:
         assert metropolis_acceptance(params, ident, -1, 1) == 0.0
 
 
+def band_component_size(n, W, pairs):
+    """Members of S_W reachable from the identity by in-band swaps of pairs."""
+    members = set(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
+    start = Permutation.identity(n)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pi = queue.popleft()
+        for a, b in pairs:
+            nxt = swap_images(pi, a, b)
+            if nxt in members and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen), len(members)
+
+
+GRAPH_GRID = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
 class TestIrreducibility:
-    @pytest.mark.parametrize("n,W", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,W", GRAPH_GRID)
     def test_band_graph_connected(self, n, W):
         # image-swap moves that stay in S_W connect every band permutation
         # to the identity
-        params = ModelParams(p=INFINITY, W=W, n=n)
-        members = {pi: k for k, pi in enumerate(enumerate_permutations(params))}
-        start = Permutation.identity(n)
-        seen = {start}
-        queue = deque([start])
         pairs = [
             (a, b) for a in range(-n, n + 1) for b in range(a + 1, n + 1)
         ]
-        while queue:
-            pi = queue.popleft()
-            for a, b in pairs:
-                nxt = swap_images(pi, a, b)
-                if nxt in members and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        assert len(seen) == len(members)
+        reached, total = band_component_size(n, W, pairs)
+        assert reached == total
+
+    @pytest.mark.parametrize("n,W", GRAPH_GRID)
+    def test_local_move_graph_connected(self, n, W):
+        # the sampler only proposes pairs at most R = min(2W, 2n) apart;
+        # those moves alone still connect S_W
+        R = min(2 * W, 2 * n)
+        pairs = [
+            (a, b) for a in range(-n, n + 1) for b in range(a + 1, min(a + R, n) + 1)
+        ]
+        reached, total = band_component_size(n, W, pairs)
+        assert reached == total
+
+    @pytest.mark.parametrize("n,W", [(1, 1), (1, 3), (2, 1), (3, 1), (3, 2), (5, 2), (6, 4)])
+    def test_local_pairs_proposed_symmetrically(self, n, W):
+        # a and the offset index are uniform, so each (a, offset) is one
+        # equally likely outcome; every in-range pair must come up exactly
+        # once from each end and no other pair may come up
+        m = 2 * n + 1
+        R = min(2 * W, m - 1)
+        offsets = _proposal_offsets(m, W).tolist()
+        from_low, from_high = Counter(), Counter()
+        for a in range(m):
+            for k in offsets:
+                b = a + k
+                if 0 <= b < m:
+                    (from_low if a < b else from_high)[(min(a, b), max(a, b))] += 1
+        expected = {(a, b): 1 for a in range(m) for b in range(a + 1, min(a + R, m - 1) + 1)}
+        assert from_low == expected
+        assert from_high == expected
 
 
 class TestTargetsGibbs:
@@ -206,6 +244,23 @@ class TestTargetsGibbs:
             cfg = SamplerConfig(seed=17, steps=steps, burn_in=1_000, thinning=5)
             tvs.append(tv_distance(empirical_distribution(params, cfg), exact))
         assert tvs[2] < tvs[1] < tvs[0]
+
+    # at n=3, W=1 the offset range R = 2 is below m - 1 = 6, so these runs
+    # exercise the truncated local proposal, unlike the n=1 cases above
+    def test_local_proposal_finite_p_matches_exact_oracle(self):
+        params = ModelParams(p=1.0, W=1, n=3)
+        cfg = SamplerConfig(seed=37, steps=1_000_000, burn_in=5_000, thinning=10)
+        emp = empirical_distribution(params, cfg)
+        exact = exact_distribution(params).as_dict()
+        assert tv_distance(emp, exact) < 0.03
+
+    def test_local_proposal_band_matches_exact_oracle(self):
+        params = ModelParams(p=INFINITY, W=1, n=3)
+        cfg = SamplerConfig(seed=41, steps=1_000_000, burn_in=5_000, thinning=10)
+        emp = empirical_distribution(params, cfg)
+        exact = exact_distribution(params).as_dict()
+        assert len(emp) == len(exact) == 21
+        assert tv_distance(emp, exact) < 0.03
 
 
 class TestObservables:
@@ -236,10 +291,11 @@ class TestObservables:
         assert [r.step_index for r in records] == [40, 70, 100]
 
     def test_stuck_chain_reports_zeros(self):
-        # seed 15 makes every proposal the rejected distance-2 pair
-        # (self-validating via the acceptance rate)
+        # seed 0 draws only rejected proposals: the distance-2 pair twice
+        # and an out-of-range partner three times (self-validating via the
+        # acceptance rate)
         params = ModelParams(p=INFINITY, W=1, n=1)
-        cfg = SamplerConfig(seed=15, steps=5, burn_in=0, thinning=1)
+        cfg = SamplerConfig(seed=0, steps=5, burn_in=0, thinning=1)
         records = []
         summary = sample_cycle_observables(params, cfg, 0, records.append)
         assert summary.acceptance_rate == 0.0

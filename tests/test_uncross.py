@@ -28,6 +28,7 @@ from bandperm import (
     uncross_min,
     uncross_preimage,
 )
+from bandperm.core import orbit
 
 THREE_CYCLE_UP = Permutation.from_mapping(3, {0: 3, 3: 1, 1: 0})   # orbit 0,3,1
 THREE_CYCLE_LOW = Permutation.from_mapping(3, {0: 1, 1: 3, 3: 0})  # orbit 0,1,3
@@ -65,6 +66,11 @@ class TestCrossings:
         if rec is not None:
             assert rec.up.source <= t < rec.up.target
             assert rec.down.target <= t < rec.down.source
+            # first up, last down: recomputed straight from the orbit
+            members = orbit(pi.image, 0)
+            steps = list(zip(members, members[1:] + [0]))
+            assert not any(x <= t < y for x, y in steps[: rec.up.index])
+            assert not any(y <= t < x for x, y in steps[rec.down.index + 1 :])
 
 
 class TestUncross:
