@@ -371,10 +371,10 @@ def recurrence_check(
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
     if W < 1 or k_max < 1:
         raise ValueError("W and k_max must be positive")
-    if C0 <= 0:
-        raise ValueError(f"C0 must be positive, got {C0!r}")
-    if c0 < 0:
-        raise ValueError(f"c0 must be nonnegative, got {c0!r}")
+    if not 0 < C0 < math.inf:
+        raise ValueError(f"C0 must be positive and finite, got {C0!r}")
+    if not 0 <= c0 < math.inf:
+        raise ValueError(f"c0 must be nonnegative and finite, got {c0!r}")
     c = 1.0 / (C0 + W**-2)
     factor = 1.0 - c / W**2
     ks = np.arange(k_max + 2, dtype=float)

@@ -1,15 +1,17 @@
 """Command-line entry point: reproducible runs with CSV/JSON artifacts.
 
 Subcommands: exact, sample, tail, uncross-verify, sweep, recurrence.
+Each command's configuration keys live in one table of :class:`Option`
+entries (parser, default, help); the flags are derived from it.
 Configuration comes from an optional JSON file plus command-line flags,
-flags winning; the fully resolved configuration is echoed into a manifest
-next to every artifact.  Reruns with identical configuration and seed
-produce byte-identical files: nothing time- or host-dependent is ever
-written.
+flags winning; both go through the same parsers.  The fully resolved
+configuration is echoed into a manifest next to every artifact.  Reruns
+with identical configuration and seed produce byte-identical files:
+nothing time- or host-dependent is ever written.
 
 Exit codes: 0 success, 1 no data (too few samples to estimate or fit),
-2 configuration error, 3 capacity error, 4 verification failure (the
-invariant suite found a violation).
+2 configuration error (including any malformed flag), 3 capacity error,
+4 verification failure (the invariant suite found a violation).
 """
 from __future__ import annotations
 
@@ -20,19 +22,20 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import INFINITY, ModelParams
 from .exact import CapacityError, exact_partition, exact_tail_curve
 from .sampler import (
-    ChainSummary,
     InitialState,
     SamplerConfig,
     sample_cycle_observables,
     spawn_chain_seed,
 )
 from .analysis import (
+    MIN_SURVIVORS,
     NoDataError,
     TailCurve,
     UnfittableError,
@@ -59,41 +62,18 @@ SEED_LIMIT = 2**64
 # for; each check holds several float arrays of this length.
 RECURRENCE_K_MAX_CAP = 1_000_000
 
-# Most points a start:stop[:step] range may expand to; a chain's lambda
-# grid is only informative up to 2n, and every point is evaluated and
-# written out.
+# Most points a start:stop[:step] range may expand to, and most jobs a
+# sweep may hold; a chain's lambda grid is only informative up to 2n, and
+# every point or job is evaluated and written out.
 INT_RANGE_CAP = 100_000
+
+# Default bound on a sweep's process pool.  A constant, because the
+# manifest echoes it; the pool also never exceeds the job or CPU count.
+DEFAULT_MAX_WORKERS = 4
 
 
 class ConfigurationError(ValueError):
     """A configuration key is unknown, ill-typed or violates a constraint."""
-
-
-COMMANDS = ("exact", "sample", "tail", "uncross-verify", "sweep", "recurrence")
-
-# Keys accepted per command, from config file or flags.
-_COMMON_KEYS = {"output_dir"}
-_KEYS: dict[str, set[str]] = {
-    "exact": _COMMON_KEYS | {"p", "W", "n", "j", "lambda_grid"},
-    "sample": _COMMON_KEYS
-    | {
-        "p", "W", "n", "j", "seed", "steps", "burn_in", "thinning",
-        "initial_state", "lambda_grid",
-    },
-    "tail": _COMMON_KEYS
-    | {
-        "p", "W", "n", "j", "seed", "steps", "burn_in", "thinning",
-        "initial_state", "lambda_grid", "head_cut", "min_survivors",
-    },
-    "uncross-verify": _COMMON_KEYS | {"n", "W_list", "p_list", "lambda_grid"},
-    "sweep": _COMMON_KEYS
-    | {
-        "p", "W_list", "n_list", "jobs", "seed", "seeds", "steps", "burn_in",
-        "thinning", "initial_state", "j", "lambda_grid", "head_cut",
-        "min_survivors", "max_workers",
-    },
-    "recurrence": _COMMON_KEYS | {"p", "W_list", "C0", "c0", "k_max_factor"},
-}
 
 
 @dataclass
@@ -123,17 +103,41 @@ class RunConfig:
         }
 
 
-def _parse_p(raw) -> float:
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity"):
-            return INFINITY
+# ---------------------------------------------------------------------------
+# Value parsers: parse(key, raw) -> value, raising ConfigurationError that
+# names the key.  raw is a flag string or any JSON value from a config file.
+# ---------------------------------------------------------------------------
+
+
+def _parse_str(key: str, raw) -> str:
+    if not isinstance(raw, str):
+        raise ConfigurationError(f"{key}: expected a string, got {raw!r}")
+    return raw
+
+
+def _to_float(key: str, raw) -> float:
+    if not isinstance(raw, bool):
         try:
-            raw = float(raw)
-        except ValueError:
-            raise ConfigurationError(f"p: expected a number or 'inf', got {raw!r}")
-    if isinstance(raw, (int, float)) and not math.isnan(raw) and raw >= 1:
-        return float(raw)
-    raise ConfigurationError(f"p: must be >= 1 or 'inf', got {raw!r}")
+            return float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigurationError(f"{key}: expected a number, got {raw!r}")
+
+
+def _parse_p(key: str, raw) -> float:
+    p = _to_float(key, raw)  # float() reads 'inf' and 'infinity' in any case
+    if not p >= 1:
+        raise ConfigurationError(f"{key}: must be >= 1 or 'inf', got {raw!r}")
+    return p
+
+
+def _parse_float(key: str, raw, lo: Optional[float] = None) -> float:
+    val = _to_float(key, raw)
+    if not math.isfinite(val):
+        raise ConfigurationError(f"{key}: must be finite, got {raw!r}")
+    if lo is not None and val < lo:
+        raise ConfigurationError(f"{key}: must be >= {lo}, got {val}")
+    return val
 
 
 def _parse_int(key: str, raw, lo: Optional[int] = None) -> int:
@@ -147,43 +151,70 @@ def _parse_int(key: str, raw, lo: Optional[int] = None) -> int:
     return raw
 
 
-def _parse_float(key: str, raw, lo: Optional[float] = None) -> float:
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key}: expected a number, got {raw!r}")
-    if lo is not None and val < lo:
-        raise ConfigurationError(f"{key}: must be >= {lo}, got {val}")
-    return val
-
-
-def _parse_int_list(key: str, raw, lo: Optional[int] = None) -> list[int]:
-    if isinstance(raw, str):
-        if ":" in raw:
-            pieces = raw.split(":")
-            if len(pieces) not in (2, 3):
-                raise ConfigurationError(f"{key}: range syntax is start:stop[:step]")
-            start, stop = _parse_int(key, pieces[0]), _parse_int(key, pieces[1])
-            step = _parse_int(f"{key} step", pieces[2], lo=1) if len(pieces) == 3 else 1
-            span = range(start, stop + 1, step)
-            if len(span) > INT_RANGE_CAP:
-                raise ConfigurationError(
-                    f"{key}: range {raw} has {len(span)} points, above the cap {INT_RANGE_CAP}"
-                )
-            raw = list(span)
-        else:
-            raw = [tok for tok in raw.split(",") if tok.strip()]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigurationError(f"{key}: expected a nonempty integer list, got {raw!r}")
-    values = [_parse_int(key, v, lo) for v in raw]
-    return values
-
-
 def _parse_seed(key: str, raw) -> int:
     seed = _parse_int(key, raw, lo=0)
     if seed >= SEED_LIMIT:
         raise ConfigurationError(f"{key}: must be below 2^64, got {seed}")
     return seed
+
+
+def _parse_list(key: str, raw, item: Callable, ranges: bool = False) -> list:
+    """A nonempty list, or a string 'a,b,c' (or 'start:stop[:step]' if ranges)."""
+    if isinstance(raw, str) and ranges and ":" in raw:
+        pieces = raw.split(":")
+        if len(pieces) not in (2, 3):
+            raise ConfigurationError(f"{key}: range syntax is start:stop[:step]")
+        start, stop = _parse_int(key, pieces[0]), _parse_int(key, pieces[1])
+        step = _parse_int(f"{key} step", pieces[2], lo=1) if len(pieces) == 3 else 1
+        points = max(0, (stop - start) // step + 1)
+        if points > INT_RANGE_CAP:
+            raise ConfigurationError(
+                f"{key}: range {raw} has {points} points, above the cap {INT_RANGE_CAP}"
+            )
+        raw = list(range(start, stop + 1, step))
+    elif isinstance(raw, str):
+        raw = [tok for tok in raw.split(",") if tok.strip()]
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigurationError(f"{key}: expected a nonempty list, got {raw!r}")
+    return [item(key, v) for v in raw]
+
+
+def _parse_int_list(key: str, raw, lo: Optional[int] = None) -> list[int]:
+    return _parse_list(key, raw, partial(_parse_int, lo=lo), ranges=True)
+
+
+_STATES = [s.value for s in InitialState]
+
+
+def _parse_state(key: str, raw) -> str:
+    if raw not in _STATES:
+        raise ConfigurationError(f"{key}: expected one of {_STATES}, got {raw!r}")
+    return raw
+
+
+def _parse_jobs(key: str, raw) -> list[dict]:
+    """Explicit sweep jobs; a job without p takes the sweep's p at check time."""
+    if not isinstance(raw, list) or not raw:
+        raise ConfigurationError(f"{key}: expected a nonempty list of job objects")
+    if len(raw) > INT_RANGE_CAP:
+        raise ConfigurationError(f"{key}: {len(raw)} jobs, above the cap {INT_RANGE_CAP}")
+    jobs = []
+    for k, job in enumerate(raw):
+        name = f"{key}[{k}]"
+        if not isinstance(job, dict):
+            raise ConfigurationError(f"{name}: expected an object")
+        extra = set(job) - {"p", "W", "n", "seed"}
+        if extra:
+            raise ConfigurationError(f"{name}: unknown keys {sorted(map(str, extra))}")
+        jobs.append(
+            {
+                "p": _parse_p(f"{name}.p", job["p"]) if "p" in job else None,
+                "W": _parse_int(f"{name}.W", job.get("W", 1), lo=1),
+                "n": _parse_int(f"{name}.n", job.get("n", 1), lo=1),
+                "seed": _parse_seed(f"{name}.seed", job["seed"]) if "seed" in job else None,
+            }
+        )
+    return jobs
 
 
 def default_lambda_grid(n: int, W: int) -> list[int]:
@@ -192,6 +223,142 @@ def default_lambda_grid(n: int, W: int) -> list[int]:
     step = max(1, math.ceil((top + 1) / 64))
     grid = list(range(0, top + 1, step))
     return grid
+
+
+# ---------------------------------------------------------------------------
+# Option tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Option:
+    """One configuration key.  Its flag is --key with '_' written '-';
+    flag=False keys come only from a config file.  The default goes through
+    the parser like a given value; a None default leaves the key unset."""
+
+    key: str
+    parse: Callable
+    default: object = None
+    help: str = ""
+    flag: bool = True
+
+
+_POS = partial(_parse_int, lo=1)
+_NONNEG = partial(_parse_int, lo=0)
+_COMMON = (
+    Option(
+        "output_dir", _parse_str, None,
+        f"artifact directory (default ${OUTPUT_DIR_ENV}, else bandperm_out)",
+    ),
+)
+_J = Option("j", _parse_int, 0, "base point of the cycle")
+_GRID = Option(
+    "lambda_grid", partial(_parse_int_list, lo=0), None,
+    "lambda values 'a,b,c' or 'start:stop[:step]' (default: up to min(2n, 20 W^3))",
+)
+_MODEL = _COMMON + (
+    Option("p", _parse_p, "inf", "exponent >= 1 or 'inf'"),
+    Option("W", _POS, 1, "bandwidth"),
+    Option("n", _POS, 1, "half-length of the interval [-n, n]"),
+    _J,
+    _GRID,
+)
+_CHAIN = (
+    Option("seed", _parse_seed, 1, "chain seed, below 2^64"),
+    Option("steps", _NONNEG, 100_000, "Metropolis steps"),
+    Option("burn_in", _NONNEG, None, "steps discarded first (default min(10(2n+1)W, steps))"),
+    Option("thinning", _POS, None, "keep every k-th state (default 2n+1)"),
+    Option("initial_state", _parse_state, "identity", f"one of {_STATES}"),
+)
+_FIT = (
+    Option("head_cut", _NONNEG, None, "decay fit skips lambda <= head_cut (default 2W)"),
+    Option("min_survivors", _POS, MIN_SURVIVORS, "fewest survivors a fitted point needs"),
+)
+_SWEEP = _COMMON + _CHAIN + _FIT + (
+    Option("p", _parse_p, None, "exponent >= 1 or 'inf' (default inf)"),
+    Option("W_list", _parse_int_list, "1", "bandwidths of the job grid"),
+    Option("n_list", _parse_int_list, "50", "half-lengths of the job grid"),
+    Option(
+        "seeds", partial(_parse_list, item=_parse_seed, ranges=True), None,
+        "job seeds (default one job per (W, n), its seed spawned from --seed)",
+    ),
+    Option("jobs", _parse_jobs, None, "explicit [{p, W, n, seed}] jobs", flag=False),
+    _J,
+    _GRID,
+    Option("max_workers", _POS, DEFAULT_MAX_WORKERS, "process pool bound"),
+)
+_UNCROSS = _COMMON + (
+    Option("n", _POS, 3, "half-length of the interval [-n, n]"),
+    Option("W_list", _parse_int_list, "1,2", "bandwidths"),
+    Option("p_list", partial(_parse_list, item=_parse_p), "inf", "exponents"),
+    _GRID,
+)
+_RECURRENCE = _COMMON + (
+    Option("p", _parse_p, 1, "finite exponent >= 1"),
+    Option("W_list", _parse_int_list, "1:8", "bandwidths"),
+    Option("C0", _parse_float, 1.0, "constant of the one-step bound, > 0"),
+    Option(
+        "c0", partial(_parse_float, lo=0.0), None,
+        "decay coefficient to check (default: the largest that propagates)",
+    ),
+    Option("k_max_factor", _POS, 50, "check k < k_max_factor * W^3"),
+)
+
+
+# ---------------------------------------------------------------------------
+# Cross-key checks, run after every key is parsed.  given holds the keys a
+# config file or flag supplied.
+# ---------------------------------------------------------------------------
+
+
+def _check_j(v: dict, given: set) -> None:
+    if not -v["n"] <= v["j"] <= v["n"]:
+        raise ConfigurationError(f"j: must lie in [-{v['n']}, {v['n']}], got {v['j']}")
+
+
+def _check_chain(v: dict, given: set) -> None:
+    if v.get("burn_in", 0) > v["steps"]:
+        raise ConfigurationError(
+            f"burn_in: must not exceed steps, got {v['burn_in']} > {v['steps']}"
+        )
+    if "n" in v:  # one chain (sample, tail); sweep jobs resolve at job time
+        _check_j(v, given)
+        # resolve the sampler's defaults here so the manifest is complete
+        cfg = _sampler_config(v, ModelParams(p=v["p"], W=v["W"], n=v["n"]), v["seed"])
+        v["burn_in"], v["thinning"] = cfg.burn_in, cfg.thinning
+
+
+def _check_sweep(v: dict, given: set) -> None:
+    """Expand W_list x n_list x seeds (or take the explicit jobs) into v['jobs'];
+    j must lie in every job's interval."""
+    _check_chain(v, given)
+    w_list, n_list, seeds = (v.pop(k, [None]) for k in ("W_list", "n_list", "seeds"))
+    if "jobs" in given:
+        clash = sorted(given & {"W_list", "n_list", "seeds"})
+        if clash:
+            raise ConfigurationError(f"configuration keys {clash} are not used with 'jobs'")
+        for job in v["jobs"]:
+            if job["p"] is None:
+                job["p"] = v.get("p", INFINITY)
+    else:
+        size = len(w_list) * len(n_list) * len(seeds)
+        if size > INT_RANGE_CAP:
+            raise ConfigurationError(
+                f"W_list, n_list, seeds: the job grid has {size} jobs, "
+                f"above the cap {INT_RANGE_CAP}"
+            )
+        p = v.setdefault("p", INFINITY)
+        v["jobs"] = [
+            {"p": p, "W": w, "n": n, "seed": s} for w in w_list for n in n_list for s in seeds
+        ]
+    _check_j({"j": v["j"], "n": min(job["n"] for job in v["jobs"])}, given)
+
+
+def _check_recurrence(v: dict, given: set) -> None:
+    if math.isinf(v["p"]):
+        raise ConfigurationError("p: recurrence checking needs finite p")
+    if v["C0"] <= 0:
+        raise ConfigurationError(f"C0: must be positive, got {v['C0']}")
 
 
 def parse_config(
@@ -206,153 +373,26 @@ def parse_config(
     """
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
-    allowed = _KEYS[command]
+    spec = COMMANDS[command]
+    options = {opt.key: opt for opt in spec.options}
     merged: dict = {}
     for source in (file_values or {}), (overrides or {}):
         for key, val in source.items():
             if val is None:
                 continue
-            if key not in allowed:
+            if key not in options:
                 raise ConfigurationError(
                     f"unknown configuration key {key!r} for command {command!r}"
                 )
             merged[key] = val
-
-    out_dir = merged.pop("output_dir", None) or os.environ.get(
-        OUTPUT_DIR_ENV, "bandperm_out"
-    )
-    values: dict = {}
-
-    if command in ("exact", "sample", "tail", "sweep", "recurrence"):
-        if command == "recurrence":
-            values["p"] = _parse_p(merged.pop("p", 1.0))
-            if math.isinf(values["p"]):
-                raise ConfigurationError("p: recurrence checking needs finite p")
-        elif "p" in merged or command != "sweep":
-            values["p"] = _parse_p(merged.pop("p", "inf"))
-
-    if command in ("exact", "sample", "tail"):
-        values["W"] = _parse_int("W", merged.pop("W", 1), lo=1)
-        values["n"] = _parse_int("n", merged.pop("n", 1), lo=1)
-        values["j"] = _parse_int("j", merged.pop("j", 0))
-        if not -values["n"] <= values["j"] <= values["n"]:
-            raise ConfigurationError(
-                f"j: must lie in [-{values['n']}, {values['n']}], got {values['j']}"
-            )
-
-    if command in ("exact", "sample", "tail", "uncross-verify", "sweep"):
-        if "lambda_grid" in merged:
-            values["lambda_grid"] = _parse_int_list(
-                "lambda_grid", merged.pop("lambda_grid"), lo=0
-            )
-
-    if command in ("sample", "tail", "sweep"):
-        values["seed"] = _parse_seed("seed", merged.pop("seed", 1))
-        values["steps"] = _parse_int("steps", merged.pop("steps", 100_000), lo=0)
-        if "burn_in" in merged:
-            values["burn_in"] = _parse_int("burn_in", merged.pop("burn_in"), lo=0)
-        if "thinning" in merged:
-            values["thinning"] = _parse_int("thinning", merged.pop("thinning"), lo=1)
-        if command != "sweep":
-            # resolve the default rules here so the manifest is complete
-            # (sweep jobs have per-job W and n, resolved at job time)
-            m = 2 * values["n"] + 1
-            values.setdefault("burn_in", min(10 * m * values["W"], values["steps"]))
-            values.setdefault("thinning", m)
-        if values.get("burn_in", 0) > values["steps"]:
-            raise ConfigurationError(
-                f"burn_in: must not exceed steps, got {values['burn_in']} > "
-                f"{values['steps']}"
-            )
-        state = merged.pop("initial_state", "identity")
-        try:
-            values["initial_state"] = InitialState(state).value
-        except ValueError:
-            raise ConfigurationError(
-                f"initial_state: expected one of "
-                f"{[s.value for s in InitialState]}, got {state!r}"
-            )
-
-    if command in ("tail", "sweep"):
-        if "head_cut" in merged:
-            values["head_cut"] = _parse_int("head_cut", merged.pop("head_cut"), lo=0)
-        values["min_survivors"] = _parse_int(
-            "min_survivors", merged.pop("min_survivors", 10), lo=1
-        )
-
-    if command == "uncross-verify":
-        values["n"] = _parse_int("n", merged.pop("n", 3), lo=1)
-        values["W_list"] = _parse_int_list("W_list", merged.pop("W_list", [1, 2]), lo=1)
-        raw_ps = merged.pop("p_list", ["inf"])
-        if isinstance(raw_ps, str):
-            raw_ps = [tok for tok in raw_ps.split(",") if tok.strip()]
-        if not isinstance(raw_ps, (list, tuple)) or not raw_ps:
-            raise ConfigurationError(f"p_list: expected a nonempty list, got {raw_ps!r}")
-        values["p_list"] = [_parse_p(tok) for tok in raw_ps]
-
-    if command == "sweep":
-        if "jobs" in merged:
-            jobs = merged.pop("jobs")
-            if not isinstance(jobs, list) or not jobs:
-                raise ConfigurationError("jobs: expected a nonempty list of job dicts")
-            parsed_jobs = []
-            for k, job in enumerate(jobs):
-                if not isinstance(job, dict):
-                    raise ConfigurationError(f"jobs[{k}]: expected an object")
-                extra = set(job) - {"p", "W", "n", "seed"}
-                if extra:
-                    raise ConfigurationError(
-                        f"jobs[{k}]: unknown keys {sorted(extra)}"
-                    )
-                parsed_jobs.append(
-                    {
-                        "p": _parse_p(job.get("p", values.get("p", "inf"))),
-                        "W": _parse_int("W", job.get("W", 1), lo=1),
-                        "n": _parse_int("n", job.get("n", 1), lo=1),
-                        "seed": _parse_seed(f"jobs[{k}].seed", job["seed"])
-                        if "seed" in job
-                        else None,
-                    }
-                )
-            values["jobs"] = parsed_jobs
-        else:
-            if "p" not in values:
-                values["p"] = _parse_p("inf")
-            w_list = _parse_int_list("W_list", merged.pop("W_list", [1]), lo=1)
-            n_list = _parse_int_list("n_list", merged.pop("n_list", [values.get("n", 50)]), lo=1)
-            seeds = [None]
-            if "seeds" in merged:
-                raw_seeds = _parse_int_list("seeds", merged.pop("seeds"))
-                seeds = [_parse_seed("seeds", s) for s in raw_seeds]
-            values["jobs"] = [
-                {"p": values["p"], "W": w, "n": nn, "seed": s}
-                for w in w_list
-                for nn in n_list
-                for s in seeds
-            ]
-        values["j"] = _parse_int("j", merged.pop("j", 0))
-        values["max_workers"] = _parse_int(
-            "max_workers", merged.pop("max_workers", min(4, os.cpu_count() or 1)), lo=1
-        )
-
-    if command == "recurrence":
-        values["W_list"] = _parse_int_list(
-            "W_list", merged.pop("W_list", list(range(1, 9))), lo=1
-        )
-        values["C0"] = _parse_float("C0", merged.pop("C0", 1.0))
-        if values["C0"] <= 0:
-            raise ConfigurationError(f"C0: must be positive, got {values['C0']}")
-        if "c0" in merged:
-            values["c0"] = _parse_float("c0", merged.pop("c0"), lo=0.0)
-        values["k_max_factor"] = _parse_int(
-            "k_max_factor", merged.pop("k_max_factor", 50), lo=1
-        )
-
-    leftovers = {k: v for k, v in merged.items() if v is not None}
-    if leftovers:
-        raise ConfigurationError(
-            f"configuration keys {sorted(leftovers)} are not used by {command!r}"
-        )
+    values = {}
+    for key, opt in options.items():
+        raw = merged.get(key, opt.default)
+        if raw is not None:
+            values[key] = opt.parse(key, raw)
+    out_dir = values.pop("output_dir", "") or os.environ.get(OUTPUT_DIR_ENV, "bandperm_out")
+    if spec.check is not None:
+        spec.check(values, set(merged))
     return RunConfig(command=command, output_dir=Path(out_dir), values=values)
 
 
@@ -367,15 +407,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a temporary file beside path, then rename it onto path, so a
+    reader never sees a partial artifact and a failed write leaves none."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_curve(path: Path, curve: TailCurve) -> None:
+    _write_csv(
+        path,
+        ["lambda", "survival", "stderr", "count"],
+        ((pt.lam, pt.survival, pt.stderr, pt.count) for pt in curve.points),
+    )
 
 
 def _p_token(p: float) -> str:
@@ -427,7 +486,7 @@ def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
         steps=v["steps"],
         burn_in=v.get("burn_in"),
         thinning=v.get("thinning"),
-        initial_state=InitialState(v.get("initial_state", "identity")),
+        initial_state=InitialState(v["initial_state"]),
     )
 
 
@@ -469,19 +528,20 @@ def _cmd_sample(config: RunConfig) -> int:
             [r[1] for r in rows], v["lambda_grid"], params, v["j"]
         )
         tail_name = f"tail_{tag}.csv"
-        _write_csv(
-            config.output_dir / tail_name,
-            ["lambda", "survival", "stderr", "count"],
-            ((pt.lam, pt.survival, pt.stderr, pt.count) for pt in curve.points),
-        )
+        _write_curve(config.output_dir / tail_name, curve)
         artifacts.append(tail_name)
     _write_manifest(config, artifacts)
     return EXIT_OK
 
 
-def _tail_job(
-    params: ModelParams, sampler_cfg: SamplerConfig, j: int, grid: list[int]
-) -> tuple[TailCurve, ChainSummary, list[int]]:
+def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
+    """One tail job for a single (p, W, n, seed): a chain, its survival curve
+    and decay fit.  Writes tail_*.csv and tail_fit_*.json; returns the job's
+    sweep_fits.csv row and the artifact names."""
+    config, job = args
+    v = config.values
+    params = ModelParams(p=job["p"], W=job["W"], n=job["n"])
+    sampler_cfg = _sampler_config(v, params, job["seed"])
     diams: list[int] = []
     disp0: list[int] = []
 
@@ -489,43 +549,26 @@ def _tail_job(
         diams.append(rec.diam)
         disp0.append(rec.displacement0)
 
-    summary = sample_cycle_observables(params, sampler_cfg, j, observe)
-    curve = estimate_tail_curve(diams, grid, params, j)
-    return curve, summary, disp0
-
-
-def _tail_artifacts(
-    config: RunConfig,
-    params: ModelParams,
-    seed: int,
-    curve: TailCurve,
-    summary: ChainSummary,
-    disp0: list[int],
-    sampler_cfg: SamplerConfig,
-) -> list[str]:
-    v = config.values
-    tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{seed}"
+    summary = sample_cycle_observables(params, sampler_cfg, v["j"], observe)
+    grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
+    curve = estimate_tail_curve(diams, grid, params, v["j"])  # NoDataError if empty
+    mean_disp0 = sum(disp0) / len(disp0)
+    tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{job['seed']}"
     csv_name = f"tail_{tag}.csv"
     json_name = f"tail_fit_{tag}.json"
-    _write_csv(
-        config.output_dir / csv_name,
-        ["lambda", "survival", "stderr", "count"],
-        ((pt.lam, pt.survival, pt.stderr, pt.count) for pt in curve.points),
-    )
+    _write_curve(config.output_dir / csv_name, curve)
     fit_payload: dict = {
         "format_version": FORMAT_VERSION,
         "acceptance_rate": summary.acceptance_rate,
         "retained_samples": summary.retained_samples,
         "mean_diam": curve.mean_diam,
         "mean_diam_stderr": curve.mean_diam_stderr,
-        "mean_displacement0": (sum(disp0) / len(disp0)) if disp0 else None,
+        "mean_displacement0": mean_disp0,
         "burn_in": sampler_cfg.burn_in,
         "thinning": sampler_cfg.thinning,
     }
     try:
-        fit = fit_exponential_decay(
-            curve, v.get("head_cut"), v.get("min_survivors", 10)
-        )
+        fit = fit_exponential_decay(curve, v.get("head_cut"), v["min_survivors"])
         fit_payload["decay_rate"] = fit.decay_rate_c_hat
         fit_payload["r_squared"] = fit.residual
         fit_payload["window"] = list(fit.window)
@@ -534,69 +577,33 @@ def _tail_artifacts(
         fit_payload["decay_rate"] = None
         fit_payload["unfittable"] = str(exc)
     _write_json(config.output_dir / json_name, fit_payload)
-    return [csv_name, json_name]
+    row = (
+        _p_token(params.p), params.W, params.n, job["seed"], curve.mean_diam,
+        mean_disp0, summary.retained_samples, summary.acceptance_rate,
+    )
+    return row, [csv_name, json_name]
 
 
 def _cmd_tail(config: RunConfig) -> int:
+    """A one-job sweep on the command's own seed, without sweep_fits.csv."""
     v = config.values
-    params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
-    grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
-    sampler_cfg = _sampler_config(v, params, v["seed"])
-    curve, summary, disp0 = _tail_job(params, sampler_cfg, v["j"], grid)
-    artifacts = _tail_artifacts(config, params, v["seed"], curve, summary, disp0, sampler_cfg)
+    _, artifacts = _tail_job((config, {k: v[k] for k in ("p", "W", "n", "seed")}))
     _write_manifest(config, artifacts)
     return EXIT_OK
 
 
-def _run_sweep_job(args: tuple) -> tuple[dict, list[str]]:
-    """One sweep job: a tail pipeline for a single (p, W, n, seed)."""
-    config, job, j = args
-    params = ModelParams(p=job["p"], W=job["W"], n=job["n"])
-    v = config.values
-    sampler_cfg = _sampler_config(v, params, job["seed"])
-    grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
-    curve, summary, disp0 = _tail_job(params, sampler_cfg, j, grid)
-    artifacts = _tail_artifacts(
-        config, params, job["seed"], curve, summary, disp0, sampler_cfg
-    )
-    row = {
-        "p": _p_token(params.p),
-        "W": params.W,
-        "n": params.n,
-        "seed": job["seed"],
-        "mean_diam": curve.mean_diam,
-        "mean_displacement0": (sum(disp0) / len(disp0)) if disp0 else 0.0,
-        "retained": summary.retained_samples,
-        "acceptance_rate": summary.acceptance_rate,
-    }
-    return row, artifacts
-
-
 def _cmd_sweep(config: RunConfig) -> int:
     v = config.values
-    jobs = []
-    for index, job in enumerate(v["jobs"]):
-        resolved = dict(job)
-        if resolved.get("seed") is None:
-            resolved["seed"] = spawn_chain_seed(v["seed"], index)
-        jobs.append(resolved)
-    v["jobs"] = jobs  # manifest echoes the per-job seeds actually used
-    job_args = [(config, job, v["j"]) for job in jobs]
-    rows: list[dict] = []
-    artifacts: list[str] = []
-    if v["max_workers"] > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=v["max_workers"]
-        ) as pool:
-            for row, names in pool.map(_run_sweep_job, job_args):
-                rows.append(row)
-                artifacts.extend(names)
+    for index, job in enumerate(v["jobs"]):  # the manifest echoes the seeds used
+        if job["seed"] is None:
+            job["seed"] = spawn_chain_seed(v["seed"], index)
+    job_args = [(config, job) for job in v["jobs"]]
+    workers = min(v["max_workers"], len(job_args), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_tail_job, job_args))
     else:
-        for args in job_args:
-            row, names = _run_sweep_job(args)
-            rows.append(row)
-            artifacts.extend(names)
-    rows.sort(key=lambda r: (r["p"], r["W"], r["n"], r["seed"]))
+        results = [_tail_job(args) for args in job_args]
     fits_name = "sweep_fits.csv"
     _write_csv(
         config.output_dir / fits_name,
@@ -604,16 +611,9 @@ def _cmd_sweep(config: RunConfig) -> int:
             "p", "W", "n", "seed", "mean_diam", "mean_displacement0",
             "retained", "acceptance_rate",
         ],
-        (
-            (
-                r["p"], r["W"], r["n"], r["seed"], r["mean_diam"],
-                r["mean_displacement0"], r["retained"], r["acceptance_rate"],
-            )
-            for r in rows
-        ),
+        sorted(row for row, _ in results),
     )
-    artifacts.append(fits_name)
-    _write_manifest(config, artifacts)
+    _write_manifest(config, [name for _, names in results for name in names] + [fits_name])
     return EXIT_OK
 
 
@@ -657,12 +657,8 @@ def _cmd_recurrence(config: RunConfig) -> int:
     }
     for W in v["W_list"]:
         k_max = v["k_max_factor"] * W**3
-        if "c0" in v:
-            c0 = v["c0"]
-            result = recurrence_check(p, W, v["C0"], c0, k_max)
-        else:
-            c0 = largest_propagating_c0(p, W, v["C0"], k_max)
-            result = recurrence_check(p, W, v["C0"], c0, k_max)
+        c0 = v["c0"] if "c0" in v else largest_propagating_c0(p, W, v["C0"], k_max)
+        result = recurrence_check(p, W, v["C0"], c0, k_max)
         rows.append((W, c0, result.propagated, result.first_failure_k))
         certificate["per_w"].append(
             {
@@ -686,13 +682,29 @@ def _cmd_recurrence(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_RUNNERS = {
-    "exact": _cmd_exact,
-    "sample": _cmd_sample,
-    "tail": _cmd_tail,
-    "uncross-verify": _cmd_uncross_verify,
-    "sweep": _cmd_sweep,
-    "recurrence": _cmd_recurrence,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its option table, cross-key check and body."""
+
+    help: str
+    options: tuple[Option, ...]
+    run: Callable[[RunConfig], int]
+    check: Optional[Callable[[dict, set], None]] = None
+
+
+COMMANDS: dict[str, Command] = {
+    "exact": Command("exact tail probabilities by enumeration", _MODEL, _cmd_exact, _check_j),
+    "sample": Command(
+        "stream per-sample cycle observables", _MODEL + _CHAIN, _cmd_sample, _check_chain
+    ),
+    "tail": Command(
+        "empirical survival curve and decay fit", _MODEL + _CHAIN + _FIT, _cmd_tail, _check_chain
+    ),
+    "uncross-verify": Command("exhaustive uncrossing invariants", _UNCROSS, _cmd_uncross_verify),
+    "sweep": Command("fan out tail jobs over a parameter grid", _SWEEP, _cmd_sweep, _check_sweep),
+    "recurrence": Command(
+        "tail-bound propagation certificates", _RECURRENCE, _cmd_recurrence, _check_recurrence
+    ),
 }
 
 
@@ -700,9 +712,9 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the process exit status."""
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"output_dir: cannot create {config.output_dir}: {exc}")
-    return _RUNNERS[config.command](config)
+    return COMMANDS[config.command].run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +722,16 @@ def run(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigurationError instead of printing usage and exiting, so a
+    malformed command line ends like any other configuration error."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bandperm",
         description=(
             "Gibbs random permutations of [-n, n] with displacement penalty "
@@ -720,94 +740,30 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        sp.add_argument("--output-dir", dest="output_dir", type=str, default=None)
-
-    def add_model(sp):
-        sp.add_argument("--p", type=str, default=None, help="exponent >= 1 or 'inf'")
-        sp.add_argument("--W", type=int, default=None, help="bandwidth")
-        sp.add_argument("--n", type=int, default=None, help="half-length of the interval")
-
-    def add_chain(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-        sp.add_argument("--thinning", type=int, default=None)
-        sp.add_argument(
-            "--initial-state",
-            dest="initial_state",
-            choices=[s.value for s in InitialState],
-            default=None,
-        )
-
-    sp = sub.add_parser("exact", help="exact tail probabilities by enumeration")
-    add_common(sp); add_model(sp)
-    sp.add_argument("--j", type=int, default=None, help="base point of the cycle")
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-
-    sp = sub.add_parser("sample", help="stream per-sample cycle observables")
-    add_common(sp); add_model(sp); add_chain(sp)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-
-    sp = sub.add_parser("tail", help="empirical survival curve and decay fit")
-    add_common(sp); add_model(sp); add_chain(sp)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-    sp.add_argument("--head-cut", dest="head_cut", type=int, default=None)
-    sp.add_argument("--min-survivors", dest="min_survivors", type=int, default=None)
-
-    sp = sub.add_parser("uncross-verify", help="exhaustive uncrossing invariants")
-    add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--W-list", dest="W_list", type=str, default=None)
-    sp.add_argument("--p-list", dest="p_list", type=str, default=None)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-
-    sp = sub.add_parser("sweep", help="fan out tail jobs over a parameter grid")
-    add_common(sp); add_chain(sp)
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--W-list", dest="W_list", type=str, default=None)
-    sp.add_argument("--n-list", dest="n_list", type=str, default=None)
-    sp.add_argument("--seeds", type=str, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-    sp.add_argument("--head-cut", dest="head_cut", type=int, default=None)
-    sp.add_argument("--min-survivors", dest="min_survivors", type=int, default=None)
-    sp.add_argument("--max-workers", dest="max_workers", type=int, default=None)
-
-    sp = sub.add_parser("recurrence", help="tail-bound propagation certificates")
-    add_common(sp)
-    sp.add_argument("--p", type=str, default=None)
-    sp.add_argument("--W-list", dest="W_list", type=str, default=None)
-    sp.add_argument("--C0", type=float, default=None)
-    sp.add_argument("--c0", type=float, default=None)
-    sp.add_argument("--k-max-factor", dest="k_max_factor", type=int, default=None)
-
+    for name, spec in COMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        sp.add_argument("--config", help="JSON config file; flags win over its values")
+        for opt in spec.options:
+            if opt.flag:
+                default = "" if opt.default is None else f" (default {opt.default})"
+                flag = "--" + opt.key.replace("_", "-")
+                sp.add_argument(flag, dest=opt.key, help=opt.help + default)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    flag_values = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config") and v is not None
-    }
     try:
+        flag_values = vars(_build_parser().parse_args(argv))
+        command, config_file = flag_values.pop("command"), flag_values.pop("config")
         file_values = {}
-        if args.config:
+        if config_file:
             try:
-                file_values = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                file_values = json.loads(Path(config_file).read_text())
+            except (OSError, ValueError) as exc:
                 raise ConfigurationError(f"cannot read config file: {exc}")
             if not isinstance(file_values, dict):
                 raise ConfigurationError("config file must hold a JSON object")
-        config = parse_config(command, file_values, flag_values)
-        return run(config)
+        return run(parse_config(command, file_values, flag_values))
     except ConfigurationError as exc:
         print(json.dumps({"error": "configuration", "message": str(exc)}))
         return EXIT_CONFIG

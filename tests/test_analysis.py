@@ -181,6 +181,15 @@ class TestRecurrence:
         assert not result.propagated
         assert isinstance(result.first_failure_k, int)
 
+    @pytest.mark.parametrize(
+        "C0, c0",
+        [(math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1), (1.0, math.nan), (1.0, math.inf), (1.0, -0.1)],
+    )
+    def test_rejects_nonfinite_or_out_of_range_constants(self, C0, c0):
+        # every comparison with NaN is False, so an unchecked NaN c0 "propagates"
+        with pytest.raises(ValueError, match="C0" if c0 == 0.1 else "c0"):
+            recurrence_check(1.0, 2, C0, c0, 100)
+
     def test_monotone_under_smaller_c0(self):
         for w in (1, 2, 3):
             k_max = 50 * w**3

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from bandperm import cli
 from bandperm.cli import (
@@ -29,6 +33,108 @@ def tree_hashes(root: Path) -> dict[str, str]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# SHA-256 of every file (manifest included) that small runs write into a
+# relative output directory, recorded before the CLI's options moved into
+# one table per command.  Artifacts are byte-identical on a fixed numpy
+# version, so a change to any of these files is a change of contract.
+GOLDEN_RUNS = {
+    "exact": (
+        ("exact", "--p", "1.5", "--W", "2", "--n", "2", "--j", "1"),
+        {
+            "exact_summary_p1_5_W2_n2.json": (
+                "a75a665500d290b1443748f53027f3e61496fac1552fa2cf11cc3c7ae8cbd1c6"
+            ),
+            "exact_tail_p1_5_W2_n2.csv": (
+                "6a913072622d7b280610a21153f44f6f8e835016e5f492aeace42b6b0992560f"
+            ),
+            "manifest.json": (
+                "f2e65784ab72dd232bc5f0d2d76a4a6c3bdb0d923bd7adeec355f9c1fa461741"
+            ),
+        },
+    ),
+    "sample": (
+        (
+            "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",
+            "--steps", "3000", "--lambda-grid", "0:4",
+        ),
+        {
+            "manifest.json": (
+                "47e203a800e3ba4e9cd36a951dcfc08d7726a17697891051256f365eecd7a5b8"
+            ),
+            "sample_summary_pinf_W1_n2_seed3.json": (
+                "1efb616e4558d7f07c3ae5e9a5d14920beb1f1823608b1f5c0905f697b7728b2"
+            ),
+            "samples_pinf_W1_n2_seed3.csv": (
+                "4a549e4c50b80c6c6b34214e3017b1c997d213154676b3d0aecda895fc7606c2"
+            ),
+            "tail_pinf_W1_n2_seed3.csv": (
+                "134a734e4350ff1ed6374d54f713b8b66faa09d8ebd7fc8a69f05a5e8a328f29"
+            ),
+        },
+    ),
+    "tail": (
+        (
+            "tail", "--p", "1", "--W", "2", "--n", "3", "--seed", "5",
+            "--steps", "20000", "--head-cut", "1",
+        ),
+        {
+            "manifest.json": (
+                "4bd18cbac13481e00c263ccf8974d34cb3d7e3b3e4c5a064b280f03546c1bbfc"
+            ),
+            "tail_fit_p1_W2_n3_seed5.json": (
+                "bb46ff3f2df64a54581ca9fa1e08ce918b240912873a1e845f63323aef9ff520"
+            ),
+            "tail_p1_W2_n3_seed5.csv": (
+                "3ff28cb22f4001ccc678a9afd96721eec5624faa58a05011ab523cbf748cef87"
+            ),
+        },
+    ),
+    "recurrence": (
+        (
+            "recurrence", "--p", "1", "--W-list", "1,2", "--C0", "1.0",
+            "--k-max-factor", "20",
+        ),
+        {
+            "manifest.json": (
+                "d9939f53f5c0fbd0bab8154cb3a454e875e0dbaae9aa055584a16f9f99d25309"
+            ),
+            "recurrence_certificate_p1.json": (
+                "984627ff1a0ab0393d7907b1c1f20d06c2a56fb8a9dd66e1ef660fed33cef39b"
+            ),
+            "recurrence_p1.csv": (
+                "5b2f4995bfc1982bc0d96c8675673d81cc962b5216853408d197baa2493e2be1"
+            ),
+        },
+    ),
+    "sweep": (
+        (
+            "sweep", "--p", "inf", "--W-list", "1,2", "--n-list", "3", "--seed", "7",
+            "--steps", "5000", "--max-workers", "1",
+        ),
+        {
+            "manifest.json": (
+                "24b53d69e02f7881f6cb34bd2423c930849a1d47a5b293c3c58d5373ba85984d"
+            ),
+            "sweep_fits.csv": (
+                "dcb272621e33dc4adcb7a2ef99e62b0d0af08db201f4b3f06aacd6aa16e82cbc"
+            ),
+            "tail_fit_pinf_W1_n3_seed16920295385781661272.json": (
+                "67e0db17f37047a5116c439da22cab0a9883651b73a84472df6a2531b585ebc8"
+            ),
+            "tail_fit_pinf_W2_n3_seed6635463128224577688.json": (
+                "ba998d322af4955a460d09b99eedef23a6ee60b243dc7fa9cd8d3b5f4318d43a"
+            ),
+            "tail_pinf_W1_n3_seed16920295385781661272.csv": (
+                "fb47b26c5324c021a0fd50b76d94e2d7c6404c92aab0326c42f9bf2cc936ff50"
+            ),
+            "tail_pinf_W2_n3_seed6635463128224577688.csv": (
+                "f498c6087b0e95622da346d7247bfc20625bd576169f22f12a86dcc5b442dbaa"
+            ),
+        },
+    ),
+}
 
 
 class TestParseConfig:
@@ -163,6 +269,144 @@ class TestFailClosed:
         assert json.loads(line)["error"] == "capacity"
         # the README and oracle runs (k_max_factor 50, W up to 8) stay under it
         assert 50 * 8**3 <= cli.RECURRENCE_K_MAX_CAP
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["exact", "--W", "abc"], "W"),
+            (["tail", "--seed", "x"], "seed"),
+            (["sample", "--initial-state", "bogus"], "initial_state"),
+            (["recurrence", "--C0", "x"], "C0"),
+            (["recurrence", "--W-list", "1", "--C0", "nan"], "C0"),
+            (["recurrence", "--W-list", "1", "--C0", "inf"], "C0"),
+            (["recurrence", "--W-list", "1", "--c0", "nan"], "c0"),
+            (["recurrence", "--W-list", "1", "--c0", "1e400"], "c0"),
+            (["exact", "--lambda-grid", "0:1" + "0" * 30], "lambda_grid"),
+            (["exact", "--bogus", "1"], "--bogus"),
+            (["exact", "--W"], "--W"),
+            (["no-such-command"], "no-such-command"),
+        ],
+    )
+    def test_bad_flag_is_one_json_line(self, argv, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "configuration"
+        assert key in payload["message"]
+        assert captured.err == ""  # no argparse usage text
+
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [
+            ("exact", {"p": True}, "p"),
+            ("uncross-verify", {"p_list": [True]}, "p_list"),
+            ("recurrence", {"C0": True}, "C0"),
+            ("recurrence", {"c0": float("nan")}, "c0"),
+            ("recurrence", {"C0": 10**400}, "C0"),
+            ("sweep", {"p": 10**400}, "p"),
+            ("exact", {"output_dir": 5}, "output_dir"),
+        ],
+    )
+    def test_bad_config_file_value_names_the_key(
+        self, command, values, key, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(values))  # NaN is written as a bare NaN
+        assert cli.main([command, "--config", str(cfg_file)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["message"].startswith(f"{key}:")
+
+    def test_help_exits_zero_and_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tail", "--help"])
+        assert exc.value.code == 0
+        assert "(default 100000)" in capsys.readouterr().out
+
+
+def forbidden_run(config):
+    raise AssertionError("a command body ran")
+
+
+# Values that parse for some key, mixed with arbitrary JSON values.
+_LIKELY = st.sampled_from(
+    ["inf", "1", "2", "-1", "0:4", "1,2", "1:3:0", "identity", "nan", "1e400", "", "0:1" + "0" * 30]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=8)
+    | _LIKELY,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["p", "W", "n", "seed", "x"]), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def command_keys(data) -> tuple[str, st.SearchStrategy]:
+    """A command, and a strategy for its own keys plus one unknown key."""
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    keys = [opt.key for opt in cli.COMMANDS[command].options]
+    return command, st.sampled_from(keys + ["bogus"])
+
+
+def strict_manifest(config) -> int:
+    json.dumps(config.manifest_dict(), allow_nan=False)  # no bare NaN or Infinity
+    return cli.EXIT_OK
+
+
+class TestParserProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parse_config_fails_closed(self, data):
+        command, keys = command_keys(data)
+        file_values, overrides = (
+            data.draw(st.dictionaries(keys, _LIKELY | _LIKELY | _JSON, max_size=3))
+            for _ in range(2)
+        )
+        try:
+            config = parse_config(command, file_values, overrides)
+        except ConfigurationError:
+            return
+        assert isinstance(config, cli.RunConfig)
+        strict_manifest(config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_main_fails_closed(self, data):
+        command, keys = command_keys(data)
+        flag = keys.map(lambda k: "--" + k.replace("_", "-"))
+        flag |= flag | st.text(max_size=6)
+        pairs = data.draw(st.lists(st.tuples(flag, _LIKELY | st.text(max_size=8)), max_size=3))
+        argv = [command] + [tok for pair in pairs for tok in pair]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "run", strict_manifest)  # run no command body
+            code = cli.main(argv)
+        if code == cli.EXIT_OK:
+            assert out.getvalue() == ""
+        else:
+            assert code == cli.EXIT_CONFIG
+            (line,) = out.getvalue().splitlines()
+            assert json.loads(line)["error"] == "configuration"
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError):
+            cli._write_json(tmp_path / "a.json", {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrite_leaves_only_the_target(self, tmp_path):
+        target = tmp_path / "a.csv"
+        for rows in ([(1, 2.5)], [(3, 4.5)]):
+            cli._write_csv(target, ["a", "b"], rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert target.read_text() == "a,b\n3,4.5\n"
 
 
 class TestSampleCommand:
@@ -316,3 +560,86 @@ class TestSweepCommand:
         assert len(manifest["artifacts"]) == 5
         for name in manifest["artifacts"]:
             assert (out / name).exists()
+
+    def test_manifest_does_not_depend_on_the_host(self, tmp_path, monkeypatch, fake_pool):
+        manifests = []
+        for cpus in (1, 64):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            run_dir = tmp_path / f"cpus{cpus}"
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # the manifest echoes the output directory
+            argv = ["sweep", "--W-list", "1,2", "--n-list", "2", "--steps", "3000"]
+            assert cli.main(argv + ["--output-dir", "out"]) == 0
+            manifests.append((run_dir / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["max_workers"] == cli.DEFAULT_MAX_WORKERS
+        assert fake_pool == [2]  # only the 64-CPU run used a pool
+
+    @pytest.mark.parametrize("cpus, expected", [(64, [3]), (2, [2]), (1, [])])
+    def test_pool_size_is_bounded(self, cpus, expected, tmp_path, monkeypatch, fake_pool):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = [
+            "sweep", "--W-list", "1:3", "--n-list", "2", "--steps", "3000",
+            "--max-workers", "100000", "--output-dir", str(tmp_path),
+        ]
+        assert cli.main(argv) == 0
+        assert fake_pool == expected
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["max_workers"] == 100000
+
+    def test_job_grid_capped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        # 120,000 jobs: above the cap, yet small enough to build if a regression did
+        argv = ["sweep", "--W-list", "1:400", "--n-list", "1:300"]
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert "W_list" in json.loads(line)["message"]
+        too_many = [{}] * (cli.INT_RANGE_CAP + 1)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            parse_config("sweep", {"jobs": too_many}, {})
+
+    @pytest.mark.parametrize(
+        "values", [{"j": 4, "n_list": [5, 3]}, {"j": -2, "jobs": [{"n": 3}, {"n": 1}]}]
+    )
+    def test_j_lies_in_every_job_interval(self, values):
+        # a job whose interval misses j used to end in a sampler traceback
+        with pytest.raises(ConfigurationError, match=r"j: must lie in \[-\d, \d\]"):
+            parse_config("sweep", values, {})
+
+    def test_jobs_exclude_grid_keys(self):
+        with pytest.raises(ConfigurationError, match="W_list"):
+            parse_config("sweep", {"jobs": [{"W": 2}], "W_list": [1]}, {})
+        cfg = parse_config("sweep", {"jobs": [{"W": 2}, {"p": 1}], "p": 2}, {})
+        assert [job["p"] for job in cfg.values["jobs"]] == [2.0, 1.0]
+        assert "W_list" not in cfg.values
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replaces the sweep's process pool with an in-process one, so no worker
+    process is started; returns the list of pool sizes requested."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("argv, expected", GOLDEN_RUNS.values(), ids=GOLDEN_RUNS)
+    def test_artifact_hashes(self, argv, expected, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the manifest echoes the output directory
+        assert cli.main([*argv, "--output-dir", "out"]) == 0
+        assert tree_hashes(tmp_path / "out") == expected
