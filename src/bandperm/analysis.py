@@ -11,6 +11,7 @@ that closes the localization argument.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -23,6 +24,9 @@ from .uncross import uncross_preimage
 # with fewer than this many surviving samples, and drop the boundary head
 # lam <= 2W where the one-step geometry distorts the decay.
 MIN_SURVIVORS = 10
+
+# Contiguous chain blocks of the jackknife standard error on mean_diam.
+JACKKNIFE_BLOCKS = 20
 
 
 class NoDataError(ValueError):
@@ -65,12 +69,6 @@ class TailCurve:
             if pt.lam == 0 and pt.survival != 1.0:
                 raise ValueError("survival at lambda = 0 must be 1")
 
-    def survival_at(self, lam: int) -> float:
-        for pt in self.points:
-            if pt.lam == lam:
-                return pt.survival
-        raise KeyError(lam)
-
 
 def _jackknife_mean(values: np.ndarray, blocks: int) -> tuple[float, float]:
     mean = float(values.mean())
@@ -94,7 +92,6 @@ def estimate_tail_curve(
     lam_grid: Sequence[float],
     params: ModelParams,
     j: int = 0,
-    jackknife_blocks: int = 20,
 ) -> TailCurve:
     """Survival curve of a diameter stream over the given lambda grid.
 
@@ -114,7 +111,7 @@ def estimate_tail_curve(
         surv = float(count - np.searchsorted(arr_sorted, lam, side="left")) / count
         stderr = math.sqrt(surv * (1.0 - surv) / count)
         points.append(TailPoint(lam, surv, stderr, count))
-    mean, mean_err = _jackknife_mean(arr.astype(float), jackknife_blocks)
+    mean, mean_err = _jackknife_mean(arr.astype(float), JACKKNIFE_BLOCKS)
     return TailCurve(params, j, tuple(points), mean, mean_err)
 
 
@@ -202,6 +199,34 @@ def fit_exponential_decay(
     )
 
 
+def _scaling_fit(
+    means_by_w: Mapping[int, Optional[float]],
+    what: str,
+    decay_rate: Optional[float] = None,
+    per_curve: tuple[FitResult, ...] = (),
+) -> FitResult:
+    """Least-squares line of log(mean) against log(W), in increasing W.
+
+    Every mean must be positive, or the log scale is meaningless.
+    """
+    ws = sorted(means_by_w)
+    for w in ws:
+        mean = means_by_w[w]
+        if mean is None or not mean > 0:
+            raise UnfittableError(f"{what} at W={w} is not positive")
+    slope, _, r_squared = _least_squares_line(
+        [math.log(w) for w in ws], [math.log(means_by_w[w]) for w in ws]
+    )
+    return FitResult(
+        decay_rate_c_hat=decay_rate,
+        exponent_alpha_hat=slope,
+        residual=r_squared,
+        window=(float(ws[0]), float(ws[-1])),
+        n_points=len(ws),
+        per_curve=per_curve,
+    )
+
+
 def fit_decay_and_exponent(
     curves: Sequence[TailCurve],
     head_cut: Optional[int] = None,
@@ -222,21 +247,12 @@ def fit_decay_and_exponent(
     if len(curves) == 1:
         return fits[0]
     ws = [c.params.W for c in curves]
-    means = [c.mean_diam for c in curves]
     if len(set(ws)) != len(ws):
         raise UnfittableError("curves must have distinct bandwidths W")
-    if any(m is None or m <= 0 for m in means):
-        raise UnfittableError("every curve needs a positive mean_diam")
-    order = np.argsort(ws)
-    xs = [math.log(ws[i]) for i in order]
-    ys = [math.log(means[i]) for i in order]
-    slope, _, r_squared = _least_squares_line(xs, ys)
-    return FitResult(
-        decay_rate_c_hat=fits[int(order[-1])].decay_rate_c_hat,
-        exponent_alpha_hat=slope,
-        residual=r_squared,
-        window=(float(min(ws)), float(max(ws))),
-        n_points=len(curves),
+    return _scaling_fit(
+        {c.params.W: c.mean_diam for c in curves},
+        "mean_diam",
+        decay_rate=fits[ws.index(max(ws))].decay_rate_c_hat,
         per_curve=fits,
     )
 
@@ -247,30 +263,16 @@ def band_structure_stat(
     """Regression of log mean |pi(0)| on log W across a bandwidth grid.
 
     A slope near 1 reproduces the linear band-structure law for the typical
-    displacement.  Raises UnfittableError when any bandwidth's mean is zero
-    (the log scale is then meaningless).
+    displacement.  Raises UnfittableError on fewer than two bandwidths or
+    when any bandwidth's mean is zero (the log scale is then meaningless).
     """
-    if len(displacements_by_w) < 2:
-        raise UnfittableError("need at least two bandwidths")
-    xs, ys = [], []
-    for w in sorted(displacements_by_w):
-        samples = np.asarray(list(displacements_by_w[w]), dtype=float)
+    means = {}
+    for w, values in displacements_by_w.items():
+        samples = np.asarray(list(values), dtype=float)
         if len(samples) == 0:
             raise NoDataError(f"no samples for W={w}")
-        mean = float(samples.mean())
-        if mean <= 0.0:
-            raise UnfittableError(f"mean displacement at W={w} is zero")
-        xs.append(math.log(w))
-        ys.append(math.log(mean))
-    slope, _, r_squared = _least_squares_line(xs, ys)
-    ws = sorted(displacements_by_w)
-    return FitResult(
-        decay_rate_c_hat=None,
-        exponent_alpha_hat=slope,
-        residual=r_squared,
-        window=(float(ws[0]), float(ws[-1])),
-        n_points=len(ws),
-    )
+        means[w] = float(samples.mean())
+    return _scaling_fit(means, "mean displacement")
 
 
 @dataclass(frozen=True)
@@ -284,14 +286,6 @@ class PreimageSizeStats:
     median: float
     q90: float
     max_size: int
-
-    @property
-    def w_scale(self) -> int:
-        return self.W
-
-    @property
-    def w_squared_scale(self) -> int:
-        return self.W * self.W
 
 
 def preimage_size_stats(
@@ -312,9 +306,7 @@ def preimage_size_stats(
         sizes.append(len(uncross_preimage(tau, t, params)))
     if not sizes:
         raise NoDataError("no admissible samples (max C(0) <= t never held)")
-    hist: dict[int, int] = {}
-    for s in sizes:
-        hist[s] = hist.get(s, 0) + 1
+    hist = Counter(sizes)
     arr = np.asarray(sizes, dtype=float)
     return PreimageSizeStats(
         W=params.W,

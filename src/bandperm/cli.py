@@ -58,6 +58,10 @@ EXIT_VERIFICATION = 4
 # Chain seeds feed numpy's PCG64, which takes a 64-bit unsigned integer.
 SEED_LIMIT = 2**64
 
+# Largest interval size 2n+1 a chain may hold (sample, tail, every sweep
+# job); the chain keeps its state and cost table as lists of this length.
+CHAIN_INTERVAL_CAP = 1_000_001
+
 # Largest k_max = k_max_factor * W^3 the recurrence checker may allocate
 # for; each check holds several float arrays of this length.
 RECURRENCE_K_MAX_CAP = 1_000_000
@@ -220,9 +224,8 @@ def _parse_jobs(key: str, raw) -> list[dict]:
 def default_lambda_grid(n: int, W: int) -> list[int]:
     """lambda in {0 .. min(2n, 20 W^3)}, stepped down to at most 64 points."""
     top = min(2 * n, 20 * W**3)
-    step = max(1, math.ceil((top + 1) / 64))
-    grid = list(range(0, top + 1, step))
-    return grid
+    step = -(-(top + 1) // 64)  # integer ceiling: exact for any n and W
+    return list(range(0, top + 1, step))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +482,14 @@ def _cmd_exact(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_chain_capacity(ns) -> None:
+    m = 2 * max(ns) + 1
+    if m > CHAIN_INTERVAL_CAP:
+        raise CapacityError(
+            f"interval size 2n+1 = {m} exceeds the chain cap {CHAIN_INTERVAL_CAP}"
+        )
+
+
 def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
     return SamplerConfig.with_defaults(
         params,
@@ -492,6 +503,7 @@ def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
 
 def _cmd_sample(config: RunConfig) -> int:
     v = config.values
+    _check_chain_capacity([v["n"]])
     params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
     sampler_cfg = _sampler_config(v, params, v["seed"])
     tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{v['seed']}"
@@ -587,6 +599,7 @@ def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
 def _cmd_tail(config: RunConfig) -> int:
     """A one-job sweep on the command's own seed, without sweep_fits.csv."""
     v = config.values
+    _check_chain_capacity([v["n"]])
     _, artifacts = _tail_job((config, {k: v[k] for k in ("p", "W", "n", "seed")}))
     _write_manifest(config, artifacts)
     return EXIT_OK
@@ -594,6 +607,7 @@ def _cmd_tail(config: RunConfig) -> int:
 
 def _cmd_sweep(config: RunConfig) -> int:
     v = config.values
+    _check_chain_capacity(job["n"] for job in v["jobs"])
     for index, job in enumerate(v["jobs"]):  # the manifest echoes the seeds used
         if job["seed"] is None:
             job["seed"] = spawn_chain_seed(v["seed"], index)

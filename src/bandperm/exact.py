@@ -22,6 +22,10 @@ FULL_ENUMERATION_CAP = 9
 # Largest band-support size the p = infinity mode will stream.
 BAND_ENUMERATION_CAP = 2_000_000
 
+# Smallest interval size whose band support exceeds the cap at every W:
+# S_1 is a subset of S_W and |S_1| = F(2n+2) = 2,178,309 at 2n+1 = 31.
+_BAND_OVER_CAP_SIZE = 31
+
 
 class CapacityError(RuntimeError):
     """The requested instance is too large for exhaustive enumeration."""
@@ -58,8 +62,21 @@ def count_band_permutations(m: int, W: int) -> int:
     """
     if m < 1 or W < 1:
         raise ValueError("m and W must be positive")
+    return list(_band_counts(m, W))[-1]
+
+
+def _band_counts(m: int, W: int) -> Iterator[int]:
+    """The profile DP's running total after each position; the last is |S_W|.
+
+    A running total counts the partial assignments of the first positions
+    that keep the value q - W used by position q.  Under that rule no branch
+    dead-ends (see :func:`_band_images`), so each one extends to a member
+    of S_W: the totals never exceed |S_W|, and stopping once one passes a
+    cap proves the count does too.
+    """
     if W >= m - 1:
-        return math.factorial(m)
+        yield math.factorial(m)
+        return
     width = 2 * W + 1
 
     def blocked(q: int, o: int) -> bool:
@@ -86,7 +103,7 @@ def count_band_permutations(m: int, W: int) -> int:
                     shifted |= 1 << (width - 1)
                 nxt[shifted] = nxt.get(shifted, 0) + cnt
         states = nxt
-    return sum(states.values())
+        yield sum(states.values())
 
 
 def _band_images(n: int, W: int) -> Iterator[tuple[int, ...]]:
@@ -121,14 +138,22 @@ def _band_images(n: int, W: int) -> Iterator[tuple[int, ...]]:
 
 
 def _band_size(params: ModelParams) -> int:
-    """|S_W| from the counting DP, raising CapacityError over the band cap."""
-    total = count_band_permutations(params.interval_size, params.W)
-    if total > BAND_ENUMERATION_CAP:
-        raise CapacityError(
-            f"|S_W| = {total} exceeds the band enumeration cap "
-            f"{BAND_ENUMERATION_CAP} (W={params.W}, 2n+1={params.interval_size})"
-        )
-    return total
+    """|S_W| from the counting DP, raising CapacityError over the band cap.
+
+    The DP stops as soon as its running total passes the cap, and never
+    starts at 2n+1 >= 31, so the check is bounded for any n and W.
+    """
+    m = params.interval_size
+    if m < _BAND_OVER_CAP_SIZE:
+        for total in _band_counts(m, params.W):
+            if total > BAND_ENUMERATION_CAP:
+                break
+        else:
+            return total
+    raise CapacityError(
+        f"|S_W| exceeds the band enumeration cap {BAND_ENUMERATION_CAP} "
+        f"(W={params.W}, 2n+1={m})"
+    )
 
 
 def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
@@ -198,9 +223,10 @@ def exact_tail_curve(
     for lam in lam_grid:
         if lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
+    weighted = _weighted(params)  # capacity check before any allocation
     # weight mass grouped by cycle diameter (diameters are in 0..2n)
     mass = [0.0] * (2 * n + 1)
-    for img, w in _weighted(params):
+    for img, w in weighted:
         members = orbit(img, j)
         mass[max(members) - min(members)] += w
     suffix = [0.0] * (2 * n + 2)

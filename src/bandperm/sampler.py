@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ModelParams, Permutation
+from .core import ModelParams, Permutation, orbit
 
 # Proposals are pre-generated in blocks of this size; the block size is part
 # of the algorithm definition because it fixes the RNG call pattern.
@@ -181,14 +181,6 @@ def metropolis_acceptance(
     return min(1.0, float(np.exp(-delta)))
 
 
-def _initial_image(
-    params: ModelParams, config: SamplerConfig, rng: np.random.Generator
-) -> list[int]:
-    if config.initial_state is InitialState.RANDOM_IN_SUPPORT:
-        return random_band_image(params.n, params.W, rng)
-    return list(range(-params.n, params.n + 1))
-
-
 def _proposal_offsets(m: int, W: int) -> np.ndarray:
     """The offsets -R, ..., -1, 1, ..., R with R = min(2W, m - 1), in order.
 
@@ -202,18 +194,21 @@ def _drive(
     params: ModelParams,
     config: SamplerConfig,
     retain: Callable[[int, list[int]], None],
-) -> tuple[int, list[int]]:
+) -> ChainSummary:
     """Run the chain, invoking ``retain(step_index, image)`` on retained states.
 
-    Returns (accepted_count, final_image).  The image list passed to retain
-    is the live state; callbacks must not mutate it.
+    The image list passed to retain is the live state; callbacks must not
+    mutate it.  retain runs exactly ``config.retained_count`` times.
     """
     n = params.n
     m = 2 * n + 1
     W = params.W
     steps = config.steps
     rng = np.random.default_rng(config.seed)
-    image = _initial_image(params, config, rng)
+    if config.initial_state is InitialState.RANDOM_IN_SUPPORT:
+        image = random_band_image(n, W, rng)
+    else:
+        image = list(range(-n, n + 1))
 
     infinite = params.infinite_p
     if not infinite:
@@ -279,7 +274,8 @@ def _drive(
                             )
                     retain(step, image)
                     next_retain += thinning
-    return accepted, image
+    rate = accepted / steps if steps else 0.0
+    return ChainSummary(config.retained_count, rate, Permutation(tuple(image)))
 
 
 def run_chain(
@@ -288,34 +284,9 @@ def run_chain(
     observer: Optional[Callable[[Permutation], None]] = None,
 ) -> ChainSummary:
     """Run the Metropolis chain, streaming retained states to the observer."""
-    retained = 0
-
     if observer is None:
-        def retain(step: int, image: list[int]) -> None:
-            nonlocal retained
-            retained += 1
-    else:
-        def retain(step: int, image: list[int]) -> None:
-            nonlocal retained
-            retained += 1
-            observer(Permutation(tuple(image)))
-
-    accepted, image = _drive(params, config, retain)
-    rate = accepted / config.steps if config.steps else 0.0
-    return ChainSummary(retained, rate, Permutation(tuple(image)))
-
-
-def _cycle_extent(image: list[int], n: int, j: int) -> tuple[int, int]:
-    """(min, max) of the orbit of j in the image list, by direct iteration."""
-    lo = hi = x = j
-    while True:
-        x = image[x + n]
-        if x == j:
-            return lo, hi
-        if x < lo:
-            lo = x
-        elif x > hi:
-            hi = x
+        return _drive(params, config, lambda step, image: None)
+    return _drive(params, config, lambda step, image: observer(Permutation(tuple(image))))
 
 
 def sample_cycle_observables(
@@ -332,26 +303,12 @@ def sample_cycle_observables(
     n = params.n
     if not -n <= j <= n:
         raise ValueError(f"base point {j} outside [{-n}, {n}]")
-    retained = 0
 
     def retain(step: int, image: list[int]) -> None:
-        nonlocal retained
-        retained += 1
-        lo0, hi0 = _cycle_extent(image, n, 0)
-        if j == 0:
-            lo, hi = lo0, hi0
-        else:
-            lo, hi = _cycle_extent(image, n, j)
-        observer(
-            CycleObservation(
-                step_index=step,
-                diam=hi - lo,
-                displacement0=abs(image[n]),
-                max_c0=hi0,
-                min_c0=lo0,
-            )
-        )
+        cycle0 = orbit(image, 0)
+        cycle = cycle0 if j == 0 else orbit(image, j)
+        observer(CycleObservation(
+            step, max(cycle) - min(cycle), abs(image[n]), max(cycle0), min(cycle0)
+        ))
 
-    accepted, image = _drive(params, config, retain)
-    rate = accepted / config.steps if config.steps else 0.0
-    return ChainSummary(retained, rate, Permutation(tuple(image)))
+    return _drive(params, config, retain)

@@ -53,24 +53,13 @@ class CrossingConditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class UpCrossing:
-    """First step of the orbit of 0 from <= threshold to > threshold.
+class Crossing:
+    """One step source = pi^index(0) -> target = pi^(index+1)(0) of the orbit
+    of 0 across a threshold t.
 
-    source = pi^index(0) <= t and target = pi^(index+1)(0) > t.
-    """
-
-    index: int
-    source: int
-    target: int
-
-
-@dataclass(frozen=True)
-class DownCrossing:
-    """Last step of the orbit of 0 from > threshold back to <= threshold.
-
-    source = pi^index(0) > t and target = pi^(index+1)(0) <= t; the index is
-    the largest such in [0, period), where period is the length of the cycle
-    of 0.
+    An up-crossing has source <= t < target and is the first such step; a
+    down-crossing has target <= t < source and is the last such step with
+    index in [0, period), where period is the length of the cycle of 0.
     """
 
     index: int
@@ -83,8 +72,8 @@ class CrossingRecord:
     """Both crossings of one orbit at one threshold."""
 
     threshold: int
-    up: UpCrossing
-    down: DownCrossing
+    up: Crossing
+    down: Crossing
 
     def __post_init__(self) -> None:
         t = self.threshold
@@ -119,21 +108,21 @@ def _crossings(image: Image, t: int) -> tuple[Optional[tuple], Optional[tuple]]:
     return up, down
 
 
-def first_upcrossing(pi: Permutation, t: int) -> Optional[UpCrossing]:
+def first_upcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
     """Least j >= 0 with pi^j(0) <= t < pi^(j+1)(0), or None if the orbit
     never exceeds t.  Requires t >= 0 so that the orbit starts below."""
     up, _ = _crossings(pi.image, t)
-    return None if up is None else UpCrossing(*up)
+    return None if up is None else Crossing(*up)
 
 
-def last_downcrossing(pi: Permutation, t: int) -> Optional[DownCrossing]:
+def last_downcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
     """Greatest j in [0, period) with pi^(j+1)(0) <= t < pi^j(0), or None.
 
     period is the length of the cycle of 0, so the search covers exactly one
     traversal and pi^period(0) = 0 closes it.
     """
     _, down = _crossings(pi.image, t)
-    return None if down is None else DownCrossing(*down)
+    return None if down is None else Crossing(*down)
 
 
 def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
@@ -141,7 +130,7 @@ def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
     up, down = _crossings(pi.image, t)
     if up is None:
         return None
-    return CrossingRecord(t, UpCrossing(*up), DownCrossing(*down))
+    return CrossingRecord(t, Crossing(*up), Crossing(*down))
 
 
 def _uncross_image(image: Image, t: int) -> Image:

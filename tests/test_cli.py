@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +179,17 @@ class TestParseConfig:
         grid = default_lambda_grid(200, 2)
         assert grid[0] == 0 and grid[-1] <= 160 and len(grid) <= 64
 
+    def test_default_grid_step_is_integer_ceiling(self):
+        # the same grids as the float rule wherever floats are exact
+        for n in range(1, 300, 7):
+            for W in range(1, 9):
+                top = min(2 * n, 20 * W**3)
+                step = max(1, math.ceil((top + 1) / 64))
+                assert default_lambda_grid(n, W) == list(range(0, top + 1, step))
+        # and no float overflow far beyond them
+        grid = default_lambda_grid(10**310, 10**110)
+        assert grid[0] == 0 and len(grid) <= 65
+
     def test_sweep_grid_expansion(self):
         cfg = parse_config(
             "sweep", {"W_list": [2, 4], "n_list": [10], "seeds": [1, 2]}, {}
@@ -269,6 +282,34 @@ class TestFailClosed:
         assert json.loads(line)["error"] == "capacity"
         # the README and oracle runs (k_max_factor 50, W up to 8) stay under it
         assert 50 * 8**3 <= cli.RECURRENCE_K_MAX_CAP
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--p", "1", "--W", "1", "--n", str(10**8)],
+            ["exact", "--p", "inf", "--W", str(10**20), "--n", str(10**30)],
+            ["exact", "--W", "3", "--n", "100000"],
+            ["exact", "--W", str(10**110), "--n", str(10**310)],
+            ["sample", "--n", str(10**12), "--steps", "10"],
+            ["tail", "--n", str(cli.CHAIN_INTERVAL_CAP // 2 + 1), "--steps", "10"],
+            ["sweep", "--n-list", f"1,{10**12}", "--steps", "10"],
+        ],
+    )
+    def test_huge_instance_is_a_capacity_error(self, argv, tmp_path):
+        # under a 1 GiB address-space limit an allocation of the whole
+        # interval would end in a MemoryError traceback, and the timeout
+        # turns an unbounded capacity check into a failure
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        res = subprocess.run(
+            [sys.executable, "-m", "bandperm", *argv, "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert res.returncode == 3, res.stderr
+        (line,) = res.stdout.splitlines()
+        assert json.loads(line)["error"] == "capacity"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, key",

@@ -17,6 +17,7 @@ from bandperm import (
     exact_tail,
     exact_tail_curve,
 )
+from bandperm.exact import BAND_ENUMERATION_CAP, _band_counts, exact_partition
 
 
 def brute_force_band_count(m: int, W: int) -> int:
@@ -99,6 +100,27 @@ class TestBandCounts:
 
     def test_unconstrained_case(self):
         assert count_band_permutations(4, 5) == math.factorial(4)
+
+    def test_running_totals_bound_the_count(self):
+        # the capacity check stops once a running total passes the cap,
+        # which proves the count does only if no total exceeds the count
+        for m in range(1, 15):
+            for W in range(1, 6):
+                totals = list(_band_counts(m, W))
+                assert totals == sorted(totals)
+                assert totals[-1] == count_band_permutations(m, W)
+
+    def test_largest_band_instances_under_the_cap(self):
+        # 2n+1 = 29 is the largest interval where S_1 fits under the cap
+        assert exact_partition(ModelParams(p=INFINITY, W=1, n=14)) == (832040.0, 832040)
+        assert count_band_permutations(31, 1) > BAND_ENUMERATION_CAP
+
+    @pytest.mark.parametrize(
+        "n, W", [(15, 1), (14, 13), (14, 27), (100_000, 3), (10**30, 10**20)]
+    )
+    def test_capacity_check_is_bounded(self, n, W):
+        with pytest.raises(CapacityError, match="cap"):
+            exact_partition(ModelParams(p=INFINITY, W=W, n=n))
 
 
 class TestExactDistribution:

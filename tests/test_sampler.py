@@ -78,8 +78,9 @@ class TestChainBasics:
         params = ModelParams(p=1.0, W=1, n=1)
         for steps, burn, thin in ((100, 10, 7), (50, 50, 3), (1000, 0, 1)):
             cfg = SamplerConfig(seed=5, steps=steps, burn_in=burn, thinning=thin)
-            summary = run_chain(params, cfg)
-            assert summary.retained_samples == (steps - burn) // thin
+            seen = []
+            summary = run_chain(params, cfg, seen.append)
+            assert len(seen) == summary.retained_samples == (steps - burn) // thin
 
     def test_deterministic_streams(self):
         params = ModelParams(p=1.5, W=2, n=3)
@@ -152,6 +153,23 @@ class TestDetailedBalance:
                     fwd = gibbs_x * metropolis_acceptance(params, x, a, b)
                     bwd = gibbs_y * metropolis_acceptance(params, y, a, b)
                     assert fwd == pytest.approx(bwd, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, INFINITY])
+    def test_chain_one_step_kernel_matches_reference(self, p):
+        # the chain's own first step from the identity, over fixed seeds:
+        # each in-range pair {a, b} is proposed with probability 1 / (m R)
+        # and then accepted with metropolis_acceptance
+        params = ModelParams(p=p, W=1, n=1)
+        m, R = 3, 2
+        ident = Permutation.identity(1)
+        seeds = 20_000
+        one_step = (SamplerConfig(seed=s, steps=1, burn_in=0, thinning=1) for s in range(seeds))
+        finals = Counter(run_chain(params, cfg).final_state for cfg in one_step)
+        for a, b in ((-1, 0), (0, 1), (-1, 1)):
+            expected = metropolis_acceptance(params, ident, a, b) / (m * R)
+            got = finals.pop(swap_images(ident, a, b), 0) / seeds
+            assert abs(got - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
+        assert set(finals) == {ident}
 
     def test_band_acceptance_is_indicator(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
