@@ -28,6 +28,14 @@ MIN_SURVIVORS = 10
 # Contiguous chain blocks of the jackknife standard error on mean_diam.
 JACKKNIFE_BLOCKS = 20
 
+# Start and bisection tolerance of largest_propagating_c0's search.
+C0_SEARCH_START = 4.0
+C0_SEARCH_TOL = 1e-3
+
+# Largest alpha * length of a block of the recurrence's geometric running
+# sum, so that the block's weights exp(alpha * r) stay finite.
+_BLOCK_EXPONENT = 500.0
+
 
 class NoDataError(ValueError):
     """The input stream contained no usable samples."""
@@ -331,17 +339,59 @@ class RecurrenceResult:
     c: float  # contraction constant derived from C0
 
 
-def _convolve(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Direct convolution with the kernel trimmed at its underflow point.
+def _geometric_sums(h: np.ndarray, alpha: float) -> np.ndarray:
+    """U(t) = sum_{s<=t} e^{-alpha (t-s)} h(s), so U(t) = e^{-alpha} U(t-1) + h(t).
 
-    The weight-increment kernel decays to exact float zeros, so dropping the
-    trailing zeros changes nothing while keeping the cost near-linear.  FFT
-    convolution is not usable here: its absolute noise floor (~1e-13) swamps
-    the tail values being compared, which reach far below it.
+    Within a block starting at b, U(b+r) = e^{-alpha r} (e^{-alpha} U(b-1) +
+    sum_{s<=r} e^{alpha s} h(b+s)), one cumsum of nonnegative terms; blocks
+    are short enough that e^{alpha r} stays finite.  Past the kernel's last
+    nonzero term (it decays to exact float zeros) U only decays
+    geometrically.
     """
     nonzero = np.nonzero(h)[0]
-    cut = int(nonzero[-1]) + 1 if len(nonzero) else 1
-    return np.convolve(f, h[:cut])
+    cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    # one block, unless e^{alpha r} could overflow within it
+    span = cut if alpha * cut <= _BLOCK_EXPONENT else int(_BLOCK_EXPONENT / alpha)
+    step = max(1, span)
+    decay = math.exp(-alpha)
+    sums = np.empty(len(h))
+    carry = 0.0  # U(b - 1)
+    for b in range(0, cut, step):
+        e = min(b + step, cut)
+        grow = np.exp(alpha * np.arange(e - b, dtype=float))
+        sums[b:e] = (decay * carry + np.cumsum(grow * h[b:e])) / grow
+        carry = sums[e - 1]
+    sums[cut:] = carry * np.exp(-alpha * np.arange(1, len(h) - cut + 1))
+    return sums
+
+
+def _recurrence_sides(
+    p: float, W: int, factor: float, c0: float, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the recurrence with f substituted, for k = 0..k_max-1.
+
+    The right side factor * (sum_{j<=k} f(j) h(k-j) + g(k+1)), with
+    g(k) = exp(-(k/W)^p) and h(t) = g(t) - g(t+1), in closed form: f is 1
+    for j < K1 and 2 e^{-alpha j} from K1 on (alpha = c0 / W^3), so the
+    first part of the sum telescopes, g(k+1) cancels, and what is left is
+    g(k - min(k, K1-1)) + f(K1) U(k - K1) with the geometric running sum U
+    of :func:`_geometric_sums`.  That costs O(k_max), where the direct
+    convolution costs O(k_max * cut) with the kernel cut at its underflow
+    point.  FFT convolution is not usable either way: its absolute noise
+    floor (~1e-13) swamps the tail values being compared, which reach far
+    below it.  The left side is f(k+1).
+    """
+    ks = np.arange(k_max + 1, dtype=float)
+    f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
+    g = np.exp(-((ks / W) ** p))
+    ones = f[:k_max] == 1.0
+    k1 = k_max if ones.all() else int(np.argmin(ones))  # f(0) = 1, so k1 >= 1
+    k = np.arange(k_max)
+    rhs = g[k - np.minimum(k, k1 - 1)]
+    if k1 < k_max:
+        h = g[: k_max - k1] - g[1 : k_max - k1 + 1]
+        rhs[k1:] += f[k1] * _geometric_sums(h, c0 / W**3)
+    return factor * rhs, f[1:]
 
 
 def recurrence_check(
@@ -368,35 +418,22 @@ def recurrence_check(
     if not 0 <= c0 < math.inf:
         raise ValueError(f"c0 must be nonnegative and finite, got {c0!r}")
     c = 1.0 / (C0 + W**-2)
-    factor = 1.0 - c / W**2
-    ks = np.arange(k_max + 2, dtype=float)
-    f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks[: k_max + 1] / W**3))
-    g = np.exp(-((ks / W) ** p))
-    h = g[: k_max + 1] - g[1 : k_max + 2]
-    conv = _convolve(f, h)[: k_max + 1]
-    rhs = factor * (conv + f[0] * g[1 : k_max + 2])
-    target = np.minimum(1.0, 2.0 * np.exp(-c0 * np.arange(1, k_max + 1) / W**3))
-    bad = rhs[: k_max] > target * (1.0 + 1e-9)
+    rhs, target = _recurrence_sides(p, W, 1.0 - c / W**2, c0, k_max)
+    bad = rhs > target * (1.0 + 1e-9)
     if not bad.any():
         return RecurrenceResult(True, None, c)
     return RecurrenceResult(False, int(np.argmax(bad)), c)
 
 
-def largest_propagating_c0(
-    p: float,
-    W: int,
-    C0: float,
-    k_max: int,
-    hi: float = 4.0,
-    tol: float = 1e-3,
-) -> float:
-    """Largest decay coefficient (up to tol) that the recurrence sustains.
+def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
+    """Largest decay coefficient (up to C0_SEARCH_TOL) that the recurrence sustains.
 
-    Geometric descent from hi brackets the boundary, then bisection narrows
-    it; the returned value is always verified to propagate.  c0 = 0 always
-    propagates (the weights telescope), so the search cannot come back
-    empty.
+    Geometric descent from C0_SEARCH_START brackets the boundary, then
+    bisection narrows it; the returned value is always verified to
+    propagate.  c0 = 0 always propagates (the weights telescope), so the
+    search cannot come back empty.
     """
+    hi = C0_SEARCH_START
     if recurrence_check(p, W, C0, hi, k_max).propagated:
         return hi
     upper = hi
@@ -408,7 +445,7 @@ def largest_propagating_c0(
         upper = lower
     else:
         return 0.0
-    while upper - lower > tol:
+    while upper - lower > C0_SEARCH_TOL:
         mid = 0.5 * (upper + lower)
         if recurrence_check(p, W, C0, mid, k_max).propagated:
             lower = mid

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .core import INFINITY, ModelParams
-from .exact import CapacityError, exact_partition, exact_tail_curve
+from .exact import CapacityError, exact_tail_and_partition
 from .sampler import (
     InitialState,
     SamplerConfig,
@@ -464,8 +464,7 @@ def _cmd_exact(config: RunConfig) -> int:
     params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
     tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}"
-    curve = exact_tail_curve(params, v["j"], grid)
-    partition_value, support_size = exact_partition(params)
+    curve, partition_value, support_size = exact_tail_and_partition(params, v["j"], grid)
     csv_name = f"exact_tail_{tag}.csv"
     json_name = f"exact_summary_{tag}.json"
     _write_csv(config.output_dir / csv_name, ["lambda", "tail_probability"], curve)

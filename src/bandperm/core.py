@@ -171,12 +171,21 @@ def cycle_of(pi: Permutation, j: int) -> CycleStats:
     return CycleStats(frozenset(members), len(members), lo, hi, hi - lo)
 
 
-def displacement_sum(image: tuple[int, ...], p: float) -> float:
-    """sum_i |pi(i) - i|^p over an image tuple, accumulated from i = -n up."""
+def displacement_powers(n: int, p: float) -> tuple[float, ...]:
+    """The table d^p for every displacement d = 0, ..., 2n on [-n, n]."""
+    return tuple(d**p for d in range(2 * n + 1))
+
+
+def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float:
+    """sum_i |pi(i) - i|^p over an image tuple, accumulated from i = -n up.
+
+    The terms are read from powers, the :func:`displacement_powers` table of
+    the image's interval and exponent.
+    """
     n = len(image) // 2
     total = 0.0
     for k, v in enumerate(image):
-        total += abs(v - (k - n)) ** p
+        total += powers[abs(v - (k - n))]
     return total
 
 
@@ -195,7 +204,8 @@ def energy(pi: Permutation, params: ModelParams) -> float:
             f"params are for [-{params.n}, {params.n}] but permutation is "
             f"for [-{pi.n}, {pi.n}]"
         )
-    return displacement_sum(pi.image, params.p) / params.W**params.p
+    powers = displacement_powers(pi.n, params.p)
+    return displacement_sum(pi.image, powers) / params.W**params.p
 
 
 def max_displacement(pi: Permutation) -> int:

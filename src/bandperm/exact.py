@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import ModelParams, Permutation, displacement_sum, orbit
+from .core import ModelParams, Permutation, displacement_powers, displacement_sum, orbit
 
 # Largest interval size 2n+1 admitted to the factorial mode (9! = 362880
 # permutations keeps every oracle run under a few seconds).
@@ -188,8 +188,9 @@ def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
     images = enumerate_images(params)
     if params.infinite_p:
         return ((img, 1.0) for img in images)
-    p, wp = params.p, params.W**params.p
-    return ((img, math.exp(-(displacement_sum(img, p) / wp))) for img in images)
+    powers = displacement_powers(params.n, params.p)
+    wp = params.W**params.p
+    return ((img, math.exp(-(displacement_sum(img, powers) / wp))) for img in images)
 
 
 def exact_distribution(params: ModelParams) -> ExactDistribution:
@@ -200,23 +201,15 @@ def exact_distribution(params: ModelParams) -> ExactDistribution:
     return ExactDistribution(params, entries, z)
 
 
-def exact_partition(params: ModelParams) -> tuple[float, int]:
-    """(partition value, support size) without materializing the entries.
-
-    For infinite p both equal |S_W|, available from the counting DP; for
-    finite p the weights are streamed.
-    """
-    if params.infinite_p:
-        total = _band_size(params)
-        return float(total), total
-    weights = [w for _, w in _weighted(params)]
-    return math.fsum(weights), len(weights)
-
-
-def exact_tail_curve(
+def exact_tail_and_partition(
     params: ModelParams, j: int, lam_grid: Sequence[int]
-) -> list[tuple[int, float]]:
-    """P(diam of the cycle of j >= lam) for each lam, in one enumeration pass."""
+) -> tuple[list[tuple[int, float]], float, int]:
+    """(tail curve, partition value, support size) from one enumeration pass.
+
+    The curve lists P(diam of the cycle of j >= lam) for each lam.  Each
+    weight is binned by its cycle's diameter and streamed into math.fsum,
+    which rounds the partition value correctly whatever the order.
+    """
     n = params.n
     if not -n <= j <= n:
         raise ValueError(f"base point {j} outside [{-n}, {n}]")
@@ -226,16 +219,45 @@ def exact_tail_curve(
     weighted = _weighted(params)  # capacity check before any allocation
     # weight mass grouped by cycle diameter (diameters are in 0..2n)
     mass = [0.0] * (2 * n + 1)
-    for img, w in weighted:
-        members = orbit(img, j)
-        mass[max(members) - min(members)] += w
+    support_size = 0
+
+    def binned() -> Iterator[float]:
+        nonlocal support_size
+        for img, w in weighted:
+            members = orbit(img, j)
+            mass[max(members) - min(members)] += w
+            support_size += 1
+            yield w
+
+    partition_value = math.fsum(binned())
     suffix = [0.0] * (2 * n + 2)
     for d in range(2 * n, -1, -1):
         suffix[d] = suffix[d + 1] + mass[d]
     total = suffix[0]  # same accumulation, so survival at lambda 0 is exactly 1
-    return [
+    curve = [
         (lam, (suffix[lam] / total if lam <= 2 * n else 0.0)) for lam in lam_grid
     ]
+    return curve, partition_value, support_size
+
+
+def exact_tail_curve(
+    params: ModelParams, j: int, lam_grid: Sequence[int]
+) -> list[tuple[int, float]]:
+    """P(diam of the cycle of j >= lam) for each lam, in one enumeration pass."""
+    return exact_tail_and_partition(params, j, lam_grid)[0]
+
+
+def exact_partition(params: ModelParams) -> tuple[float, int]:
+    """(partition value, support size) without materializing the entries.
+
+    For infinite p both equal |S_W|, available from the counting DP; for
+    finite p they come from one pass over the weights.
+    """
+    if params.infinite_p:
+        total = _band_size(params)
+        return float(total), total
+    _, partition_value, support_size = exact_tail_and_partition(params, 0, ())
+    return partition_value, support_size
 
 
 def exact_tail(params: ModelParams, j: int, lam: int) -> float:

@@ -26,6 +26,7 @@ from .core import (
     ModelParams,
     Permutation,
     UnsupportedExponentError,
+    displacement_powers,
     displacement_sum,
     image_max_displacement,
     orbit,
@@ -447,7 +448,8 @@ def _full_pass(
         _check_preimages(cert, members, t, None, fibres)
     for p in p_values:
         # displacement sums; the energy at bandwidth W is sums[img] / W^p
-        sums = {img: displacement_sum(img, p) for img in members[0]}
+        powers = displacement_powers(n, p)
+        sums = {img: displacement_sum(img, powers) for img in members[0]}
         for t, fibres in maps:
             for rho, pis in fibres.items():
                 cert._bump("energy_monotonicity", len(pis))
@@ -556,13 +558,14 @@ def run_verification(
     w_values = tuple(sorted(set(w_values)))
     p_values = tuple(sorted(set(p_values)))
     lam_tuple = tuple(lam_values) if lam_values is not None else tuple(range(0, min(4, 2 * n) + 1))
-    t_tuple = tuple(t_values) if t_values is not None else tuple(range(0, n))
+    # a lazy range: the passes' capacity checks must run before anything of size n
+    t_values = tuple(t_values) if t_values is not None else range(0, n)
     cert = VerificationCertificate(n, w_values, p_values, lam_tuple)
 
     if any(math.isinf(p) for p in p_values):
         for W in w_values:
-            _band_pass(cert, n, W, lam_tuple, t_tuple)
+            _band_pass(cert, n, W, lam_tuple, t_values)
     finite_ps = [p for p in p_values if not math.isinf(p)]
     if finite_ps:
-        _full_pass(cert, n, finite_ps, w_values, t_tuple)
+        _full_pass(cert, n, finite_ps, w_values, t_values)
     return cert

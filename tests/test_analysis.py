@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bandperm import analysis
 from bandperm import (
     INFINITY,
     ModelParams,
@@ -216,6 +217,63 @@ class TestRecurrence:
             recurrence_check(1.0, 1, 0.0, 0.1, 10)
         with pytest.raises(ValueError):
             recurrence_check(1.0, 1, 1.0, -0.1, 10)
+
+
+def direct_recurrence_sides(p, W, C0, c0, k_max):
+    """Reference for the recurrence's closed form: the direct O(k_max * cut)
+    convolution sum_{j<=k} f(j) h(k-j), with the kernel cut at its
+    underflow point."""
+    factor = 1.0 - 1.0 / (C0 + W**-2) / W**2
+    ks = np.arange(k_max + 2, dtype=float)
+    f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks[: k_max + 1] / W**3))
+    g = np.exp(-((ks / W) ** p))
+    h = g[: k_max + 1] - g[1 : k_max + 2]
+    cut = int(np.nonzero(h)[0][-1]) + 1
+    conv = np.convolve(f, h[:cut])[: k_max + 1]
+    rhs = factor * (conv + f[0] * g[1 : k_max + 2])
+    target = np.minimum(1.0, 2.0 * np.exp(-c0 * np.arange(1, k_max + 1) / W**3))
+    return rhs[:k_max], target
+
+
+def direct_recurrence_check(p, W, C0, c0, k_max):
+    rhs, target = direct_recurrence_sides(p, W, C0, c0, k_max)
+    bad = rhs > target * (1.0 + 1e-9)
+    first = int(np.argmax(bad)) if bad.any() else None
+    return analysis.RecurrenceResult(first is None, first, 1.0 / (C0 + W**-2))
+
+
+class TestRecurrenceClosedForm:
+    C0_GRID = (0.0, 0.01, 0.03, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 10.0)
+
+    # k_max = 1000 at W = 1 and p = 1 reaches alpha * cut ~ 3000 at c0 >= 4,
+    # where one unblocked cumsum of e^{alpha r} h(r) would overflow
+    @pytest.mark.parametrize(
+        "W, k_max", [(1, 50), (1, 1000), (2, 400), (3, 1350), (5, 6250), (8, 25600)]
+    )
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_direct_convolution(self, p, W, k_max):
+        factor = 1.0 - 1.0 / (1.0 + W**-2) / W**2
+        for c0 in self.C0_GRID:
+            rhs, target = analysis._recurrence_sides(p, W, factor, c0, k_max)
+            ref_rhs, ref_target = direct_recurrence_sides(p, W, 1.0, c0, k_max)
+            assert np.array_equal(target, ref_target)
+            # relative agreement in the normal range; below it both forms
+            # keep only absolute precision
+            tiny = np.finfo(float).tiny
+            np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=tiny, err_msg=f"c0={c0}")
+            got = recurrence_check(p, W, 1.0, c0, k_max)
+            want = direct_recurrence_check(p, W, 1.0, c0, k_max)
+            assert (got.propagated, got.first_failure_k) == (
+                want.propagated,
+                want.first_failure_k,
+            ), f"c0={c0}"
+
+    def test_largest_c0_matches_search_over_reference(self, monkeypatch):
+        ks = [50 * w**3 for w in range(1, 9)]
+        stars = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
+        monkeypatch.setattr(analysis, "recurrence_check", direct_recurrence_check)
+        ref = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
+        assert stars == ref
 
 
 class TestEstimatorAgainstOracle:

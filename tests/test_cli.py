@@ -293,6 +293,7 @@ class TestFailClosed:
             ["sample", "--n", str(10**12), "--steps", "10"],
             ["tail", "--n", str(cli.CHAIN_INTERVAL_CAP // 2 + 1), "--steps", "10"],
             ["sweep", "--n-list", f"1,{10**12}", "--steps", "10"],
+            ["uncross-verify", "--n", str(10**8), "--p-list", "1"],
         ],
     )
     def test_huge_instance_is_a_capacity_error(self, argv, tmp_path):

@@ -17,7 +17,15 @@ from bandperm import (
     exact_tail,
     exact_tail_curve,
 )
-from bandperm.exact import BAND_ENUMERATION_CAP, _band_counts, exact_partition
+from bandperm.core import orbit
+from bandperm.exact import (
+    BAND_ENUMERATION_CAP,
+    _band_counts,
+    _weighted,
+    enumerate_images,
+    exact_partition,
+    exact_tail_and_partition,
+)
 
 
 def brute_force_band_count(m: int, W: int) -> int:
@@ -235,6 +243,76 @@ class TestExactPartition:
             dist = exact_distribution(params)
             assert z == pytest.approx(dist.partition_value, rel=1e-12)
             assert size == dist.support_size
+
+
+def direct_displacement_sum(image, p):
+    """sum_i |pi(i) - i|^p with each power computed in place, from i = -n up."""
+    n = len(image) // 2
+    total = 0.0
+    for k, v in enumerate(image):
+        total += abs(v - (k - n)) ** p
+    return total
+
+
+def two_pass_reference(params, j, lam_grid):
+    """The oracle as two passes: one bins the weight mass by the diameter of
+    j's cycle, the other lists every weight and sums the list with fsum."""
+    n = params.n
+    if params.infinite_p:
+        weights = [1.0 for _ in enumerate_images(params)]
+    else:
+        wp = params.W**params.p
+        weights = [
+            math.exp(-(direct_displacement_sum(img, params.p) / wp))
+            for img in enumerate_images(params)
+        ]
+    mass = [0.0] * (2 * n + 1)
+    for img, w in zip(enumerate_images(params), weights):
+        members = orbit(img, j)
+        mass[max(members) - min(members)] += w
+    suffix = [0.0] * (2 * n + 2)
+    for d in range(2 * n, -1, -1):
+        suffix[d] = suffix[d + 1] + mass[d]
+    curve = [(lam, suffix[lam] / suffix[0] if lam <= 2 * n else 0.0) for lam in lam_grid]
+    return curve, math.fsum(weights), len(weights)
+
+
+class TestOnePassOracle:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7])
+    def test_table_weights_match_direct_powers(self, p):
+        for W in (1, 2, 3):
+            params = ModelParams(p=p, W=W, n=3)
+            wp = W**p
+            for img, w in _weighted(params):
+                assert w == math.exp(-(direct_displacement_sum(img, p) / wp))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(p=p, W=W, n=n)
+            for p in (1.0, 1.5, 2.0, 3.7)
+            for W in (1, 2, 3)
+            for n in (1, 2, 3)
+        ],
+        ids=str,
+    )
+    def test_finite_p_matches_two_passes(self, params):
+        grid = list(range(0, 2 * params.n + 3))
+        for j in (0, params.n, -1):
+            got = exact_tail_and_partition(params, j, grid)
+            assert got == two_pass_reference(params, j, grid)
+        assert exact_tail_curve(params, -1, grid) == got[0]
+        assert exact_partition(params) == got[1:]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_band_matches_two_passes_and_count(self, n):
+        for W in (1, 2, 3):
+            params = ModelParams(p=INFINITY, W=W, n=n)
+            grid = list(range(0, 2 * n + 2))
+            got = exact_tail_and_partition(params, 0, grid)
+            assert got == two_pass_reference(params, 0, grid)
+            count = count_band_permutations(2 * n + 1, W)
+            assert got[1:] == (float(count), count) == exact_partition(params)
 
 
 class TestExactExpectation:
