@@ -11,6 +11,7 @@ that closes the localization argument.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -407,7 +408,9 @@ def recurrence_check(
     with c = 1 / (C0 + W^{-2}).  The check substitutes f for p on the right
     (valid since the weight increments are nonnegative) and requires the
     result not to exceed f(k+1), for every k < k_max, up to a 1e-9 relative
-    float guard.  Returns the first failing k when propagation breaks.
+    float guard.  The comparison stops at the last k where f(k+1) is a normal
+    float: below that the relative guard is void and one subnormal ulp would
+    decide.  Returns the first failing k when propagation breaks.
     """
     if math.isinf(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
@@ -419,7 +422,7 @@ def recurrence_check(
         raise ValueError(f"c0 must be nonnegative and finite, got {c0!r}")
     c = 1.0 / (C0 + W**-2)
     rhs, target = _recurrence_sides(p, W, 1.0 - c / W**2, c0, k_max)
-    bad = rhs > target * (1.0 + 1e-9)
+    bad = (rhs > target * (1.0 + 1e-9)) & (target >= sys.float_info.min)
     if not bad.any():
         return RecurrenceResult(True, None, c)
     return RecurrenceResult(False, int(np.argmax(bad)), c)

@@ -1,10 +1,13 @@
-"""Exhaustive enumeration oracle for small intervals.
+"""Exact oracle for small intervals.
 
-Deliberately brute force: the exact Gibbs distribution, partition value and
-tail probabilities computed here are the ground truth against which the
-Markov chain and the uncrossing-map properties are validated.  Finite p
-enumerates all (2n+1)! permutations (capped); infinite p enumerates only the
-band support S_W by backtracking, which reaches much larger intervals.
+The exact Gibbs distribution, partition value and tail probabilities
+computed here are the ground truth against which the Markov chain and the
+uncrossing-map properties are validated.  Finite p enumerates all (2n+1)!
+permutations (capped); infinite p enumerates the band support S_W by
+backtracking, which reaches much larger intervals.  The p = infinity tail
+curve needs no enumeration: a marked connectivity transfer DP over the
+positions counts the members of S_W by the diameter of the cycle of j
+(:func:`band_diameter_counts`), and a profile DP counts |S_W|.
 """
 from __future__ import annotations
 
@@ -137,6 +140,98 @@ def _band_images(n: int, W: int) -> Iterator[tuple[int, ...]]:
     return rec(0)
 
 
+# Labels of an open path in the marked transfer DP, as bits of one int.  A
+# young path was born after the marked one; an old path holds a point below
+# the marked cycle's minimum, so it may hold neither the marked path nor j.
+_YOUNG, _OLD, _MARKED, _HOLDS_J = 0, 1, 2, 4
+
+
+def _canonical(paths: list[tuple[int, int, int]]) -> tuple:
+    """The open (start, end, label) paths as a sorted tuple, old ones paired
+    in sorted order.
+
+    How old starts pair with old ends never matters (every outcome of
+    reaching an old path depends only on its label), so one pairing merges
+    the states that differ only in it.
+    """
+    old = [x for x in paths if x[2] == _OLD]
+    starts = sorted(x[0] for x in old)
+    ends = sorted(x[1] for x in old)
+    paired = [(a, b, _OLD) for a, b in zip(starts, ends)]
+    return tuple(sorted([x for x in paths if x[2] != _OLD] + paired))
+
+
+def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
+    """Members of S_W on [-n, n] by the diameter of the cycle of j.
+
+    Entry d counts the pi with max C(j) - min C(j) = d, for d = 0..2n; the
+    sum is |S_W|.  A left-to-right scan over positions (points 0..2n after
+    a shift by n) keeps the open paths of the partial permutation: each
+    runs from a start (an unused value at or below the cut) to an end (a
+    used value above it).  Every member is counted once, at the minimum s
+    of its cycle through j: the marked path is born at position s, every
+    path open then is old, the marked path may absorb young paths only,
+    and it closes at the position x = max C(j), giving diameter x - s.  It
+    counts when it holds j.  The pruning of :func:`_band_images` (value
+    q - W is forced at position q while free) keeps every branch alive.
+    """
+    m = 2 * n + 1
+    jx = j + n
+    # (open paths, birth position s of the marked path, closed diameter)
+    states: dict[tuple, int] = {((), None, None): 1}
+    for r in range(m):
+        nxt: dict[tuple, int] = {}
+        for (paths, born, diam), count in states.items():
+            starts = {x[0]: x for x in paths}
+            ends = {x[1]: x for x in paths}
+            own = ends.get(r)  # the path position r extends, None if r is alone
+            lo, hi = max(0, r - W), min(m - 1, r + W)
+            if lo == r - W and lo in starts:
+                values = [lo]
+            else:
+                values = [
+                    v for v in range(lo, hi + 1)
+                    if v in starts or v >= r and v not in ends
+                ]
+            births = [born]
+            if born is None and own is None and r <= jx:
+                births.append(r)  # r is the minimum of the cycle of j
+            for s in births:
+                # a path born while the marked one is open may still join it
+                fresh = _YOUNG if s is not None and diam is None else _OLD
+
+                def alone(x: int) -> tuple[int, int, int]:
+                    """The path of a point that no arc touches yet."""
+                    label = _MARKED if x == s else fresh
+                    return (x, x, label | (_HOLDS_J if x == jx else 0))
+
+                head = own or alone(r)
+                for v in values:  # the arc r -> v joins head to tail
+                    tail = starts.get(v) or alone(v)
+                    label = head[2] | tail[2]
+                    if label & _OLD and label & (_MARKED | _HOLDS_J):
+                        continue
+                    rest = [x for x in paths if x is not own and x is not tail]
+                    if tail is head or v == r:  # the arc closes a cycle
+                        if label & _MARKED and label & _HOLDS_J:
+                            # nothing is dropped from here on: all paths are old
+                            rest = [(a, b, _OLD) for a, b, _ in rest]
+                            key = (_canonical(rest), s, r - s)
+                        elif label & (_MARKED | _HOLDS_J):
+                            continue  # the cycle of j has another minimum
+                        else:
+                            key = (_canonical(rest), s, diam)
+                    else:
+                        merged = rest + [(head[0], tail[1], label)]
+                        key = (_canonical(merged), s, diam)
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    counts = [0] * m
+    for (_, _, diam), count in states.items():
+        counts[diam] += count
+    return counts
+
+
 def _band_size(params: ModelParams) -> int:
     """|S_W| from the counting DP, raising CapacityError over the band cap.
 
@@ -204,11 +299,14 @@ def exact_distribution(params: ModelParams) -> ExactDistribution:
 def exact_tail_and_partition(
     params: ModelParams, j: int, lam_grid: Sequence[int]
 ) -> tuple[list[tuple[int, float]], float, int]:
-    """(tail curve, partition value, support size) from one enumeration pass.
+    """(tail curve, partition value, support size) for the cycle of j.
 
-    The curve lists P(diam of the cycle of j >= lam) for each lam.  Each
-    weight is binned by its cycle's diameter and streamed into math.fsum,
-    which rounds the partition value correctly whatever the order.
+    The curve lists P(diam of the cycle of j >= lam) for each lam.  At
+    infinite p the counts of :func:`band_diameter_counts` give it exactly:
+    integer suffix counts over |S_W|, divided with int / int, which rounds
+    correctly.  At finite p one enumeration pass bins each weight by its
+    cycle's diameter and streams it into math.fsum, which rounds the
+    partition value correctly whatever the order.
     """
     n = params.n
     if not -n <= j <= n:
@@ -216,21 +314,27 @@ def exact_tail_and_partition(
     for lam in lam_grid:
         if lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
-    weighted = _weighted(params)  # capacity check before any allocation
-    # weight mass grouped by cycle diameter (diameters are in 0..2n)
-    mass = [0.0] * (2 * n + 1)
-    support_size = 0
+    if params.infinite_p:
+        _band_size(params)  # capacity check before the DP
+        mass = band_diameter_counts(n, params.W, j)
+        support_size = sum(mass)
+        partition_value = float(support_size)
+    else:
+        weighted = _weighted(params)  # capacity check before any allocation
+        # weight mass grouped by cycle diameter (diameters are in 0..2n)
+        mass = [0.0] * (2 * n + 1)
+        support_size = 0
 
-    def binned() -> Iterator[float]:
-        nonlocal support_size
-        for img, w in weighted:
-            members = orbit(img, j)
-            mass[max(members) - min(members)] += w
-            support_size += 1
-            yield w
+        def binned() -> Iterator[float]:
+            nonlocal support_size
+            for img, w in weighted:
+                members = orbit(img, j)
+                mass[max(members) - min(members)] += w
+                support_size += 1
+                yield w
 
-    partition_value = math.fsum(binned())
-    suffix = [0.0] * (2 * n + 2)
+        partition_value = math.fsum(binned())
+    suffix = [0] * (2 * n + 2)
     for d in range(2 * n, -1, -1):
         suffix[d] = suffix[d + 1] + mass[d]
     total = suffix[0]  # same accumulation, so survival at lambda 0 is exactly 1
@@ -243,7 +347,7 @@ def exact_tail_and_partition(
 def exact_tail_curve(
     params: ModelParams, j: int, lam_grid: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """P(diam of the cycle of j >= lam) for each lam, in one enumeration pass."""
+    """P(diam of the cycle of j >= lam) for each lam; see exact_tail_and_partition."""
     return exact_tail_and_partition(params, j, lam_grid)[0]
 
 

@@ -180,12 +180,23 @@ def _preimage_images(tau: Image, t: int, band: Optional[int]) -> list[Image]:
         a for a in range(a_lo, min(n, t) + 1) if a in cycle and tau[a + n] <= t
     ]
     b_values = [b for b in range(t + 1, b_hi + 1) if tau[b + n] > t]
+    # the swap at (a, b) is in the band iff tau's out-of-band positions lie
+    # in {a, b} and both moved images land within W of their new positions
+    outside = (
+        set()
+        if band is None
+        else {i for i in range(-n, n + 1) if abs(tau[i + n] - i) > band}
+    )
     found = []
     for a in a_values:
         for b in b_values:
-            candidate = swapped(tau, a, b)
-            if band is not None and image_max_displacement(candidate) > band:
+            if band is not None and not (
+                outside <= {a, b}
+                and abs(tau[b + n] - a) <= band
+                and abs(tau[a + n] - b) <= band
+            ):
                 continue
+            candidate = swapped(tau, a, b)
             up, down = _crossings(candidate, t)
             if up is not None and swapped(candidate, up[1], down[1]) == tau:
                 found.append(candidate)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -237,7 +238,8 @@ def direct_recurrence_sides(p, W, C0, c0, k_max):
 
 def direct_recurrence_check(p, W, C0, c0, k_max):
     rhs, target = direct_recurrence_sides(p, W, C0, c0, k_max)
-    bad = rhs > target * (1.0 + 1e-9)
+    # the comparison rule of recurrence_check: only where f(k+1) is normal
+    bad = (rhs > target * (1.0 + 1e-9)) & (target >= sys.float_info.min)
     first = int(np.argmax(bad)) if bad.any() else None
     return analysis.RecurrenceResult(first is None, first, 1.0 / (C0 + W**-2))
 
@@ -273,6 +275,15 @@ class TestRecurrenceClosedForm:
         stars = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
         monkeypatch.setattr(analysis, "recurrence_check", direct_recurrence_check)
         ref = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
+        assert stars == ref
+
+    def test_underflow_regime_c0_matches_reference(self, monkeypatch):
+        # recurrence --W-list 1:3 --k-max-factor 2000 --C0 0.3: the search's
+        # decisions reach k where f(k+1) is subnormal, which must not count
+        ks = [2000 * w**3 for w in range(1, 4)]
+        stars = [largest_propagating_c0(1.0, w, 0.3, k) for w, k in zip(range(1, 4), ks)]
+        monkeypatch.setattr(analysis, "recurrence_check", direct_recurrence_check)
+        ref = [largest_propagating_c0(1.0, w, 0.3, k) for w, k in zip(range(1, 4), ks)]
         assert stars == ref
 
 

@@ -56,6 +56,36 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # the p = infinity pins were recorded from the enumeration of S_W, before
+    # the marked transfer DP replaced it
+    "exact_band": (
+        ("exact", "--p", "inf", "--W", "3", "--n", "6"),
+        {
+            "exact_summary_pinf_W3_n6.json": (
+                "84b6646a3d4b000a2ba3b7017fc7893caf4470bd10c3ff6a582de934d1c6c933"
+            ),
+            "exact_tail_pinf_W3_n6.csv": (
+                "3d5cb7521b32b009d428adeae5ac8b9c84cda85754a39b226e08cd3bc53b822d"
+            ),
+            "manifest.json": (
+                "1f1467b654ed7e5fe37d7a195e60d7facb39a67b1b79ba582121ddf679962e6e"
+            ),
+        },
+    ),
+    "exact_band_j": (
+        ("exact", "--p", "inf", "--W", "2", "--n", "5", "--j", "-2"),
+        {
+            "exact_summary_pinf_W2_n5.json": (
+                "a676c3595cb7d5a7878bfc175fd0690b2c1bde1777c433125ff1e020c103ad3c"
+            ),
+            "exact_tail_pinf_W2_n5.csv": (
+                "28321150e1cda8291c54f1663633294d9f158a65f536dfed7a1a7deb90afeb44"
+            ),
+            "manifest.json": (
+                "0f247d270e047beaa7311efce0bd8c6bb78bcb3af56b8cd40a6f50843a3f62a5"
+            ),
+        },
+    ),
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",

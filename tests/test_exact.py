@@ -21,7 +21,9 @@ from bandperm.core import orbit
 from bandperm.exact import (
     BAND_ENUMERATION_CAP,
     _band_counts,
+    _band_images,
     _weighted,
+    band_diameter_counts,
     enumerate_images,
     exact_partition,
     exact_tail_and_partition,
@@ -313,6 +315,71 @@ class TestOnePassOracle:
             assert got == two_pass_reference(params, 0, grid)
             count = count_band_permutations(2 * n + 1, W)
             assert got[1:] == (float(count), count) == exact_partition(params)
+
+
+def band_walk_counts(n, W):
+    """The per-member reference: walk every member of S_W, split it into
+    cycles, and bin it by the diameter of the cycle of each point.  Row
+    j + n holds the counts for base point j."""
+    m = 2 * n + 1
+    counts = [[0] * m for _ in range(m)]
+    for img in _band_images(n, W):
+        seen = set()
+        for x in range(-n, n + 1):
+            if x in seen:
+                continue
+            members = orbit(img, x)
+            seen.update(members)
+            d = max(members) - min(members)
+            for y in members:
+                counts[y + n][d] += 1
+    return counts
+
+
+class TestBandDiameterDP:
+    """The marked transfer DP against the per-member walk over S_W."""
+
+    @staticmethod
+    def check_against_walk(n, W, js):
+        walk = band_walk_counts(n, W)
+        params = ModelParams(p=INFINITY, W=W, n=n)
+        grid = list(range(0, 2 * n + 3))
+        for j in js:
+            counts = band_diameter_counts(n, W, j)
+            assert counts == walk[j + n], f"j={j}"
+            got = exact_tail_and_partition(params, j, grid)
+            size = sum(walk[j + n])
+            suffix = [sum(walk[j + n][lam:]) for lam in range(2 * n + 1)]
+            curve = [(lam, suffix[lam] / size if lam <= 2 * n else 0.0) for lam in grid]
+            assert got == (curve, float(size), size), f"j={j}"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_every_j_up_to_11_points(self, n, W):
+        self.check_against_walk(n, W, range(-n, n + 1))
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_ends_and_centre_at_13_points(self, W):
+        self.check_against_walk(6, W, (-6, 0, 6))
+
+    @pytest.mark.parametrize("n, W", [(1, 2), (1, 5), (2, 4), (2, 7), (3, 6)])
+    def test_band_wider_than_the_interval(self, n, W):
+        # W >= 2n: S_W is every permutation of the 2n+1 points
+        assert sum(band_walk_counts(n, W)[0]) == math.factorial(2 * n + 1)
+        self.check_against_walk(n, W, range(-n, n + 1))
+
+    def test_totals_match_the_counting_dp(self):
+        for n in range(0, 11):
+            for W in range(1, 5):
+                for j in {-n, 0, n}:
+                    total = sum(band_diameter_counts(n, W, j))
+                    assert total == count_band_permutations(2 * n + 1, W)
+
+    def test_matches_hand_count(self):
+        # S_1 on [-1, 1]: the identity, (-1 0), (0 1); j = 0 sits in a fixed
+        # point once and in a transposition twice
+        assert band_diameter_counts(1, 1, 0) == [1, 2, 0]
+        assert band_diameter_counts(1, 1, -1) == [2, 1, 0]
 
 
 class TestExactExpectation:

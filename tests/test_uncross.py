@@ -28,7 +28,25 @@ from bandperm import (
     uncross_min,
     uncross_preimage,
 )
-from bandperm.core import orbit
+from bandperm.core import image_max_displacement, orbit, swapped
+
+def full_scan_preimage(tau, t, W):
+    """Reference band preimage: every straddling swap of tau, kept when a
+    full scan of its displacements stays within W and uncross returns tau."""
+    n = len(tau) // 2
+    cycle = set(orbit(tau, 0))
+    found = []
+    for a in range(max(-n, t - W + 1), min(n, t) + 1):
+        for b in range(t + 1, min(n, t + W) + 1):
+            if a not in cycle or tau[a + n] > t or tau[b + n] <= t:
+                continue
+            candidate = swapped(tau, a, b)
+            if image_max_displacement(candidate) > W:
+                continue
+            if uncross(Permutation(candidate), t).image == tau:
+                found.append(candidate)
+    return sorted(found)
+
 
 THREE_CYCLE_UP = Permutation.from_mapping(3, {0: 3, 3: 1, 1: 0})   # orbit 0,3,1
 THREE_CYCLE_LOW = Permutation.from_mapping(3, {0: 1, 1: 3, 3: 0})  # orbit 0,1,3
@@ -186,6 +204,21 @@ class TestPreimage:
                 got = uncross_preimage(tau, t, params)
                 assert got == expected
                 assert len(got) <= W * W
+
+    @pytest.mark.parametrize("W", [1, 2, 3])
+    def test_band_filter_matches_full_scan(self, W):
+        # every tau on 7 points, in S_W or not: the O(1) band test keeps
+        # exactly the candidates a full displacement scan keeps
+        params = ModelParams(p=INFINITY, W=W, n=3)
+        outside = 0
+        for img in itertools.permutations(range(-3, 4)):
+            outside += image_max_displacement(img) > W
+            for t in range(0, 4):
+                if max(orbit(img, 0)) > t:
+                    continue
+                got = uncross_preimage(Permutation(img), t, params)
+                assert [pi.image for pi in got] == full_scan_preimage(img, t, W)
+        assert outside > 0
 
     def test_full_support_matches_brute_force_inversion(self):
         params = ModelParams(p=2.0, W=1, n=2)
