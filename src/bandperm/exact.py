@@ -2,24 +2,33 @@
 
 The exact Gibbs distribution, partition value and tail probabilities
 computed here are the ground truth against which the Markov chain and the
-uncrossing-map properties are validated.  Finite p enumerates all (2n+1)!
-permutations (capped); infinite p enumerates the band support S_W by
-backtracking, which reaches much larger intervals.  The p = infinity tail
-curve needs no enumeration: a marked connectivity transfer DP over the
-positions counts the members of S_W by the diameter of the cycle of j
-(:func:`band_diameter_counts`), and a profile DP counts |S_W|.
+uncrossing-map properties are validated.  Finite p weighs all (2n+1)!
+permutations (capped) in numpy blocks, one block per leading pair of
+values, in lexicographic order: each block's energies, Gibbs weights and
+cycles of j are computed a column at a time with the float order of the
+per-permutation formulas, so every value is bit-identical to them.
+Infinite p enumerates the band support S_W by backtracking, which reaches
+much larger intervals.  The p = infinity tail curve needs no enumeration:
+a marked connectivity transfer DP over the positions counts the members of
+S_W by the diameter of the cycle of j (:func:`band_diameter_counts`), and a
+profile DP counts |S_W|.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import ModelParams, Permutation, displacement_powers, displacement_sum, orbit
+import numpy as np
 
-# Largest interval size 2n+1 admitted to the factorial mode (9! = 362880
-# permutations keeps every oracle run under a few seconds).
+from .core import ModelParams, Permutation, displacement_powers
+
+# Largest interval size 2n+1 admitted to the factorial mode.  At 9! = 362880
+# permutations, on a 2-vCPU Xeon VM, the block pass of the tail curve and
+# partition value takes about 0.05 s, and exact_distribution and
+# exact_expectation, which build one Permutation per image, 1 to 2 s.
 FULL_ENUMERATION_CAP = 9
 
 # Largest band-support size the p = infinity mode will stream.
@@ -251,6 +260,17 @@ def _band_size(params: ModelParams) -> int:
     )
 
 
+def _full_size(params: ModelParams) -> int:
+    """(2n+1)!, raising CapacityError over the finite-p cap."""
+    m = params.interval_size
+    if m > FULL_ENUMERATION_CAP:
+        raise CapacityError(
+            f"interval size {m} exceeds the exhaustive cap "
+            f"{FULL_ENUMERATION_CAP} for finite p ((2n+1)! mode)"
+        )
+    return math.factorial(m)
+
+
 def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
     """Every admissible image tuple exactly once, in lexicographic order.
 
@@ -261,12 +281,7 @@ def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
     if params.infinite_p:
         _band_size(params)
         return _band_images(params.n, params.W)
-    m = params.interval_size
-    if m > FULL_ENUMERATION_CAP:
-        raise CapacityError(
-            f"interval size {m} exceeds the exhaustive cap "
-            f"{FULL_ENUMERATION_CAP} for finite p ((2n+1)! mode)"
-        )
+    _full_size(params)
     return itertools.permutations(range(-params.n, params.n + 1))
 
 
@@ -275,17 +290,62 @@ def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
     return (Permutation(img) for img in enumerate_images(params))
 
 
+def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
+    """The permutations of range(m), m >= 3, as int8 rows in blocks.
+
+    One block per leading pair of values (a, b), pairs in lexicographic
+    order: its (m-2)! rows are a, b and the other values in every order,
+    lexicographic.  The blocks, concatenated, are itertools.permutations
+    row for row; blocks are built one at a time.
+    """
+    tail = itertools.chain.from_iterable(itertools.permutations(range(m - 2)))
+    orders = np.fromiter(tail, dtype=np.int8).reshape(-1, m - 2)
+    for head in itertools.permutations(range(m), 2):
+        rest = np.array([v for v in range(m) if v not in head], dtype=np.int8)
+        block = np.empty((len(orders), m), dtype=np.int8)
+        block[:, :2] = head
+        block[:, 2:] = rest[orders]
+        yield block
+
+
+def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(block, unnormalized Gibbs weights) over all (2n+1)! permutations.
+
+    Rows are images shifted to 0..2n.  Each energy adds the displacement
+    powers column by column from position -n up, the float order of
+    :func:`core.displacement_sum`, then divides by W^p; math.exp (not
+    np.exp, which may differ from libm by an ulp) weighs each distinct
+    energy once.  The capacity check runs on the call, before iteration.
+    """
+    _full_size(params)
+    m = params.interval_size
+    powers = np.array(displacement_powers(params.n, params.p))
+    wp = params.W**params.p
+
+    def weigh(block: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(block))
+        for k in range(m):
+            total += powers[np.abs(block[:, k] - k)]
+        energies, inverse = np.unique(total / wp, return_inverse=True)
+        return np.array([math.exp(-e) for e in energies.tolist()])[inverse]
+
+    return ((block, weigh(block)) for block in _permutation_blocks(m))
+
+
 def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
     """(image, unnormalized Gibbs weight) for every admissible image.
 
-    The weight is exp(-energy) at finite p and 1.0 on S_W at p = infinity.
+    The weight is exp(-energy) at finite p, flattened from
+    :func:`_weight_blocks`, and 1.0 on S_W at p = infinity.
     """
-    images = enumerate_images(params)
     if params.infinite_p:
-        return ((img, 1.0) for img in images)
-    powers = displacement_powers(params.n, params.p)
-    wp = params.W**params.p
-    return ((img, math.exp(-(displacement_sum(img, powers) / wp))) for img in images)
+        return ((img, 1.0) for img in enumerate_images(params))
+    n = params.n
+    return (
+        pair
+        for block, weights in _weight_blocks(params)
+        for pair in zip(map(tuple, (block - n).tolist()), weights.tolist())
+    )
 
 
 def exact_distribution(params: ModelParams) -> ExactDistribution:
@@ -304,9 +364,11 @@ def exact_tail_and_partition(
     The curve lists P(diam of the cycle of j >= lam) for each lam.  At
     infinite p the counts of :func:`band_diameter_counts` give it exactly:
     integer suffix counts over |S_W|, divided with int / int, which rounds
-    correctly.  At finite p one enumeration pass bins each weight by its
-    cycle's diameter and streams it into math.fsum, which rounds the
-    partition value correctly whatever the order.
+    correctly.  At finite p one pass over :func:`_weight_blocks` follows
+    the cycle of j in every row of a block at once (at most 2n pointer
+    jumps, tracking its minimum and maximum), bins each weight by that
+    diameter in enumeration order and streams it into math.fsum, which
+    rounds the partition value correctly whatever the order.
     """
     n = params.n
     if not -n <= j <= n:
@@ -320,20 +382,27 @@ def exact_tail_and_partition(
         support_size = sum(mass)
         partition_value = float(support_size)
     else:
-        weighted = _weighted(params)  # capacity check before any allocation
+        blocks = _weight_blocks(params)  # capacity check before any allocation
+        support_size = _full_size(params)
         # weight mass grouped by cycle diameter (diameters are in 0..2n)
-        mass = [0.0] * (2 * n + 1)
-        support_size = 0
+        by_diam = np.zeros(2 * n + 1)
+        x = j + n
 
-        def binned() -> Iterator[float]:
-            nonlocal support_size
-            for img, w in weighted:
-                members = orbit(img, j)
-                mass[max(members) - min(members)] += w
-                support_size += 1
-                yield w
+        def binned() -> Iterator[list[float]]:
+            for block, weights in blocks:
+                rows = np.arange(len(block))
+                point = block[:, x]
+                lo, hi = np.minimum(point, x), np.maximum(point, x)
+                for _ in range(2 * n - 1):  # a cycle has at most 2n+1 points
+                    point = block[rows, point]
+                    np.minimum(lo, point, out=lo)
+                    np.maximum(hi, point, out=hi)
+                # unbuffered, in row order: the float sums of mass[d] += w
+                np.add.at(by_diam, hi - lo, weights)
+                yield weights.tolist()
 
-        partition_value = math.fsum(binned())
+        partition_value = math.fsum(itertools.chain.from_iterable(binned()))
+        mass = by_diam.tolist()
     suffix = [0] * (2 * n + 2)
     for d in range(2 * n, -1, -1):
         suffix[d] = suffix[d + 1] + mass[d]
@@ -372,12 +441,16 @@ def exact_tail(params: ModelParams, j: int, lam: int) -> float:
 def exact_expectation(params: ModelParams, observable) -> float:
     """Expectation of observable(pi) under the exact distribution.
 
-    Streams the enumeration once instead of materializing it, so it works
-    at the full capacity of the enumerator.
+    Streams the weights once into math.fsum for the normaliser and keeps
+    only the weighted observable terms, in a float64 array, so it works at
+    the full capacity of the enumerator.
     """
-    z_terms = []
-    num_terms = []
-    for img, w in _weighted(params):
-        z_terms.append(w)
-        num_terms.append(w * observable(Permutation(img)))
-    return math.fsum(num_terms) / math.fsum(z_terms)
+    terms = array("d")
+
+    def weights() -> Iterator[float]:
+        for img, w in _weighted(params):
+            terms.append(w * observable(Permutation(img)))
+            yield w
+
+    z = math.fsum(weights())
+    return math.fsum(terms) / z

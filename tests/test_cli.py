@@ -56,6 +56,37 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # two finite-p runs at the 9-point cap, recorded from the per-permutation
+    # Python walk before the numpy block pass replaced it; the non-integer p
+    # pins the float order of the displacement-sum accumulation
+    "exact_cap": (
+        ("exact", "--p", "1", "--W", "2", "--n", "4"),
+        {
+            "exact_summary_p1_W2_n4.json": (
+                "c17102de590313bd3a09e7422e73c60d39330ad9f6b6941499d9a32c65431491"
+            ),
+            "exact_tail_p1_W2_n4.csv": (
+                "09dd132ece9af36436f6515b50ecb0fa4d1fb3ee24a1cb73c76fd843371d9234"
+            ),
+            "manifest.json": (
+                "39afc714e673b3deb10bf5b9388078a8c20b02e71f053404cf659d82e3129993"
+            ),
+        },
+    ),
+    "exact_cap_j": (
+        ("exact", "--p", "1.5", "--W", "3", "--n", "4", "--j", "-4"),
+        {
+            "exact_summary_p1_5_W3_n4.json": (
+                "52940ffd9d664123476a126d6b9da3e7572b85ae0bafb743e5e7aa011a43b00d"
+            ),
+            "exact_tail_p1_5_W3_n4.csv": (
+                "64bcfdeb77c37efc72f62b4bb655a41845802f01d0970c48922b028c9ead6fae"
+            ),
+            "manifest.json": (
+                "8520a5f3c690bc0a51e3761424d42e2f5c99dc314d757f7ef4236d423a1af654"
+            ),
+        },
+    ),
     # the p = infinity pins were recorded from the enumeration of S_W, before
     # the marked transfer DP replaced it
     "exact_band": (

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from bandperm.exact import (
     BAND_ENUMERATION_CAP,
     _band_counts,
     _band_images,
+    _permutation_blocks,
     _weighted,
     band_diameter_counts,
     enumerate_images,
@@ -306,6 +308,32 @@ class TestOnePassOracle:
         assert exact_tail_curve(params, -1, grid) == got[0]
         assert exact_partition(params) == got[1:]
 
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_finite_p_matches_two_passes_at_the_cap(self, p):
+        params = ModelParams(p=p, W=2, n=4)  # 2n+1 = 9 points, 72 blocks
+        grid = list(range(0, 11))
+        assert exact_tail_and_partition(params, 0, grid) == two_pass_reference(
+            params, 0, grid
+        )
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_blocks_are_the_permutations_in_order(self, m):
+        blocks = list(_permutation_blocks(m))
+        assert len(blocks) == m * (m - 1)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(itertools.permutations(range(m)))
+
+    def test_traced_peak_holds_no_support_sized_array(self):
+        params = ModelParams(p=1.5, W=2, n=4)
+        tracemalloc.start()
+        try:
+            exact_tail_and_partition(params, 0, range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 per permutation would alone be 2.8 MiB at 9! = 362880
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_band_matches_two_passes_and_count(self, n):
         for W in (1, 2, 3):
@@ -389,3 +417,19 @@ class TestExactExpectation:
             direct = sum(pr * abs(pi(0)) for pi, pr in dist.entries)
             streamed = exact_expectation(params, lambda pi: abs(pi(0)))
             assert streamed == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, INFINITY])
+    def test_matches_two_list_formula(self, p):
+        # the normaliser and the numerator each summed by fsum over one list
+        # of terms, with each weight computed from its own image
+        params = ModelParams(p=p, W=2, n=3)
+        z_terms, num_terms = [], []
+        for img in enumerate_images(params):
+            if params.infinite_p:
+                w = 1.0
+            else:
+                w = math.exp(-(direct_displacement_sum(img, p) / 2**p))
+            z_terms.append(w)
+            num_terms.append(w * abs(Permutation(img)(0)))
+        expected = math.fsum(num_terms) / math.fsum(z_terms)
+        assert exact_expectation(params, lambda pi: abs(pi(0))) == expected
