@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ModelParams, Permutation, cycle_of
-from .uncross import uncross_preimage
+from .core import ModelParams, Permutation
+from .uncross import _preimage_sizes
 
 # Default fit-window rules (both overridable per call): drop grid points
 # with fewer than this many surviving samples, and drop the boundary head
@@ -304,15 +304,13 @@ def preimage_size_stats(
 
     Admissible means max C_tau(0) <= t; other samples are skipped.  Only the
     hard-support model is meaningful here, since that is where the W^2
-    versus W entropy question lives.
+    versus W entropy question lives.  The sizes are those of
+    uncross_preimage, from one call of its kernel on all samples.
     """
     if not params.infinite_p:
         raise ValueError("preimage size statistics require p = infinity")
-    sizes = []
-    for tau in taus:
-        if cycle_of(tau, 0).max > t:
-            continue
-        sizes.append(len(uncross_preimage(tau, t, params)))
+    images = [tau.image for tau in taus]
+    sizes = _preimage_sizes(images, t, params.W).tolist() if images else []
     if not sizes:
         raise NoDataError("no admissible samples (max C(0) <= t never held)")
     hist = Counter(sizes)

@@ -7,7 +7,8 @@ orbit extraction, displacement energy, band-support membership and the
 image-swap move.  Each primitive is written once over a raw image tuple
 (``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``),
 which the exhaustive layers call directly; the Permutation-level functions
-validate their arguments and delegate to it.
+validate their arguments and delegate to it.  ``_orbit_table`` is the same
+orbit walk over a whole numpy table of images, one image per row.
 
 All operations are pure: inputs are never mutated and results are fresh
 values, so they are safe to call from concurrent workers.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 INFINITY = math.inf
 
@@ -158,6 +161,27 @@ def orbit(image: tuple[int, ...], j: int) -> list[int]:
         members.append(x)
         x = image[x + n]
     return members
+
+
+def _orbit_table(table: np.ndarray, x: int) -> np.ndarray:
+    """:func:`orbit` of one point in every row of a member table at once.
+
+    Rows are images shifted to 0..m-1 (point i of [-n, n] in column i + n),
+    and x is a shifted point.  Column k of the result is pi^k(x) in every
+    row, found by pointer jumps; the walk stops once every row has come
+    back to x, so the last column is x in the row with the longest cycle.
+    """
+    count, m = table.shape
+    rows = np.arange(count)
+    out = np.empty((count, m + 1), dtype=table.dtype)
+    out[:, 0] = x
+    closed = np.zeros(count, dtype=bool)
+    for k in range(1, m + 1):  # a cycle has at most m points
+        out[:, k] = table[rows, out[:, k - 1]]
+        closed |= out[:, k] == x
+        if closed.all():
+            break
+    return out[:, : k + 1]
 
 
 def cycle_of(pi: Permutation, j: int) -> CycleStats:

@@ -7,8 +7,10 @@ permutations (capped) in numpy blocks, one block per leading pair of
 values, in lexicographic order: each block's energies, Gibbs weights and
 cycles of j are computed a column at a time with the float order of the
 per-permutation formulas, so every value is bit-identical to them.
-Infinite p enumerates the band support S_W by backtracking, which reaches
-much larger intervals.  The p = infinity tail curve needs no enumeration:
+Infinite p builds the band support S_W as an int8 table a column at a
+time, which reaches much larger intervals.  Both kinds of member table
+(:func:`_member_table`) also feed the uncrossing certificates.  The
+p = infinity tail curve needs no enumeration:
 a marked connectivity transfer DP over the positions counts the members of
 S_W by the diameter of the cycle of j (:func:`band_diameter_counts`), and a
 profile DP counts |S_W|.
@@ -31,8 +33,11 @@ from .core import ModelParams, Permutation, displacement_powers
 # exact_expectation, which build one Permutation per image, 1 to 2 s.
 FULL_ENUMERATION_CAP = 9
 
-# Largest band-support size the p = infinity mode will stream.
+# Largest band-support size the p = infinity mode will enumerate.
 BAND_ENUMERATION_CAP = 2_000_000
+
+# Rows of a member table converted to image tuples at a time.
+_ROWS = 1 << 16
 
 # Smallest interval size whose band support exceeds the cap at every W:
 # S_1 is a subset of S_W and |S_1| = F(2n+2) = 2,178,309 at 2n+1 = 31.
@@ -82,7 +87,7 @@ def _band_counts(m: int, W: int) -> Iterator[int]:
 
     A running total counts the partial assignments of the first positions
     that keep the value q - W used by position q.  Under that rule no branch
-    dead-ends (see :func:`_band_images`), so each one extends to a member
+    dead-ends (see :func:`_band_table`), so each one extends to a member
     of S_W: the totals never exceed |S_W|, and stopping once one passes a
     cap proves the count does too.
     """
@@ -118,35 +123,36 @@ def _band_counts(m: int, W: int) -> Iterator[int]:
         yield sum(states.values())
 
 
-def _band_images(n: int, W: int) -> Iterator[tuple[int, ...]]:
-    """All band-W image tuples on [-n, n], in lexicographic order.
+def _band_table(n: int, W: int) -> np.ndarray:
+    """S_W on [-n, n] as an int8 table, one member per row, in lexicographic order.
 
-    Backtracking with one pruning rule: once position q is reached, the
-    value q - W can only be placed at q, so it is forced while still free.
-    With that rule no branch dead-ends.
+    Rows are images shifted to 0..2n.  The table grows a column at a time.
+    Each partial row carries the profile mask of :func:`_band_counts` (bit o
+    set when value q - W + o is used or outside the interval), and value
+    q - W is forced at position q while it is free.  With that rule no
+    branch dead-ends, so every row of the last column is a member.  The
+    children of the rows are listed in (row, value) order, which keeps the
+    rows lexicographic.
     """
     m = 2 * n + 1
-    used = [False] * m
-    image = [0] * m
-
-    def rec(q: int) -> Iterator[tuple[int, ...]]:
-        if q == m:
-            yield tuple(image)
-            return
-        must = q - W
-        if must >= 0 and not used[must]:
-            candidates: Sequence[int] = (must,)
-        else:
-            candidates = range(max(0, q - W), min(m - 1, q + W) + 1)
-        for v in candidates:
-            if used[v]:
-                continue
-            used[v] = True
-            image[q] = v - n
-            yield from rec(q + 1)
-            used[v] = False
-
-    return rec(0)
+    W = min(W, m - 1)  # a wider band admits every permutation
+    width = 2 * W + 1
+    offsets = np.arange(width, dtype=np.min_scalar_type((1 << width) - 1))
+    bits = 1 << offsets
+    table = np.zeros((1, 0), dtype=np.int8)
+    masks = np.array([(1 << W) - 1], dtype=offsets.dtype)  # values -W..-1 are used
+    for q in range(m):
+        free = (masks[:, None] >> offsets & 1) == 0
+        free[free[:, 0], 1:] = False  # value q - W must go here while free
+        parent, o = np.nonzero(free)
+        grown = np.empty((len(parent), q + 1), dtype=np.int8)
+        grown[:, :q] = table[parent]
+        grown[:, q] = q - W + o
+        masks = (masks[parent] | bits[o]) >> 1
+        if q + 1 + W >= m:  # the value entering the window is outside it
+            masks |= bits[-1]
+        table = grown
+    return table
 
 
 # Labels of an open path in the marked transfer DP, as bits of one int.  A
@@ -181,7 +187,7 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
     of its cycle through j: the marked path is born at position s, every
     path open then is old, the marked path may absorb young paths only,
     and it closes at the position x = max C(j), giving diameter x - s.  It
-    counts when it holds j.  The pruning of :func:`_band_images` (value
+    counts when it holds j.  The pruning of :func:`_band_table` (value
     q - W is forced at position q while free) keeps every branch alive.
     """
     m = 2 * n + 1
@@ -279,10 +285,31 @@ def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
     the instance is too large; the check runs on the call, before iteration.
     """
     if params.infinite_p:
-        _band_size(params)
-        return _band_images(params.n, params.W)
+        return _rows(_member_table(params), params.n)
     _full_size(params)
     return itertools.permutations(range(-params.n, params.n + 1))
+
+
+def _rows(table: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of a member table as image tuples on [-n, n], in order.
+
+    Rows are converted _ROWS at a time, so the Python tuples of a large
+    table never exist all at once.
+    """
+    for start in range(0, len(table), _ROWS):
+        yield from map(tuple, (table[start : start + _ROWS] - n).tolist())
+
+
+def _member_table(params: ModelParams) -> np.ndarray:
+    """Every admissible image as one int8 row shifted to 0..2n, rows in
+    lexicographic order: S_W at infinite p, all (2n+1)! permutations (from
+    :func:`_permutation_blocks`) at finite p.  The capacity check runs first.
+    """
+    if params.infinite_p:
+        _band_size(params)
+        return _band_table(params.n, params.W)
+    _full_size(params)
+    return np.concatenate(list(_permutation_blocks(params.interval_size)))
 
 
 def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
@@ -322,14 +349,33 @@ def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray
     powers = np.array(displacement_powers(params.n, params.p))
     wp = params.W**params.p
 
-    def weigh(block: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(block))
-        for k in range(m):
-            total += powers[np.abs(block[:, k] - k)]
-        energies, inverse = np.unique(total / wp, return_inverse=True)
-        return np.array([math.exp(-e) for e in energies.tolist()])[inverse]
+    return (
+        (block, _exp(-(_displacement_sums(block, powers) / wp)))
+        for block in _permutation_blocks(m)
+    )
 
-    return ((block, weigh(block)) for block in _permutation_blocks(m))
+
+def _displacement_sums(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """:func:`core.displacement_sum` of every row of a member table.
+
+    The terms are read from the :func:`core.displacement_powers` table and
+    added a column at a time from position -n up, the float order of the
+    per-image sum, so every value is bit-identical to it.
+    """
+    total = np.zeros(len(table))
+    for k in range(table.shape[1]):
+        total += powers[np.abs(table[:, k] - k)]
+    return total
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every entry, called once per distinct value.
+
+    np.exp may differ from libm by an ulp, so it is never used where a
+    value must match the per-image formulas bit for bit.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.exp(v) for v in values.tolist()])[inverse]
 
 
 def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:

@@ -8,6 +8,15 @@ membership.  ``uncross_preimage`` inverts the map by candidate enumeration,
 and ``crossing_ratio_check`` tests the weight-ratio inequality that controls
 each preimage term at finite p.
 
+Everything runs on member tables: numpy arrays with one image per row,
+shifted to 0..2n (point i in column i + n).  One batched kernel follows the
+orbit of 0 through every row by pointer jumps (:func:`_walk`) and finds its
+crossings (:func:`_crossings`); the forward map is then one row swap per
+row, and :func:`_preimages` inverts it over the candidate swaps of every
+row at once.  The public functions run the same kernel on a one-row table,
+so the exhaustive certificate of :func:`run_verification`, which runs it on
+the whole enumeration, certifies them.
+
 Composition-order convention: the transposition of the two crossing targets
 is applied after the permutation, which is the same as swapping the images
 at the two crossing sources.  This is the reading under which the mapped
@@ -18,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     INFINITY,
@@ -26,14 +37,11 @@ from .core import (
     ModelParams,
     Permutation,
     UnsupportedExponentError,
+    _orbit_table,
     displacement_powers,
-    displacement_sum,
-    image_max_displacement,
-    orbit,
     reflect,
-    swapped,
 )
-from .exact import enumerate_images
+from .exact import _displacement_sums, _exp, _member_table
 
 # Multiplicative slack for floating-point comparisons of energy ratios.
 RATIO_GUARD = 1e-9
@@ -43,6 +51,10 @@ RATIO_GUARD = 1e-9
 # Brute force over the exhaustive range (2n+1 = 7, p in {1, 1.5, 2, 4},
 # W in {1, 2}, t in 0..2) observed a maximum quotient of 0.657.
 RATIO_SUM_K = 1.0
+
+# Rows of a member table that the verification passes hand to the kernel at
+# once; bounds its temporaries and the per-candidate arrays.
+_CHUNK = 1 << 14
 
 
 class NoCrossingError(ValueError):
@@ -89,30 +101,137 @@ class CrossingRecord:
 Image = tuple[int, ...]
 
 
-def _crossings(image: Image, t: int) -> tuple[Optional[tuple], Optional[tuple]]:
+def _table(images: Sequence[Image]) -> np.ndarray:
+    """Image tuples of one interval as a member table, in the smallest
+    signed dtype that holds 0..2n."""
+    m = len(images[0])
+    return np.array(images, dtype=np.min_scalar_type(-m)) + m // 2
+
+
+def _image(row: np.ndarray) -> list[int]:
+    """A member-table row as the image list on [-n, n]."""
+    return (row - len(row) // 2).tolist()
+
+
+class _Walk(NamedTuple):
+    """The orbit of 0 in every row of a member table, shifted by n."""
+
+    n: int
+    orbits: np.ndarray  # column k is pi^k(0); see core._orbit_table
+    period: np.ndarray  # length of the cycle of 0
+    top: np.ndarray  # max of the cycle of 0
+
+    def take(self, rows) -> _Walk:
+        return _Walk(self.n, self.orbits[rows], self.period[rows], self.top[rows])
+
+
+def _walk(table: np.ndarray) -> _Walk:
+    n = table.shape[1] // 2
+    orbits = _orbit_table(table, n)
+    period = (orbits[:, 1:] == n).argmax(1).astype(table.dtype) + 1
+    return _Walk(n, orbits, period, orbits.max(1))
+
+
+def _crossings(walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
     """First up-crossing and last down-crossing of the orbit of 0 at t.
 
-    One walk of the orbit finds both as (index, source, target) triples;
-    each is None when absent, and both are None exactly when the orbit never
-    exceeds t.  Requires t >= 0 so that the orbit starts at or below the
-    threshold.
+    Returns the (index, source, target) of the up-crossing, then of the
+    down-crossing, six arrays over the rows, with shifted points.  Values are
+    meaningful only in rows whose 0-cycle exceeds t (walk.top > t + n).
+    Requires t >= 0 so that the orbit starts at or below the threshold.
     """
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    members = orbit(image, 0)
-    up = down = None
-    for j, (here, nxt) in enumerate(zip(members, members[1:] + [0])):
-        if up is None and here <= t < nxt:
-            up = (j, here, nxt)
-        elif nxt <= t < here:
-            down = (j, here, nxt)
-    return up, down
+    here, nxt = walk.orbits[:, :-1], walk.orbits[:, 1:]
+    steps = np.arange(here.shape[1]) < walk.period[:, None]
+    ts = t + walk.n
+    below, lands_below = here <= ts, nxt <= ts
+    up = (below & ~lands_below & steps).argmax(1)
+    down = here.shape[1] - 1 - (lands_below & ~below & steps)[:, ::-1].argmax(1)
+    rows = np.arange(len(here))
+    return up, here[rows, up], nxt[rows, up], down, here[rows, down], nxt[rows, down]
+
+
+def _swap(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table, a fresh array, with the images at columns a[i] and b[i] of
+    each row i traded in place."""
+    i = np.arange(len(table))
+    table[i, a], table[i, b] = table[i, b], table[i, a]
+    return table
+
+
+def _uncrossed(table: np.ndarray, walk: _Walk, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uncrossing map at t: (rows, images) for the rows whose 0-cycle
+    exceeds t, rows in table order."""
+    rows = np.flatnonzero(walk.top > t + walk.n)
+    _, up, _, _, down, _ = _crossings(walk, t)
+    return rows, _swap(table[rows], up[rows], down[rows])
+
+
+def _preimages(
+    taus: np.ndarray, walk: _Walk, t: int, band: Optional[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, candidates): the preimage of every row of a member table at t.
+
+    Every row must have max C(0) <= t (the map's image never exceeds the
+    threshold), else DomainError.  band is W at infinite p and None at
+    finite p.  Candidate source pairs (a, b) have a on the cycle of 0 with
+    a, tau(a) <= t and b, tau(b) > t; at infinite p both are pinned to
+    W-windows around the threshold because band membership forces the
+    crossing sources there.  A candidate swap is kept when uncrossing it
+    returns its row.  candidates[i] belongs to row owner[i]; they are
+    grouped by row in table order, each group in lexicographic order.
+    """
+    count, m = taus.shape
+    ts = t + m // 2
+    reach = m if band is None else band  # finite p: the whole interval
+    a_cols = np.arange(max(0, ts - reach + 1), min(m - 1, ts) + 1)
+    b_cols = np.arange(ts + 1, min(m - 1, ts + reach) + 1)
+    if (walk.top > ts).any():
+        raise DomainError(
+            f"max of the cycle of 0 exceeds {t}; tau is outside the map's image"
+        )
+    on_cycle = np.zeros((count, m), dtype=bool)
+    on_cycle[np.arange(count)[:, None], walk.orbits] = True
+    low = on_cycle[:, a_cols] & (taus[:, a_cols] <= ts)
+    owner, i, j = np.nonzero(low[:, :, None] & (taus[:, None, b_cols] > ts))
+    a, b = a_cols[i], b_cols[j]
+    if band is not None:
+        # the swap at (a, b) is in the band iff tau's out-of-band positions
+        # lie in {a, b} and both moved images land within W of their new
+        # positions
+        far = np.abs(taus - np.arange(m, dtype=taus.dtype)) > band
+        ta, tb = taus[owner, a], taus[owner, b]
+        keep = (
+            (far.sum(1)[owner] == far[owner, a].astype(int) + far[owner, b])
+            & (np.abs(tb - a) <= band)
+            & (np.abs(ta - b) <= band)
+        )
+        owner, a, b = owner[keep], a[keep], b[keep]
+    candidates = _swap(taus[owner], a, b)
+    rows, back = _uncrossed(candidates, _walk(candidates), t)
+    kept = rows[(back == taus[owner[rows]]).all(1)]
+    owner, candidates = owner[kept], candidates[kept]
+    order = np.lexsort([*candidates.T[::-1], owner])
+    return owner[order], candidates[order]
+
+
+def _crossing_pair(image: Image, t: int) -> tuple[Optional[tuple], Optional[tuple]]:
+    """First up-crossing and last down-crossing of an image tuple at t as
+    (index, source, target) triples, both None when the orbit never
+    exceeds t; the kernel run on a one-row table."""
+    walk = _walk(_table([image]))
+    up_k, up_s, up_t, down_k, down_s, down_t = (int(x[0]) for x in _crossings(walk, t))
+    n = walk.n
+    if walk.top[0] <= t + n:
+        return None, None
+    return (up_k, up_s - n, up_t - n), (down_k, down_s - n, down_t - n)
 
 
 def first_upcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
     """Least j >= 0 with pi^j(0) <= t < pi^(j+1)(0), or None if the orbit
     never exceeds t.  Requires t >= 0 so that the orbit starts below."""
-    up, _ = _crossings(pi.image, t)
+    up, _ = _crossing_pair(pi.image, t)
     return None if up is None else Crossing(*up)
 
 
@@ -122,26 +241,16 @@ def last_downcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
     period is the length of the cycle of 0, so the search covers exactly one
     traversal and pi^period(0) = 0 closes it.
     """
-    _, down = _crossings(pi.image, t)
+    _, down = _crossing_pair(pi.image, t)
     return None if down is None else Crossing(*down)
 
 
 def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
     """Both crossings at threshold t, or None when the orbit stays below."""
-    up, down = _crossings(pi.image, t)
+    up, down = _crossing_pair(pi.image, t)
     if up is None:
         return None
     return CrossingRecord(t, Crossing(*up), Crossing(*down))
-
-
-def _uncross_image(image: Image, t: int) -> Image:
-    """:func:`uncross` on an image tuple."""
-    up, down = _crossings(image, t)
-    if up is None:
-        raise NoCrossingError(
-            f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
-        )
-    return swapped(image, up[1], down[1])
 
 
 def uncross(pi: Permutation, t: int) -> Permutation:
@@ -152,7 +261,13 @@ def uncross(pi: Permutation, t: int) -> Permutation:
     energy never exceeds pi's; and if pi lies in S_W then so does rho, with
     max C_rho(0) > t - 2W.
     """
-    return Permutation(_uncross_image(pi.image, t))
+    table = _table([pi.image])
+    rows, rho = _uncrossed(table, _walk(table), t)
+    if not len(rows):
+        raise NoCrossingError(
+            f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
+        )
+    return Permutation(tuple(_image(rho[0])))
 
 
 def uncross_min(pi: Permutation, t: int) -> Permutation:
@@ -162,46 +277,6 @@ def uncross_min(pi: Permutation, t: int) -> Permutation:
     min C(0) >= -t.
     """
     return reflect(uncross(reflect(pi), t))
-
-
-def _preimage_images(tau: Image, t: int, band: Optional[int]) -> list[Image]:
-    """:func:`uncross_preimage` on an image tuple whose 0-cycle stays <= t.
-
-    band is W at infinite p and None at finite p.  Candidate source pairs
-    (a, b) have a on the cycle of 0 with a, tau(a) <= t and b, tau(b) > t;
-    at infinite p both are pinned to W-windows around the threshold because
-    band membership forces the crossing sources there.
-    """
-    n = len(tau) // 2
-    cycle = set(orbit(tau, 0))
-    reach = 2 * n + 1 if band is None else band  # finite p: the whole interval
-    a_lo, b_hi = max(-n, t - reach + 1), min(n, t + reach)
-    a_values = [
-        a for a in range(a_lo, min(n, t) + 1) if a in cycle and tau[a + n] <= t
-    ]
-    b_values = [b for b in range(t + 1, b_hi + 1) if tau[b + n] > t]
-    # the swap at (a, b) is in the band iff tau's out-of-band positions lie
-    # in {a, b} and both moved images land within W of their new positions
-    outside = (
-        set()
-        if band is None
-        else {i for i in range(-n, n + 1) if abs(tau[i + n] - i) > band}
-    )
-    found = []
-    for a in a_values:
-        for b in b_values:
-            if band is not None and not (
-                outside <= {a, b}
-                and abs(tau[b + n] - a) <= band
-                and abs(tau[a + n] - b) <= band
-            ):
-                continue
-            candidate = swapped(tau, a, b)
-            up, down = _crossings(candidate, t)
-            if up is not None and swapped(candidate, up[1], down[1]) == tau:
-                found.append(candidate)
-    found.sort()
-    return found
 
 
 def uncross_preimage(
@@ -215,12 +290,21 @@ def uncross_preimage(
     infinite p the preimage is additionally restricted to S_W, which caps
     its size at W^2.  Results are sorted by image tuple.
     """
-    if max(orbit(tau.image, 0)) > t:
-        raise DomainError(
-            f"max of the cycle of 0 exceeds {t}; tau is outside the map's image"
-        )
     band = params.W if params.infinite_p else None
-    return [Permutation(img) for img in _preimage_images(tau.image, t, band)]
+    table = _table([tau.image])
+    _, found = _preimages(table, _walk(table), t, band)
+    return [Permutation(tuple(_image(row))) for row in found]
+
+
+def _preimage_sizes(images: Sequence[Image], t: int, W: int) -> np.ndarray:
+    """|uncross_preimage(tau, t)| at infinite p and bandwidth W for every
+    image whose 0-cycle stays <= t, in order; the other images are skipped.
+    One kernel call covers them all."""
+    table = _table(images)
+    walk = _walk(table)
+    admissible = np.flatnonzero(walk.top <= t + walk.n)
+    owner, _ = _preimages(table[admissible], walk.take(admissible), t, W)
+    return np.bincount(owner, minlength=len(admissible))
 
 
 @dataclass(frozen=True)
@@ -253,22 +337,31 @@ def crossing_ratio_check(
             f"need a, tau(a) <= {t} < b, tau(b); got a={a}, tau(a)={ta}, "
             f"b={b}, tau(b)={tb}"
         )
+    powers = np.array(displacement_powers(tau.n, params.p))
     wp = float(params.W) ** params.p
-    log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, params.p, wp)
+    log_ratio, log_bound, satisfied = (
+        x.item() for x in _ratio_logs(a, ta, b, tb, powers, wp)
+    )
     return RatioCheck(
         math.exp(log_ratio), math.exp(log_bound), satisfied, log_ratio, log_bound
     )
 
 
-def _ratio_logs(
-    a: int, ta: int, b: int, tb: int, p: float, wp: float
-) -> tuple[float, float, bool]:
-    """(log ratio, log bound, satisfied) for the swap at (a, b); wp is W^p."""
+def _ratio_logs(a, ta, b, tb, powers: np.ndarray, wp: float) -> tuple[np.ndarray, ...]:
+    """(log ratio, log bound, satisfied) for the swaps at (a, b), elementwise.
+
+    powers is the :func:`core.displacement_powers` table and wp is W^p;
+    each |x|^p is a lookup in it, so the values are those of the formula
+    evaluated in Python floats.
+    """
     delta = (
-        abs(tb - a) ** p + abs(ta - b) ** p - abs(ta - a) ** p - abs(tb - b) ** p
+        powers[np.abs(tb - a)]
+        + powers[np.abs(ta - b)]
+        - powers[np.abs(ta - a)]
+        - powers[np.abs(tb - b)]
     ) / wp
-    gap = min(b, tb) - max(a, ta)
-    log_ratio, log_bound = -delta, -(abs(gap) ** p) / wp
+    gap = np.minimum(b, tb) - np.maximum(a, ta)
+    log_ratio, log_bound = -delta, -powers[gap] / wp
     return log_ratio, log_bound, log_ratio <= log_bound + math.log1p(RATIO_GUARD)
 
 
@@ -304,7 +397,7 @@ class VerificationCertificate:
         return not self.violations
 
     def _bump(self, key: str, amount: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + amount
+        self.counts[key] = self.counts.get(key, 0) + int(amount)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,85 +417,140 @@ class VerificationCertificate:
         }
 
 
-# Every admissible image in enumeration order, and the max of each one's
-# 0-cycle; parallel lists, since a pair per member costs 64 bytes more.
-Members = tuple[list[Image], list[int]]
+class _Members(NamedTuple):
+    """Every admissible image as an int8 member table in lexicographic
+    order, its rows as bytes keys (sorted, since the values are
+    nonnegative) and the walk of each row's 0-cycle."""
+
+    table: np.ndarray
+    keys: np.ndarray
+    walk: _Walk
 
 
-def _members(params: ModelParams) -> Members:
-    images = list(enumerate_images(params))
-    return images, [max(orbit(img, 0)) for img in images]
+def _keys(table: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(table).view(np.dtype((np.void, table.shape[1]))).ravel()
 
 
-def _fibres(members: Members, t: int) -> dict[Image, list[Image]]:
-    """The uncrossing map at t, inverted by brute force over the members.
+def _members(params: ModelParams) -> _Members:
+    table = _member_table(params)
+    return _Members(table, _keys(table), _walk(table))
 
-    Keys are the images of members whose 0-cycle exceeds t; each fibre lists
-    its preimages in enumeration order, which is lexicographic.
-    """
-    fibres: dict[Image, list[Image]] = {}
-    for img, top in zip(*members):
-        if top > t:
-            fibres.setdefault(_uncross_image(img, t), []).append(img)
-    return fibres
+
+def _locate(members: _Members, rows: np.ndarray) -> np.ndarray:
+    """The table index of each row, -1 where it is not a member."""
+    wanted = _keys(rows)
+    at = np.minimum(np.searchsorted(members.keys, wanted), len(members.keys) - 1)
+    return np.where(members.keys[at] == wanted, at, -1)
+
+
+# The uncrossing map at one threshold, inverted by brute force over the
+# members: (rows, images, at), where row rows[i] maps to images[i], and
+# at[i] is the table row of images[i] (-1 when it is not a member).
+Fibres = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _fibres(members: _Members, t: int) -> Fibres:
+    parts = []
+    for lo in range(0, len(members.table), _CHUNK):  # bounds the kernel's temporaries
+        block = slice(lo, lo + _CHUNK)
+        rows, images = _uncrossed(members.table[block], members.walk.take(block), t)
+        parts.append((lo + rows, images))
+    rows, images = (np.concatenate(x) for x in zip(*parts))
+    return rows, images, _locate(members, images)
+
+
+def _fibre_order(images: np.ndarray, positions: np.ndarray) -> list[int]:
+    """Ascending positions into the images of a map, regrouped the way a
+    dict of fibres lists its members: by the first appearance of their
+    image among all of them, then in order."""
+    distinct, first = np.unique(images, return_index=True)
+    group = first[np.searchsorted(distinct, images[positions])]
+    return positions[np.lexsort((positions, group))].tolist()
 
 
 def _check_images(
     cert: VerificationCertificate,
-    fibres: dict[Image, list[Image]],
+    members: _Members,
+    fibres: Fibres,
     W: int,
     t: int,
     check: str,
     label: dict,
 ) -> None:
     """Every image of the map stays in S_W with max C(0) in (t - 2W, t]."""
-    for rho, pis in fibres.items():
-        cert._bump(check, len(pis))
-        top = max(orbit(rho, 0))
-        if not (t - 2 * W < top <= t and image_max_displacement(rho) <= W):
-            for pi in pis:
-                cert.violations.append(
-                    {
-                        "check": check,
-                        "W": W,
-                        **label,
-                        "pi": list(pi),
-                        "rho": list(rho),
-                        "max_c0": top,
-                    }
-                )
+    rows, images, at = fibres
+    n = members.walk.n
+    cert._bump(check, len(rows))
+    top = members.walk.top[at] - n  # at = -1 reads a wrong row; masked below
+    bad = np.flatnonzero((at < 0) | (top <= t - 2 * W) | (top > t))
+    if not len(bad):
+        return
+    tops = np.full(len(rows), -1)
+    tops[bad] = _walk(images[bad]).top - n
+    for i in _fibre_order(_keys(images), bad):
+        cert.violations.append(
+            {
+                "check": check,
+                "W": W,
+                **label,
+                "pi": _image(members.table[rows[i]]),
+                "rho": _image(images[i]),
+                "max_c0": int(tops[i]),
+            }
+        )
 
 
 def _check_preimages(
     cert: VerificationCertificate,
-    members: Members,
+    members: _Members,
     t: int,
     band: Optional[int],
-    fibres: dict[Image, list[Image]],
+    fibres: Fibres,
 ) -> None:
     """uncross_preimage equals the brute-force fibre of every tau with
-    max C(0) <= t; at infinite p (band = W) fibres also stay within W^2."""
+    max C(0) <= t; at infinite p (band = W) fibres also stay within W^2.
+
+    Both sides are (tau, member) pairs of table rows: the fibres grouped by
+    image, and the kernel's preimages located in the table; a tau is wrong
+    where the two pair sets differ.
+    """
     check = "preimage_sets_full" if band is None else "preimage_sets_band"
     label = {} if band is None else {"W": band}
-    for tau, top in zip(*members):
-        if top > t:
-            continue
-        cert._bump(check)
-        expected = fibres.get(tau, [])
-        got = _preimage_images(tau, t, band)
-        size = len(got)
-        if band is not None and size > cert.max_preimage_size:
-            cert.max_preimage_size = size
-            cert.max_preimage_witness = {"W": band, "t": t, "tau": list(tau), "size": size}
-        if got != expected or (band is not None and size > band * band):
+    table, _, walk = members
+    rows, _, at = fibres
+    ts = t + walk.n
+    kept = (at >= 0) & (walk.top[at] <= ts)
+    order = np.argsort(at[kept], kind="stable")
+    fibre_tau, fibre_pi = at[kept][order], rows[kept][order]
+    taus = np.flatnonzero(walk.top <= ts)
+    cert._bump(check, len(taus))
+    span = len(table) + 1  # a (tau, member + 1) pair as one int64
+    for lo in range(0, len(taus), _CHUNK):
+        chunk = taus[lo : lo + _CHUNK]
+        local, found = _preimages(table[chunk], walk.take(chunk), t, band)
+        owner, got = chunk[local], _locate(members, found)
+        start, stop = np.searchsorted(fibre_tau, (chunk[0], chunk[-1] + 1))
+        expected_tau, expected = fibre_tau[start:stop], fibre_pi[start:stop]
+        sizes = np.bincount(local, minlength=len(chunk))
+        if band is not None and sizes.max() > cert.max_preimage_size:
+            i = int(sizes.argmax())
+            cert.max_preimage_size = int(sizes[i])
+            cert.max_preimage_witness = {
+                "W": band, "t": t, "tau": _image(table[chunk[i]]), "size": int(sizes[i])
+            }
+        pairs = expected_tau * span + expected + 1, owner * span + got + 1
+        wrong = np.array([], dtype=int) if np.array_equal(*pairs) else np.setxor1d(*pairs) // span
+        if band is not None:
+            wrong = np.concatenate([wrong, chunk[sizes > band * band]])
+        for tau in np.unique(wrong).tolist():
             cert.violations.append(
                 {
                     "check": check,
                     **label,
                     "t": t,
-                    "tau": list(tau),
-                    "expected": [list(q) for q in expected],
-                    "got": [list(q) for q in got],
+                    "tau": _image(table[tau]),
+                    "expected": [_image(table[q]) for q in expected[expected_tau == tau]],
+                    "got": [_image(q) for q in found[owner == tau]],
                 }
             )
 
@@ -429,10 +577,12 @@ def _band_pass(
         cert.counts.setdefault(check, 0)
     for lam in lam_values:
         t = lam + 2 * W
-        _check_images(cert, _fibres(members, t), W, t, "one_step_membership", {"lam": lam})
+        _check_images(
+            cert, members, _fibres(members, t), W, t, "one_step_membership", {"lam": lam}
+        )
     for t in t_values:
         fibres = _fibres(members, t)
-        _check_images(cert, fibres, W, t, "uncross_contract", {"t": t})
+        _check_images(cert, members, fibres, W, t, "uncross_contract", {"t": t})
         _check_preimages(cert, members, t, W, fibres)
 
 
@@ -452,106 +602,160 @@ def _full_pass(
     (tau, a, b, t)) and ratio_sum (each fibre's summed weight ratio).
     """
     members = _members(ModelParams(p=1.0, W=1, n=n))
+    table = members.table
     for check in ("preimage_sets_full", "energy_monotonicity", "ratio_bound", "ratio_sum"):
         cert.counts.setdefault(check, 0)
     maps = [(t, _fibres(members, t)) for t in t_values]
     for t, fibres in maps:
         _check_preimages(cert, members, t, None, fibres)
     for p in p_values:
-        # displacement sums; the energy at bandwidth W is sums[img] / W^p
-        powers = displacement_powers(n, p)
-        sums = {img: displacement_sum(img, powers) for img in members[0]}
-        for t, fibres in maps:
-            for rho, pis in fibres.items():
-                cert._bump("energy_monotonicity", len(pis))
-                for pi in pis:
-                    if sums[rho] > sums[pi] + 1e-9:
-                        cert.violations.append(
-                            {
-                                "check": "energy_monotonicity",
-                                "p": p,
-                                "t": t,
-                                "pi": list(pi),
-                                "energy_before": sums[pi],
-                                "energy_after": sums[rho],
-                            }
-                        )
+        # displacement sums; the energy at bandwidth W is sums / W^p
+        powers = np.array(displacement_powers(n, p))
+        sums = _displacement_sums(table, powers)
+        for t, (rows, _, at) in maps:
+            cert._bump("energy_monotonicity", len(rows))
+            bad = np.flatnonzero(sums[at] > sums[rows] + 1e-9)
+            for i in _fibre_order(at, bad):
+                cert.violations.append(
+                    {
+                        "check": "energy_monotonicity",
+                        "p": p,
+                        "t": t,
+                        "pi": _image(table[rows[i]]),
+                        "energy_before": float(sums[rows[i]]),
+                        "energy_after": float(sums[at[i]]),
+                    }
+                )
         for W in w_values:
-            wp = float(W) ** p
-            for tau, top in zip(*members):
-                for t, fibres in maps:
-                    _ratio_checks(cert, tau, top, t, fibres, sums, p, W, wp)
+            _ratio_checks(cert, members, maps, sums, powers, p, W)
 
 
 def _ratio_checks(
     cert: VerificationCertificate,
-    tau: Image,
-    top: int,
-    t: int,
-    fibres: dict[Image, list[Image]],
-    sums: dict[Image, float],
+    members: _Members,
+    maps: list[tuple[int, Fibres]],
+    sums: np.ndarray,
+    powers: np.ndarray,
     p: float,
     W: int,
-    wp: float,
 ) -> None:
-    """Both weight-ratio checks for tau at t; top is max C_tau(0), wp is W^p.
+    """Both weight-ratio checks at one (p, W), for every tau and every t.
 
     ratio_bound: the inequality of :func:`crossing_ratio_check` for every
     straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
     of tau's fibre relative to tau sum to at most
-    RATIO_SUM_K * W^2 * exp(-|t - max C_tau(0)|^p / W^p).
+    RATIO_SUM_K * W^2 * exp(-|t - max C_tau(0)|^p / W^p).  Witnesses are
+    the first maxima, and violations are listed, in the (tau, t, a, b)
+    order of a loop over the members that checks both at each (tau, t).
     """
-    n = len(tau) // 2
-    lows = [(a, tau[a + n]) for a in range(-n, min(n, t) + 1) if tau[a + n] <= t]
-    highs = [(b, tau[b + n]) for b in range(t + 1, n + 1) if tau[b + n] > t]
-    cert._bump("ratio_bound", len(lows) * len(highs))
-    for a, ta in lows:
-        for b, tb in highs:
-            log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, p, wp)
-            quotient = math.exp(min(log_ratio - log_bound, 700.0))
-            if quotient <= cert.max_ratio_quotient and satisfied:
+    wp = float(W) ** p
+    best, found = _ratio_bounds(cert, members, maps, powers, p, W, wp)
+    if best is not None and best[0] > cert.max_ratio_quotient:
+        cert.max_ratio_quotient, _, cert.max_ratio_witness = best
+    best, found_sums = _ratio_sums(cert, members, maps, sums, p, W, wp)
+    if best is not None and best[0] > cert.max_ratio_sum_quotient:
+        cert.max_ratio_sum_quotient, _, cert.max_ratio_sum_witness = best
+    found.extend(found_sums)
+    found.sort(key=lambda entry: entry[0])
+    cert.violations.extend(record for _, record in found)
+
+
+# The first maximum of a quotient so far, (quotient, tau row, record), and
+# the violations found, ((tau row, t index, check, position), record): how
+# _ratio_bounds and _ratio_sums report to _ratio_checks.
+Best = Optional[tuple[float, int, dict]]
+Found = list[tuple[tuple[int, int, int, int], dict]]
+
+
+def _first_max(best: Best, quotient: float, tau: int) -> bool:
+    """Whether quotient, found at row tau, replaces best as the first
+    maximum: it is larger, or equal at an earlier row.  The t of one row
+    are visited in order, so a tie at the same row keeps best."""
+    return best is None or quotient > best[0] or (quotient == best[0] and tau < best[1])
+
+
+def _ratio_bounds(cert, members, maps, powers, p, W, wp) -> tuple[Best, Found]:
+    """ratio_bound over the table, _CHUNK rows at a time."""
+    table, _, walk = members
+    n = walk.n
+    best, found = None, []
+    cols = np.arange(table.shape[1])
+    for lo in range(0, len(table), _CHUNK):
+        block = table[lo : lo + _CHUNK]
+        for k, (t, _) in enumerate(maps):
+            ts = t + n
+            low = (cols <= ts) & (block <= ts)
+            high = (cols > ts) & (block > ts)
+            r, a, b = np.nonzero(low[:, :, None] & high[:, None, :])
+            cert._bump("ratio_bound", len(r))
+            if not len(r):
                 continue
-            record = {
+            log_ratio, log_bound, satisfied = _ratio_logs(
+                a, block[r, a], b, block[r, b], powers, wp
+            )
+            quotient = _exp(np.minimum(log_ratio - log_bound, 700.0))
+
+            def record(j: int) -> dict:
+                return {
+                    "p": p,
+                    "W": W,
+                    "t": t,
+                    "tau": _image(block[r[j]]),
+                    "a": int(a[j]) - n,
+                    "b": int(b[j]) - n,
+                    "ratio": math.exp(log_ratio[j]),
+                    "bound": math.exp(log_bound[j]),
+                }
+
+            i = int(quotient.argmax())
+            if _first_max(best, quotient[i], lo + r[i]):
+                best = (float(quotient[i]), lo + int(r[i]), record(i))
+            for j in np.flatnonzero(~satisfied).tolist():
+                key = (lo + int(r[j]), k, 0, j)
+                found.append((key, {"check": "ratio_bound", **record(j)}))
+    return best, found
+
+
+def _ratio_sums(cert, members, maps, sums, p, W, wp) -> tuple[Best, Found]:
+    """ratio_sum over the whole table at each t.  Each fibre's sum adds its
+    terms in enumeration order (np.add.at is unbuffered)."""
+    table, _, walk = members
+    n = walk.n
+    best, found = None, []
+    energies = sums / wp
+    top = walk.top - n
+    for k, (t, (rows, _, at)) in enumerate(maps):
+        size = np.bincount(at, minlength=len(table))
+        checked = np.flatnonzero((size > 0) & (top <= t))
+        cert._bump("ratio_sum", len(checked))
+        if not len(checked):
+            continue
+        total = np.zeros(len(table))
+        np.add.at(total, at, _exp(-(energies[rows] - energies[at])))
+        limit = np.zeros(n + 1)
+        for x in np.unique(top[checked]).tolist():
+            limit[x] = RATIO_SUM_K * W * W * math.exp(-abs(t - x) ** p / wp)
+        total, bound = total[checked], limit[top[checked]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = total / bound
+
+        def record(j: int) -> dict:
+            return {
                 "p": p,
                 "W": W,
                 "t": t,
-                "tau": list(tau),
-                "a": a,
-                "b": b,
-                "ratio": math.exp(log_ratio),
-                "bound": math.exp(log_bound),
+                "tau": _image(table[checked[j]]),
+                "fiber_size": int(size[checked[j]]),
+                "ratio_sum": float(total[j]),
+                "bound": float(bound[j]),
             }
-            if quotient > cert.max_ratio_quotient:
-                cert.max_ratio_quotient = quotient
-                cert.max_ratio_witness = record
-            if not satisfied:
-                cert.violations.append({"check": "ratio_bound", **record})
 
-    if top > t or tau not in fibres:
-        return
-    fibre = fibres[tau]
-    cert._bump("ratio_sum")
-    e_tau = sums[tau] / wp
-    total = sum(math.exp(-(sums[pi] / wp - e_tau)) for pi in fibre)
-    bound = RATIO_SUM_K * W * W * math.exp(-abs(t - top) ** p / wp)
-    quotient = total / bound
-    satisfied = total <= bound * (1.0 + RATIO_GUARD)
-    if quotient <= cert.max_ratio_sum_quotient and satisfied:
-        return
-    record = {
-        "p": p,
-        "W": W,
-        "t": t,
-        "tau": list(tau),
-        "fiber_size": len(fibre),
-        "ratio_sum": total,
-        "bound": bound,
-    }
-    if quotient > cert.max_ratio_sum_quotient:
-        cert.max_ratio_sum_quotient = quotient
-        cert.max_ratio_sum_witness = record
-    if not satisfied:
-        cert.violations.append({"check": "ratio_sum", **record})
+        i = int(quotient.argmax())
+        if _first_max(best, quotient[i], checked[i]):
+            best = (float(quotient[i]), int(checked[i]), record(i))
+        for j in np.flatnonzero(~(total <= bound * (1.0 + RATIO_GUARD))).tolist():
+            found.append(((int(checked[j]), k, 1, 0), {"check": "ratio_sum", **record(j)}))
+    return best, found
 
 
 def run_verification(

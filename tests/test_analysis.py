@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from bandperm import (
     largest_propagating_c0,
     preimage_size_stats,
     recurrence_check,
+    run_chain,
     sample_cycle_observables,
     uncross,
+    uncross_preimage,
 )
+from uncross_reference import preimage_images
 
 BAND_W1 = ModelParams(p=INFINITY, W=1, n=3)
 BAND_W2 = ModelParams(p=INFINITY, W=2, n=3)
@@ -158,6 +162,23 @@ class TestPreimageSizeStats:
         stats = preimage_size_stats(BAND_W2, t, members)
         assert stats.histogram == expected
         assert stats.max_size <= 4
+
+    @pytest.mark.parametrize("W, n", [(3, 36), (4, 70)])
+    def test_one_kernel_call_matches_the_per_tau_loop(self, W, n):
+        # a seeded chain sample; 2n+1 = 141 points need more than int8
+        params = ModelParams(p=INFINITY, W=W, n=n)
+        m = params.interval_size
+        taus = []
+        config = SamplerConfig.with_defaults(params, seed=5, steps=150 * m * 10, thinning=m * 10)
+        run_chain(params, config, taus.append)
+        for t in (W, 2 * W):
+            admissible = [tau for tau in taus if cycle_of(tau, 0).max <= t]
+            expected = [len(preimage_images(tau.image, t, W)) for tau in admissible]
+            assert [len(uncross_preimage(tau, t, params)) for tau in admissible] == expected
+            stats = preimage_size_stats(params, t, taus)
+            assert stats.count == len(expected) > 0
+            assert stats.histogram == dict(sorted(Counter(expected).items()))
+            assert stats.max_size == max(expected) > 0
 
     def test_requires_band_model(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,32 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # two uncross-verify certificates, recorded from the per-image Python
+    # passes before the numpy member tables replaced them: the 2n+1 = 11 band
+    # run, and a non-integer p that pins the float order of the ratio and
+    # ratio-sum witnesses
+    "uncross_band": (
+        ("uncross-verify", "--n", "5", "--W-list", "1,2,3", "--p-list", "inf"),
+        {
+            "manifest.json": (
+                "c21bb2bc41da73f00b7a0d8c5f0a5016e088090b04bc60ba1f4aa564db3c5686"
+            ),
+            "uncross_certificate_n5.json": (
+                "96a71692cc4bb0edc7771b20156499e7618275fa916281c3de0868c9bc5620a1"
+            ),
+        },
+    ),
+    "uncross_full": (
+        ("uncross-verify", "--n", "3", "--W-list", "1,2,3", "--p-list", "1.5,4"),
+        {
+            "manifest.json": (
+                "ed1cb193d6606a95788749d9ea670c319db237c0e95e7d6b6b506198169e0e40"
+            ),
+            "uncross_certificate_n3.json": (
+                "ac38134d474fbab606e60641d51b64885499bee2650efa23c0f8278cc440090a"
+            ),
+        },
+    ),
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",

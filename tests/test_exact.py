@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bandperm import (
@@ -22,7 +23,7 @@ from bandperm.core import orbit
 from bandperm.exact import (
     BAND_ENUMERATION_CAP,
     _band_counts,
-    _band_images,
+    _band_table,
     _permutation_blocks,
     _weighted,
     band_diameter_counts,
@@ -30,6 +31,34 @@ from bandperm.exact import (
     exact_partition,
     exact_tail_and_partition,
 )
+
+
+def band_images(n: int, W: int):
+    """Reference band enumerator: backtracking over positions, with the
+    value q - W forced at position q while it is free, yielding the band-W
+    image tuples on [-n, n] in lexicographic order."""
+    m = 2 * n + 1
+    used = [False] * m
+    image = [0] * m
+
+    def rec(q: int):
+        if q == m:
+            yield tuple(image)
+            return
+        must = q - W
+        if must >= 0 and not used[must]:
+            candidates = (must,)
+        else:
+            candidates = range(max(0, q - W), min(m - 1, q + W) + 1)
+        for v in candidates:
+            if used[v]:
+                continue
+            used[v] = True
+            image[q] = v - n
+            yield from rec(q + 1)
+            used[v] = False
+
+    return rec(0)
 
 
 def brute_force_band_count(m: int, W: int) -> int:
@@ -79,6 +108,16 @@ class TestEnumeration:
                 if max(abs(v - (k - n)) for k, v in enumerate(img)) <= W
             )
             assert got == expected
+
+    @pytest.mark.parametrize(
+        "n, W", [(1, 1), (1, 4), (3, 3), (3, 9), (5, 1), (5, 2), (5, 3), (6, 2), (6, 3)]
+    )
+    def test_band_table_is_the_backtracking_enumeration(self, n, W):
+        table = _band_table(n, W)
+        assert table.dtype == np.int8
+        assert [tuple(row) for row in (table.astype(int) - n).tolist()] == list(
+            band_images(n, W)
+        )
 
     def test_capacity_error_finite_p(self):
         with pytest.raises(CapacityError, match="9"):
@@ -351,7 +390,7 @@ def band_walk_counts(n, W):
     j + n holds the counts for base point j."""
     m = 2 * n + 1
     counts = [[0] * m for _ in range(m)]
-    for img in _band_images(n, W):
+    for img in band_images(n, W):
         seen = set()
         for x in range(-n, n + 1):
             if x in seen:

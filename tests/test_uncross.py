@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -29,6 +31,11 @@ from bandperm import (
     uncross_preimage,
 )
 from bandperm.core import image_max_displacement, orbit, swapped
+
+import uncross_reference as reference
+
+# the module, not the function of the same name that the package exports
+uncross_module = importlib.import_module("bandperm.uncross")
 
 def full_scan_preimage(tau, t, W):
     """Reference band preimage: every straddling swap of tau, kept when a
@@ -301,6 +308,14 @@ class TestVerificationSuite:
         assert cert.counts["one_step_membership"] > 0
         assert cert.ok
 
+    def test_band_certificate_at_13_points(self):
+        # 2n+1 = 13: |S_3| = 563,172 members, every t in 0..5
+        cert = run_verification(6, (1, 2, 3), (INFINITY,))
+        assert cert.ok, f"violations: {cert.violations[:3]}"
+        for check in ("one_step_membership", "uncross_contract", "preimage_sets_band"):
+            assert cert.counts[check] > 0
+        assert 1 <= cert.max_preimage_size <= 9
+
     def test_certificate_serializes(self):
         import json
 
@@ -314,3 +329,83 @@ class TestVerificationSuite:
         assert cert.ok
         assert cert.max_preimage_size >= 1
         assert cert.max_preimage_witness is not None
+
+
+class TestAgainstPerImageReference:
+    """The table passes and the one-row kernel against the per-image Python
+    code they replaced (tests/uncross_reference.py)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_certificates_equal(self, n):
+        # t runs past n, where no orbit crosses and every tau is admissible
+        args = (n, (1, 2, 3), (1.0, 1.5, 2.0, 4.0, INFINITY))
+        t_values = range(0, 2 * n + 1)
+        got = run_verification(*args, t_values=t_values).to_json_dict()
+        assert got == reference.run_verification(*args, t_values=t_values).to_json_dict()
+
+    def test_ratio_sum_violations_equal(self, monkeypatch):
+        monkeypatch.setattr(uncross_module, "RATIO_SUM_K", 1e-3)
+        args = (3, (1, 2), (1.0, 1.5))
+        got = run_verification(*args).to_json_dict()
+        assert got == reference.run_verification(*args).to_json_dict()
+        assert got["violations_total"] > 1000
+
+    def test_energy_violations_equal(self, monkeypatch):
+        # negated displacement sums on both sides: uncrossing now raises
+        # the energy, and the fibres' weight sums blow up
+        table_sums = uncross_module._displacement_sums
+        image_sum = reference.displacement_sum
+        monkeypatch.setattr(
+            uncross_module, "_displacement_sums", lambda t, powers: -table_sums(t, powers)
+        )
+        monkeypatch.setattr(
+            reference, "displacement_sum", lambda img, powers: -image_sum(img, powers)
+        )
+        args = (3, (1, 2), (1.5, 2.0))
+        got = run_verification(*args).to_json_dict()
+        assert got == reference.run_verification(*args).to_json_dict()
+        checks = {v["check"] for v in got["violations"]}
+        assert checks == {"energy_monotonicity", "ratio_sum"}
+
+    def test_preimage_violations_equal(self, monkeypatch):
+        # both sides lose the lexicographically first preimage of every tau
+        kernel = uncross_module._preimages
+
+        def short(taus, walk, t, band):
+            owner, found = kernel(taus, walk, t, band)
+            first = np.ones(len(owner), dtype=bool)
+            first[1:] = owner[1:] != owner[:-1]
+            return owner[~first], found[~first]
+
+        per_image = reference.preimage_images
+        monkeypatch.setattr(uncross_module, "_preimages", short)
+        monkeypatch.setattr(
+            reference, "preimage_images", lambda tau, t, band: per_image(tau, t, band)[1:]
+        )
+        args = (2, (1, 2), (1.0, INFINITY))
+        got = run_verification(*args).to_json_dict()
+        assert got == reference.run_verification(*args).to_json_dict()
+        checks = {v["check"] for v in got["violations"]}
+        assert checks == {"preimage_sets_band", "preimage_sets_full"}
+
+    def test_one_row_kernel_on_every_image_of_7_points(self):
+        # every image on [-3, 3], in S_W or not; the band preimages at W = 1
+        # and 2 are compared on the same images in test_band_filter_matches_full_scan
+        models = (ModelParams(p=INFINITY, W=3, n=3), ModelParams(p=1.0, W=1, n=3))
+        for img in itertools.permutations(range(-3, 4)):
+            pi = Permutation(img)
+            for t in range(0, 4):
+                up, down = reference.crossings(img, t)
+                rec = crossing_record(pi, t)
+                if up is None:
+                    assert rec is None
+                    with pytest.raises(NoCrossingError):
+                        uncross(pi, t)
+                    for params in models:
+                        band = params.W if params.infinite_p else None
+                        got = [q.image for q in uncross_preimage(pi, t, params)]
+                        assert got == reference.preimage_images(img, t, band)
+                    continue
+                assert (rec.up.index, rec.up.source, rec.up.target) == up
+                assert (rec.down.index, rec.down.source, rec.down.target) == down
+                assert uncross(pi, t).image == reference.uncross_image(img, t)
