@@ -26,7 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .core import INFINITY, ModelParams
+from .core import INFINITY, ModelParams, Permutation
 from .exact import CapacityError, exact_tail_and_partition
 from .sampler import (
     InitialState,
@@ -197,7 +197,8 @@ def _parse_state(key: str, raw) -> str:
 
 
 def _parse_jobs(key: str, raw) -> list[dict]:
-    """Explicit sweep jobs; a job without p takes the sweep's p at check time."""
+    """Explicit sweep jobs, each parsed against the _JOB table; a job
+    without p takes the sweep's p at check time."""
     if not isinstance(raw, list) or not raw:
         raise ConfigurationError(f"{key}: expected a nonempty list of job objects")
     if len(raw) > INT_RANGE_CAP:
@@ -207,17 +208,7 @@ def _parse_jobs(key: str, raw) -> list[dict]:
         name = f"{key}[{k}]"
         if not isinstance(job, dict):
             raise ConfigurationError(f"{name}: expected an object")
-        extra = set(job) - {"p", "W", "n", "seed"}
-        if extra:
-            raise ConfigurationError(f"{name}: unknown keys {sorted(map(str, extra))}")
-        jobs.append(
-            {
-                "p": _parse_p(f"{name}.p", job["p"]) if "p" in job else None,
-                "W": _parse_int(f"{name}.W", job.get("W", 1), lo=1),
-                "n": _parse_int(f"{name}.n", job.get("n", 1), lo=1),
-                "seed": _parse_seed(f"{name}.seed", job["seed"]) if "seed" in job else None,
-            }
-        )
+        jobs.append(_parse_options(_JOB, (job,), f"{name}.", f"in {name}")[0])
     return jobs
 
 
@@ -290,6 +281,12 @@ _SWEEP = _COMMON + _CHAIN + _FIT + (
     _GRID,
     Option("max_workers", _POS, DEFAULT_MAX_WORKERS, "process pool bound"),
 )
+_JOB = (
+    Option("p", _parse_p),
+    Option("W", _POS, 1),
+    Option("n", _POS, 1),
+    Option("seed", _parse_seed),
+)
 _UNCROSS = _COMMON + (
     Option("n", _POS, 3, "half-length of the interval [-n, n]"),
     Option("W_list", _parse_int_list, "1,2", "bandwidths"),
@@ -319,13 +316,29 @@ def _check_j(v: dict, given: set) -> None:
         raise ConfigurationError(f"j: must lie in [-{v['n']}, {v['n']}], got {v['j']}")
 
 
+def _check_power(key: str, p: float, W: int, n: int) -> None:
+    """max(2n, W)^p must be a finite float at finite p: the energies of
+    exact, the chains and the certificates take the powers d^p, d <= 2n,
+    and W^p as floats."""
+    try:
+        float(max(2 * n, W)) ** p
+    except OverflowError:
+        if math.isfinite(p):
+            raise ConfigurationError(f"{key}: max(2n, W)^p is not a finite float at p={p}")
+
+
+def _check_model(v: dict, given: set) -> None:
+    _check_j(v, given)
+    _check_power("p", v["p"], v["W"], v["n"])
+
+
 def _check_chain(v: dict, given: set) -> None:
     if v.get("burn_in", 0) > v["steps"]:
         raise ConfigurationError(
             f"burn_in: must not exceed steps, got {v['burn_in']} > {v['steps']}"
         )
     if "n" in v:  # one chain (sample, tail); sweep jobs resolve at job time
-        _check_j(v, given)
+        _check_model(v, given)
         # resolve the sampler's defaults here so the manifest is complete
         cfg = _sampler_config(v, ModelParams(p=v["p"], W=v["W"], n=v["n"]), v["seed"])
         v["burn_in"], v["thinning"] = cfg.burn_in, cfg.thinning
@@ -340,9 +353,9 @@ def _check_sweep(v: dict, given: set) -> None:
         clash = sorted(given & {"W_list", "n_list", "seeds"})
         if clash:
             raise ConfigurationError(f"configuration keys {clash} are not used with 'jobs'")
-        for job in v["jobs"]:
-            if job["p"] is None:
-                job["p"] = v.get("p", INFINITY)
+        for k, job in enumerate(v["jobs"]):
+            job.setdefault("p", v.get("p", INFINITY))
+            _check_power(f"jobs[{k}].p", job["p"], job["W"], job["n"])
     else:
         size = len(w_list) * len(n_list) * len(seeds)
         if size > INT_RANGE_CAP:
@@ -351,10 +364,16 @@ def _check_sweep(v: dict, given: set) -> None:
                 f"above the cap {INT_RANGE_CAP}"
             )
         p = v.setdefault("p", INFINITY)
+        _check_power("p", p, max(w_list), max(n_list))
         v["jobs"] = [
             {"p": p, "W": w, "n": n, "seed": s} for w in w_list for n in n_list for s in seeds
         ]
     _check_j({"j": v["j"], "n": min(job["n"] for job in v["jobs"])}, given)
+
+
+def _check_uncross(v: dict, given: set) -> None:
+    for p in v["p_list"]:
+        _check_power("p_list", p, max(v["W_list"]), v["n"])
 
 
 def _check_recurrence(v: dict, given: set) -> None:
@@ -362,6 +381,31 @@ def _check_recurrence(v: dict, given: set) -> None:
         raise ConfigurationError("p: recurrence checking needs finite p")
     if v["C0"] <= 0:
         raise ConfigurationError(f"C0: must be positive, got {v['C0']}")
+
+
+def _parse_options(options, sources, prefix: str, where: str) -> tuple[dict, set]:
+    """Merge sources, later ones winning, and parse every key of options.
+
+    A None value leaves its key unset, and an unknown key is an error that
+    names where it was given.  A key no source sets takes its default.
+    Parse errors name the key as prefix + key.  Returns the parsed values
+    and the keys the sources set.
+    """
+    table = {opt.key: opt for opt in options}
+    merged: dict = {}
+    for source in sources:
+        for key, val in source.items():
+            if val is None:
+                continue
+            if key not in table:
+                raise ConfigurationError(f"unknown configuration key {key!r} {where}")
+            merged[key] = val
+    values = {}
+    for key, opt in table.items():
+        raw = merged.get(key, opt.default)
+        if raw is not None:
+            values[key] = opt.parse(prefix + key, raw)
+    return values, set(merged)
 
 
 def parse_config(
@@ -377,25 +421,12 @@ def parse_config(
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
     spec = COMMANDS[command]
-    options = {opt.key: opt for opt in spec.options}
-    merged: dict = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, val in source.items():
-            if val is None:
-                continue
-            if key not in options:
-                raise ConfigurationError(
-                    f"unknown configuration key {key!r} for command {command!r}"
-                )
-            merged[key] = val
-    values = {}
-    for key, opt in options.items():
-        raw = merged.get(key, opt.default)
-        if raw is not None:
-            values[key] = opt.parse(key, raw)
+    values, given = _parse_options(
+        spec.options, (file_values or {}, overrides or {}), "", f"for command {command!r}"
+    )
     out_dir = values.pop("output_dir", "") or os.environ.get(OUTPUT_DIR_ENV, "bandperm_out")
     if spec.check is not None:
-        spec.check(values, set(merged))
+        spec.check(values, given)
     return RunConfig(command=command, output_dir=Path(out_dir), values=values)
 
 
@@ -500,13 +531,16 @@ def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
     )
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    v = config.values
-    _check_chain_capacity([v["n"]])
-    params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
-    sampler_cfg = _sampler_config(v, params, v["seed"])
-    tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{v['seed']}"
-    rows = []
+def _chain(v: dict, job: dict) -> tuple[ModelParams, str, list[tuple], dict, Permutation]:
+    """One chain of the job's (p, W, n, seed) under the run's values v.
+
+    Returns its params, artifact tag, one (step_index, diam, displacement0,
+    maxC0, minC0) row per retained sample, the summary fields every chain
+    artifact shares, and the final state.
+    """
+    params = ModelParams(p=job["p"], W=job["W"], n=job["n"])
+    sampler_cfg = _sampler_config(v, params, job["seed"])
+    rows: list[tuple] = []
     summary = sample_cycle_observables(
         params,
         sampler_cfg,
@@ -515,6 +549,21 @@ def _cmd_sample(config: RunConfig) -> int:
             (rec.step_index, rec.diam, rec.displacement0, rec.max_c0, rec.min_c0)
         ),
     )
+    tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{job['seed']}"
+    fields = {
+        "format_version": FORMAT_VERSION,
+        "acceptance_rate": summary.acceptance_rate,
+        "retained_samples": summary.retained_samples,
+        "burn_in": sampler_cfg.burn_in,
+        "thinning": sampler_cfg.thinning,
+    }
+    return params, tag, rows, fields, summary.final_state
+
+
+def _cmd_sample(config: RunConfig) -> int:
+    v = config.values
+    _check_chain_capacity([v["n"]])
+    params, tag, rows, fields, final_state = _chain(v, v)
     csv_name = f"samples_{tag}.csv"
     json_name = f"sample_summary_{tag}.json"
     _write_csv(
@@ -522,17 +571,7 @@ def _cmd_sample(config: RunConfig) -> int:
         ["step_index", "diam", "displacement0", "maxC0", "minC0"],
         rows,
     )
-    _write_json(
-        config.output_dir / json_name,
-        {
-            "format_version": FORMAT_VERSION,
-            "acceptance_rate": summary.acceptance_rate,
-            "retained_samples": summary.retained_samples,
-            "final_state": summary.final_state.to_list(),
-            "burn_in": sampler_cfg.burn_in,
-            "thinning": sampler_cfg.thinning,
-        },
-    )
+    _write_json(config.output_dir / json_name, {**fields, "final_state": final_state.to_list()})
     artifacts = [csv_name, json_name]
     if v.get("lambda_grid") and rows:
         curve = estimate_tail_curve(
@@ -551,32 +590,19 @@ def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
     sweep_fits.csv row and the artifact names."""
     config, job = args
     v = config.values
-    params = ModelParams(p=job["p"], W=job["W"], n=job["n"])
-    sampler_cfg = _sampler_config(v, params, job["seed"])
-    diams: list[int] = []
-    disp0: list[int] = []
-
-    def observe(rec) -> None:
-        diams.append(rec.diam)
-        disp0.append(rec.displacement0)
-
-    summary = sample_cycle_observables(params, sampler_cfg, v["j"], observe)
+    params, tag, rows, fields, _ = _chain(v, job)
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
+    diams = [r[1] for r in rows]
     curve = estimate_tail_curve(diams, grid, params, v["j"])  # NoDataError if empty
-    mean_disp0 = sum(disp0) / len(disp0)
-    tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}_seed{job['seed']}"
+    mean_disp0 = sum(r[2] for r in rows) / len(rows)
     csv_name = f"tail_{tag}.csv"
     json_name = f"tail_fit_{tag}.json"
     _write_curve(config.output_dir / csv_name, curve)
-    fit_payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "acceptance_rate": summary.acceptance_rate,
-        "retained_samples": summary.retained_samples,
+    fit_payload = {
+        **fields,
         "mean_diam": curve.mean_diam,
         "mean_diam_stderr": curve.mean_diam_stderr,
         "mean_displacement0": mean_disp0,
-        "burn_in": sampler_cfg.burn_in,
-        "thinning": sampler_cfg.thinning,
     }
     try:
         fit = fit_exponential_decay(curve, v.get("head_cut"), v["min_survivors"])
@@ -590,16 +616,16 @@ def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
     _write_json(config.output_dir / json_name, fit_payload)
     row = (
         _p_token(params.p), params.W, params.n, job["seed"], curve.mean_diam,
-        mean_disp0, summary.retained_samples, summary.acceptance_rate,
+        mean_disp0, fields["retained_samples"], fields["acceptance_rate"],
     )
     return row, [csv_name, json_name]
 
 
 def _cmd_tail(config: RunConfig) -> int:
-    """A one-job sweep on the command's own seed, without sweep_fits.csv."""
+    """A one-job sweep on the command's own values, without sweep_fits.csv."""
     v = config.values
     _check_chain_capacity([v["n"]])
-    _, artifacts = _tail_job((config, {k: v[k] for k in ("p", "W", "n", "seed")}))
+    _, artifacts = _tail_job((config, v))
     _write_manifest(config, artifacts)
     return EXIT_OK
 
@@ -608,7 +634,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     v = config.values
     _check_chain_capacity(job["n"] for job in v["jobs"])
     for index, job in enumerate(v["jobs"]):  # the manifest echoes the seeds used
-        if job["seed"] is None:
+        if job.get("seed") is None:
             job["seed"] = spawn_chain_seed(v["seed"], index)
     job_args = [(config, job) for job in v["jobs"]]
     workers = min(v["max_workers"], len(job_args), os.cpu_count() or 1)
@@ -706,14 +732,16 @@ class Command:
 
 
 COMMANDS: dict[str, Command] = {
-    "exact": Command("exact tail probabilities by enumeration", _MODEL, _cmd_exact, _check_j),
+    "exact": Command("exact tail probabilities by enumeration", _MODEL, _cmd_exact, _check_model),
     "sample": Command(
         "stream per-sample cycle observables", _MODEL + _CHAIN, _cmd_sample, _check_chain
     ),
     "tail": Command(
         "empirical survival curve and decay fit", _MODEL + _CHAIN + _FIT, _cmd_tail, _check_chain
     ),
-    "uncross-verify": Command("exhaustive uncrossing invariants", _UNCROSS, _cmd_uncross_verify),
+    "uncross-verify": Command(
+        "exhaustive uncrossing invariants", _UNCROSS, _cmd_uncross_verify, _check_uncross
+    ),
     "sweep": Command("fan out tail jobs over a parameter grid", _SWEEP, _cmd_sweep, _check_sweep),
     "recurrence": Command(
         "tail-bound propagation certificates", _RECURRENCE, _cmd_recurrence, _check_recurrence

@@ -5,10 +5,12 @@ Everything in this package is built on bijections pi of the interval
 cycle statistics) and the handful of primitives the other modules consume:
 orbit extraction, displacement energy, band-support membership and the
 image-swap move.  Each primitive is written once over a raw image tuple
-(``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``),
-which the exhaustive layers call directly; the Permutation-level functions
-validate their arguments and delegate to it.  ``_orbit_table`` is the same
-orbit walk over a whole numpy table of images, one image per row.
+(``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``);
+the Permutation-level functions validate their arguments and delegate to
+it, the sampler calls ``orbit`` on its live state, and the tests' per-image
+reference calls them all.  The exhaustive layers work on numpy tables of
+images, one image per row: ``_orbit_table`` is the orbit walk over such a
+table.
 
 All operations are pure: inputs are never mutated and results are fresh
 values, so they are safe to call from concurrent workers.

@@ -2,15 +2,17 @@
 
 The exact Gibbs distribution, partition value and tail probabilities
 computed here are the ground truth against which the Markov chain and the
-uncrossing-map properties are validated.  Finite p weighs all (2n+1)!
+uncrossing-map properties are validated.  One function,
+:func:`_blocks`, chooses what is enumerated and checks its size: at
+infinite p the band support S_W, built as one int8 table a column at a
+time, which reaches much larger intervals; at finite p all (2n+1)!
 permutations (capped) in numpy blocks, one block per leading pair of
-values, in lexicographic order: each block's energies, Gibbs weights and
-cycles of j are computed a column at a time with the float order of the
-per-permutation formulas, so every value is bit-identical to them.
-Infinite p builds the band support S_W as an int8 table a column at a
-time, which reaches much larger intervals.  Both kinds of member table
-(:func:`_member_table`) also feed the uncrossing certificates.  The
-p = infinity tail curve needs no enumeration:
+values.  Rows are in lexicographic order in both.  The image generator,
+the member tables of the uncrossing certificates (:func:`_member_table`)
+and the Gibbs weights (:func:`_weight_blocks`) all read those blocks.
+Finite-p energies, weights and cycles of j are computed a column at a time
+with the float order of the per-permutation formulas, so every value is
+bit-identical to them.  The p = infinity tail curve needs no enumeration:
 a marked connectivity transfer DP over the positions counts the members of
 S_W by the diameter of the cycle of j (:func:`band_diameter_counts`), and a
 profile DP counts |S_W|.
@@ -266,15 +268,25 @@ def _band_size(params: ModelParams) -> int:
     )
 
 
-def _full_size(params: ModelParams) -> int:
-    """(2n+1)!, raising CapacityError over the finite-p cap."""
+def _blocks(params: ModelParams) -> Iterator[np.ndarray]:
+    """Every admissible image as int8 rows shifted to 0..2n, in blocks whose
+    rows, concatenated, are in lexicographic order.
+
+    Infinite p: S_W as one block.  Finite p: all (2n+1)! permutations, in
+    the blocks of :func:`_permutation_blocks`.  Raises CapacityError, naming
+    the cap, when the instance is too large; the check runs on the call,
+    before iteration.
+    """
     m = params.interval_size
+    if params.infinite_p:
+        _band_size(params)
+        return iter([_band_table(params.n, params.W)])
     if m > FULL_ENUMERATION_CAP:
         raise CapacityError(
             f"interval size {m} exceeds the exhaustive cap "
             f"{FULL_ENUMERATION_CAP} for finite p ((2n+1)! mode)"
         )
-    return math.factorial(m)
+    return _permutation_blocks(m)
 
 
 def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
@@ -284,10 +296,7 @@ def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
     exactly the members of S_W.  Raises CapacityError, naming the cap, when
     the instance is too large; the check runs on the call, before iteration.
     """
-    if params.infinite_p:
-        return _rows(_member_table(params), params.n)
-    _full_size(params)
-    return itertools.permutations(range(-params.n, params.n + 1))
+    return (img for block in _blocks(params) for img in _rows(block, params.n))
 
 
 def _rows(table: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
@@ -301,15 +310,8 @@ def _rows(table: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _member_table(params: ModelParams) -> np.ndarray:
-    """Every admissible image as one int8 row shifted to 0..2n, rows in
-    lexicographic order: S_W at infinite p, all (2n+1)! permutations (from
-    :func:`_permutation_blocks`) at finite p.  The capacity check runs first.
-    """
-    if params.infinite_p:
-        _band_size(params)
-        return _band_table(params.n, params.W)
-    _full_size(params)
-    return np.concatenate(list(_permutation_blocks(params.interval_size)))
+    """The blocks of :func:`_blocks` as one table; the capacity check runs first."""
+    return np.concatenate(list(_blocks(params)))
 
 
 def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
@@ -336,22 +338,22 @@ def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
 
 
 def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(block, unnormalized Gibbs weights) over all (2n+1)! permutations.
+    """(block, unnormalized Gibbs weights) over the blocks of :func:`_blocks`.
 
-    Rows are images shifted to 0..2n.  Each energy adds the displacement
-    powers column by column from position -n up, the float order of
-    :func:`core.displacement_sum`, then divides by W^p; math.exp (not
-    np.exp, which may differ from libm by an ulp) weighs each distinct
-    energy once.  The capacity check runs on the call, before iteration.
+    Every weight is 1.0 on S_W at p = infinity.  At finite p each energy
+    adds the displacement powers column by column from position -n up, the
+    float order of :func:`core.displacement_sum`, then divides by W^p;
+    math.exp (not np.exp, which may differ from libm by an ulp) weighs each
+    distinct energy once.  The capacity check runs on the call, before
+    iteration.
     """
-    _full_size(params)
-    m = params.interval_size
+    blocks = _blocks(params)
+    if params.infinite_p:
+        return ((block, np.ones(len(block))) for block in blocks)
     powers = np.array(displacement_powers(params.n, params.p))
     wp = params.W**params.p
-
     return (
-        (block, _exp(-(_displacement_sums(block, powers) / wp)))
-        for block in _permutation_blocks(m)
+        (block, _exp(-(_displacement_sums(block, powers) / wp))) for block in blocks
     )
 
 
@@ -379,18 +381,12 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(image, unnormalized Gibbs weight) for every admissible image.
-
-    The weight is exp(-energy) at finite p, flattened from
-    :func:`_weight_blocks`, and 1.0 on S_W at p = infinity.
-    """
-    if params.infinite_p:
-        return ((img, 1.0) for img in enumerate_images(params))
-    n = params.n
+    """(image, unnormalized Gibbs weight) for every admissible image,
+    flattened from :func:`_weight_blocks`."""
     return (
         pair
         for block, weights in _weight_blocks(params)
-        for pair in zip(map(tuple, (block - n).tolist()), weights.tolist())
+        for pair in zip(_rows(block, params.n), map(float, weights))
     )
 
 
@@ -429,7 +425,7 @@ def exact_tail_and_partition(
         partition_value = float(support_size)
     else:
         blocks = _weight_blocks(params)  # capacity check before any allocation
-        support_size = _full_size(params)
+        support_size = math.factorial(params.interval_size)
         # weight mass grouped by cycle diameter (diameters are in 0..2n)
         by_diam = np.zeros(2 * n + 1)
         x = j + n

@@ -295,6 +295,26 @@ class TestParseConfig:
         )
         assert cfg.values["jobs"][0]["W"] == 2
 
+    def test_unknown_job_key_named_with_its_index(self):
+        jobs = [{"W": 2}, {"n": 3, "bogus": 1}]
+        with pytest.raises(ConfigurationError, match=r"'bogus' in jobs\[1\]"):
+            parse_config("sweep", {"jobs": jobs}, {})
+
+    def test_null_job_value_is_unset(self):
+        nulls = {"p": None, "W": None, "n": 3, "seed": None}
+        cfg = parse_config("sweep", {"jobs": [nulls], "p": 2}, {})
+        assert cfg.values == parse_config("sweep", {"jobs": [{"n": 3}], "p": 2}, {}).values
+        assert cfg.values["jobs"] == [{"p": 2.0, "W": 1, "n": 3}]
+
+    def test_sample_and_tail_write_the_same_chain_fields(self, tmp_path):
+        chain = ["--p", "1", "--W", "2", "--n", "3", "--seed", "5", "--steps", "3000"]
+        for command in ("sample", "tail"):
+            assert cli.main([command, *chain, "--output-dir", str(tmp_path / command)]) == 0
+        sample = json.loads((tmp_path / "sample/sample_summary_p1_W2_n3_seed5.json").read_text())
+        tail = json.loads((tmp_path / "tail/tail_fit_p1_W2_n3_seed5.json").read_text())
+        for key in ("acceptance_rate", "retained_samples", "burn_in", "thinning"):
+            assert sample[key] == tail[key], key
+
 
 class TestExactCommand:
     def test_golden_csv(self, tmp_path):
@@ -447,6 +467,47 @@ class TestFailClosed:
         assert cli.main([command, "--config", str(cfg_file)]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert json.loads(line)["message"].startswith(f"{key}:")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["exact", "--p", "400", "--W", "1", "--n", "4"], "p"),
+            (["exact", "--p", "2", "--W", str(10**200), "--n", "2"], "p"),
+            (["sample", "--p", "1000", "--W", "1", "--n", "50", "--steps", "100"], "p"),
+            (["tail", "--p", "1000", "--W", "1", "--n", "50", "--steps", "100"], "p"),
+            (
+                ["sweep", "--p", "1000", "--W-list", "1", "--n-list", "50", "--max-workers", "1"],
+                "p",
+            ),
+            (["uncross-verify", "--n", "3", "--W-list", "1", "--p-list", "1000"], "p_list"),
+        ],
+    )
+    def test_overflowing_power_is_a_config_error(
+        self, argv, key, tmp_path, capsys, monkeypatch
+    ):
+        # max(2n, W)^p overflows a float; these ended in an OverflowError
+        # traceback with exit 1, the no-data code
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "configuration"
+        assert payload["message"].startswith(f"{key}:")
+
+    def test_overflowing_power_names_the_job(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"jobs": [{"n": 2}, {"p": 1000, "n": 50}]}))
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["message"].startswith("jobs[1].p:")
+
+    def test_power_check_boundary(self):
+        # 8^341 = 2^1023 is the largest finite power of 8; 8^342 overflows
+        parse_config("exact", {}, {"p": "341", "W": "1", "n": "4"})
+        with pytest.raises(ConfigurationError, match="^p:"):
+            parse_config("exact", {}, {"p": "342", "W": "1", "n": "4"})
+        parse_config("exact", {}, {"p": "inf", "W": str(10**400), "n": "4"})
 
     def test_help_exits_zero_and_shows_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
