@@ -382,7 +382,10 @@ def _recurrence_sides(
     """
     ks = np.arange(k_max + 1, dtype=float)
     f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
-    g = np.exp(-((ks / W) ** p))
+    # a power past the float range is inf, which gives g exactly: exp(-inf)
+    # = 0.0 = exp(-x) for every x above about 745
+    with np.errstate(over="ignore"):
+        g = np.exp(-((ks / W) ** p))
     ones = f[:k_max] == 1.0
     k1 = k_max if ones.all() else int(np.argmin(ones))  # f(0) = 1, so k1 >= 1
     k = np.arange(k_max)

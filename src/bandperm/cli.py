@@ -306,8 +306,9 @@ _RECURRENCE = _COMMON + (
 
 
 # ---------------------------------------------------------------------------
-# Cross-key checks, run after every key is parsed.  given holds the keys a
-# config file or flag supplied.
+# Cross-key checks, run after every key is parsed, then the capacity checks,
+# so no command body runs (nor creates output_dir) on an instance over a cap.
+# given holds the keys a config file or flag supplied.
 # ---------------------------------------------------------------------------
 
 
@@ -332,6 +333,14 @@ def _check_model(v: dict, given: set) -> None:
     _check_power("p", v["p"], v["W"], v["n"])
 
 
+def _check_chain_capacity(ns) -> None:
+    m = 2 * max(ns) + 1
+    if m > CHAIN_INTERVAL_CAP:
+        raise CapacityError(
+            f"interval size 2n+1 = {m} exceeds the chain cap {CHAIN_INTERVAL_CAP}"
+        )
+
+
 def _check_chain(v: dict, given: set) -> None:
     if v.get("burn_in", 0) > v["steps"]:
         raise ConfigurationError(
@@ -342,6 +351,7 @@ def _check_chain(v: dict, given: set) -> None:
         # resolve the sampler's defaults here so the manifest is complete
         cfg = _sampler_config(v, ModelParams(p=v["p"], W=v["W"], n=v["n"]), v["seed"])
         v["burn_in"], v["thinning"] = cfg.burn_in, cfg.thinning
+        _check_chain_capacity([v["n"]])
 
 
 def _check_sweep(v: dict, given: set) -> None:
@@ -369,6 +379,7 @@ def _check_sweep(v: dict, given: set) -> None:
             {"p": p, "W": w, "n": n, "seed": s} for w in w_list for n in n_list for s in seeds
         ]
     _check_j({"j": v["j"], "n": min(job["n"] for job in v["jobs"])}, given)
+    _check_chain_capacity(job["n"] for job in v["jobs"])
 
 
 def _check_uncross(v: dict, given: set) -> None:
@@ -381,6 +392,12 @@ def _check_recurrence(v: dict, given: set) -> None:
         raise ConfigurationError("p: recurrence checking needs finite p")
     if v["C0"] <= 0:
         raise ConfigurationError(f"C0: must be positive, got {v['C0']}")
+    k_max = max(v["k_max_factor"] * W**3 for W in v["W_list"])
+    if k_max > RECURRENCE_K_MAX_CAP:
+        raise CapacityError(
+            f"k_max = k_max_factor * W^3 = {k_max} exceeds the recurrence cap "
+            f"{RECURRENCE_K_MAX_CAP}"
+        )
 
 
 def _parse_options(options, sources, prefix: str, where: str) -> tuple[dict, set]:
@@ -416,7 +433,8 @@ def parse_config(
     """Merge config-file values and flag overrides into a RunConfig.
 
     Flags win over file values; defaults fill the rest.  Unknown keys and
-    constraint violations raise ConfigurationError naming the key.
+    constraint violations raise ConfigurationError naming the key; a chain
+    or recurrence instance over its cap raises CapacityError.
     """
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
@@ -512,14 +530,6 @@ def _cmd_exact(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_chain_capacity(ns) -> None:
-    m = 2 * max(ns) + 1
-    if m > CHAIN_INTERVAL_CAP:
-        raise CapacityError(
-            f"interval size 2n+1 = {m} exceeds the chain cap {CHAIN_INTERVAL_CAP}"
-        )
-
-
 def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
     return SamplerConfig.with_defaults(
         params,
@@ -562,7 +572,6 @@ def _chain(v: dict, job: dict) -> tuple[ModelParams, str, list[tuple], dict, Per
 
 def _cmd_sample(config: RunConfig) -> int:
     v = config.values
-    _check_chain_capacity([v["n"]])
     params, tag, rows, fields, final_state = _chain(v, v)
     csv_name = f"samples_{tag}.csv"
     json_name = f"sample_summary_{tag}.json"
@@ -624,7 +633,6 @@ def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
 def _cmd_tail(config: RunConfig) -> int:
     """A one-job sweep on the command's own values, without sweep_fits.csv."""
     v = config.values
-    _check_chain_capacity([v["n"]])
     _, artifacts = _tail_job((config, v))
     _write_manifest(config, artifacts)
     return EXIT_OK
@@ -632,7 +640,6 @@ def _cmd_tail(config: RunConfig) -> int:
 
 def _cmd_sweep(config: RunConfig) -> int:
     v = config.values
-    _check_chain_capacity(job["n"] for job in v["jobs"])
     for index, job in enumerate(v["jobs"]):  # the manifest echoes the seeds used
         if job.get("seed") is None:
             job["seed"] = spawn_chain_seed(v["seed"], index)
@@ -680,12 +687,6 @@ def _cmd_uncross_verify(config: RunConfig) -> int:
 def _cmd_recurrence(config: RunConfig) -> int:
     v = config.values
     p = v["p"]
-    k_max = max(v["k_max_factor"] * W**3 for W in v["W_list"])
-    if k_max > RECURRENCE_K_MAX_CAP:
-        raise CapacityError(
-            f"k_max = k_max_factor * W^3 = {k_max} exceeds the recurrence cap "
-            f"{RECURRENCE_K_MAX_CAP}"
-        )
     rows = []
     certificate = {
         "format_version": FORMAT_VERSION,

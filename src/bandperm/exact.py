@@ -14,8 +14,10 @@ Finite-p energies, weights and cycles of j are computed a column at a time
 with the float order of the per-permutation formulas, so every value is
 bit-identical to them.  The p = infinity tail curve needs no enumeration:
 a marked connectivity transfer DP over the positions counts the members of
-S_W by the diameter of the cycle of j (:func:`band_diameter_counts`), and a
-profile DP counts |S_W|.
+S_W by the diameter of the cycle of j (:func:`band_diameter_counts`).  One
+profile column step (:func:`_band_step`) serves both the count |S_W| and
+the band table: it lists the admissible values of a position from the
+profile masks of the partial rows.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,9 +77,11 @@ class ExactDistribution:
 def count_band_permutations(m: int, W: int) -> int:
     """Number of permutations of m points with every displacement <= W.
 
-    Profile dynamic programming over a sliding window of 2W+1 values;
-    independent of the backtracking generator, so the two can cross-check
-    each other.  For W = 1 this reproduces the Fibonacci numbers.
+    Profile dynamic programming over a sliding window of 2W+1 values, on
+    the column step that also builds the band table (:func:`_band_step`).
+    The checks independent of that step are brute force over all m!
+    permutations, the Fibonacci numbers (the counts at W = 1) and the
+    backtracking reference enumerator of tests/test_exact.py.
     """
     if m < 1 or W < 1:
         raise ValueError("m and W must be positive")
@@ -89,70 +93,69 @@ def _band_counts(m: int, W: int) -> Iterator[int]:
 
     A running total counts the partial assignments of the first positions
     that keep the value q - W used by position q.  Under that rule no branch
-    dead-ends (see :func:`_band_table`), so each one extends to a member
-    of S_W: the totals never exceed |S_W|, and stopping once one passes a
-    cap proves the count does too.
+    dead-ends (see :func:`_band_step`), so each one extends to a member of
+    S_W: the totals never exceed |S_W|, and stopping once one passes a cap
+    proves the count does too.  The children of :func:`_band_step` are
+    merged by mask, and the counts are Python ints in an object array, so
+    every total is exact.
     """
     if W >= m - 1:
         yield math.factorial(m)
         return
-    width = 2 * W + 1
-
-    def blocked(q: int, o: int) -> bool:
-        v = q - W + o
-        return v < 0 or v >= m
-
-    init = 0
-    for o in range(width):
-        if blocked(0, o):
-            init |= 1 << o
-    states = {init: 1}
+    masks, counts = None, np.ones(1, dtype=object)
     for q in range(m):
-        nxt: dict[int, int] = {}
-        for mask, cnt in states.items():
-            for o in range(width):
-                if mask >> o & 1:
-                    continue
-                filled = mask | (1 << o)
-                if not filled & 1:
-                    # value q - W would drift out of reach unused
-                    continue
-                shifted = filled >> 1
-                if blocked(q + 1, width - 1):
-                    shifted |= 1 << (width - 1)
-                nxt[shifted] = nxt.get(shifted, 0) + cnt
-        states = nxt
-        yield sum(states.values())
+        parent, _, children = _band_step(masks, q, m, W)
+        masks, merged = np.unique(children, return_inverse=True)
+        summed = np.zeros(len(masks), dtype=object)
+        np.add.at(summed, merged, counts[parent])
+        counts = summed
+        yield counts.sum()
+
+
+def _band_step(
+    masks: Optional[np.ndarray], q: int, m: int, W: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column of the profile DP of S_W: (parent, offset, child mask) for
+    every admissible value at position q, children in (parent, value) order.
+
+    masks holds one profile mask per partial row of positions 0..q-1: bit o
+    is set when value q - W + o is used or outside the interval.  None
+    stands for the one empty row at q = 0, where values -W..-1 count as
+    used.  Value q - W + o is admissible when free, and value q - W is
+    forced while it is free, so no branch dead-ends and every row that
+    reaches position m - 1 is a member.  Masks have the smallest unsigned
+    dtype that holds 2W+1 bits, or object (Python ints) above 64 bits.
+    """
+    width = 2 * W + 1
+    offsets = np.arange(width, dtype=np.min_scalar_type((1 << width) - 1))
+    bits = 1 << offsets
+    if masks is None:
+        masks = np.array([(1 << W) - 1], dtype=offsets.dtype)
+    free = (masks[:, None] >> offsets & 1) == 0
+    free[free[:, 0], 1:] = False  # value q - W must go here while free
+    parent, o = np.nonzero(free)
+    children = (masks[parent] | bits[o]) >> 1
+    if q + 1 + W >= m:  # the value entering the window is outside it
+        children |= bits[-1]
+    return parent, o, children
 
 
 def _band_table(n: int, W: int) -> np.ndarray:
     """S_W on [-n, n] as an int8 table, one member per row, in lexicographic order.
 
-    Rows are images shifted to 0..2n.  The table grows a column at a time.
-    Each partial row carries the profile mask of :func:`_band_counts` (bit o
-    set when value q - W + o is used or outside the interval), and value
-    q - W is forced at position q while it is free.  With that rule no
-    branch dead-ends, so every row of the last column is a member.  The
-    children of the rows are listed in (row, value) order, which keeps the
-    rows lexicographic.
+    Rows are images shifted to 0..2n.  The table grows a column at a time,
+    each row keeping its profile mask, by :func:`_band_step`; its children
+    come in (row, value) order, which keeps the rows lexicographic.
     """
     m = 2 * n + 1
     W = min(W, m - 1)  # a wider band admits every permutation
-    width = 2 * W + 1
-    offsets = np.arange(width, dtype=np.min_scalar_type((1 << width) - 1))
-    bits = 1 << offsets
     table = np.zeros((1, 0), dtype=np.int8)
-    masks = np.array([(1 << W) - 1], dtype=offsets.dtype)  # values -W..-1 are used
+    masks = None
     for q in range(m):
-        free = (masks[:, None] >> offsets & 1) == 0
-        free[free[:, 0], 1:] = False  # value q - W must go here while free
-        parent, o = np.nonzero(free)
+        parent, o, masks = _band_step(masks, q, m, W)
         grown = np.empty((len(parent), q + 1), dtype=np.int8)
         grown[:, :q] = table[parent]
         grown[:, q] = q - W + o
-        masks = (masks[parent] | bits[o]) >> 1
-        if q + 1 + W >= m:  # the value entering the window is outside it
-            masks |= bits[-1]
         table = grown
     return table
 
@@ -189,7 +192,7 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
     of its cycle through j: the marked path is born at position s, every
     path open then is old, the marked path may absorb young paths only,
     and it closes at the position x = max C(j), giving diameter x - s.  It
-    counts when it holds j.  The pruning of :func:`_band_table` (value
+    counts when it holds j.  The pruning of :func:`_band_step` (value
     q - W is forced at position q while free) keeps every branch alive.
     """
     m = 2 * n + 1
@@ -352,9 +355,16 @@ def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray
         return ((block, np.ones(len(block))) for block in blocks)
     powers = np.array(displacement_powers(params.n, params.p))
     wp = params.W**params.p
-    return (
-        (block, _exp(-(_displacement_sums(block, powers) / wp))) for block in blocks
-    )
+    # A sum past the float range is inf, and exp(-inf) = 0.0 is then the
+    # correctly rounded weight while W^p < max / 746: the true energy is above
+    # 746, and exp(-x) = 0.0 for every x above about 745.  A larger W^p warns.
+    over = "ignore" if wp < np.finfo(float).max / 746 else "warn"
+
+    def weigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over=over):
+            return block, _exp(-(_displacement_sums(block, powers) / wp))
+
+    return map(weigh, blocks)
 
 
 def _displacement_sums(table: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -420,6 +420,42 @@ class TestFailClosed:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tail", "--n", str(cli.CHAIN_INTERVAL_CAP // 2 + 1), "--steps", "10"],
+            ["recurrence", "--W-list", "1:30"],
+        ],
+    )
+    def test_capacity_checked_before_output_dir(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output-dir", str(out)]) == 3
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["error"] == "capacity"
+        assert not out.exists()
+
+    def test_large_finite_p_runs_without_warnings(self, tmp_path):
+        # a displacement sum or a power (k/W)^p past the float range is inf,
+        # and its weight exp(-inf) = 0.0 is the correctly rounded one; the
+        # values are those the runs gave while they still warned
+        for argv in (
+            ["exact", "--p", "341", "--W", "1", "--n", "4"],
+            ["recurrence", "--p", "1000", "--W-list", "1:2"],
+        ):
+            res = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "bandperm", *argv,
+                 "--output-dir", str(tmp_path)],
+                capture_output=True, text=True,
+            )
+            assert (res.returncode, res.stderr) == (0, "")
+        summary = json.loads((tmp_path / "exact_summary_p341_W1_n4.json").read_text())
+        assert summary["partition_value"] == 2.518563039229159
+        assert summary["support_size"] == 362880
+        assert (tmp_path / "recurrence_p1000.csv").read_text().splitlines()[1:] == [
+            "1,0.4855647343749998,True,None",
+            "2,0.7499373437499999,True,None",
+        ]
+
+    @pytest.mark.parametrize(
         "argv, key",
         [
             (["exact", "--W", "abc"], "W"),

@@ -161,6 +161,12 @@ class TestBandCounts:
                 assert totals == sorted(totals)
                 assert totals[-1] == count_band_permutations(m, W)
 
+    def test_first_totals_with_masks_wider_than_64_bits(self):
+        # before position W nothing is forced and position q has W + 1 free
+        # values, so the total after it is (W+1)^(q+1); at W = 40 a profile
+        # mask has 81 bits, so the masks are Python ints in an object array
+        assert list(itertools.islice(_band_counts(90, 40), 4)) == [41, 41**2, 41**3, 41**4]
+
     def test_largest_band_instances_under_the_cap(self):
         # 2n+1 = 29 is the largest interval where S_1 fits under the cap
         assert exact_partition(ModelParams(p=INFINITY, W=1, n=14)) == (832040.0, 832040)
