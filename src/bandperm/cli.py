@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .core import INFINITY, ModelParams, Permutation
-from .exact import CapacityError, exact_tail_and_partition
+from .exact import CapacityError, _check_weights, exact_tail_and_partition
 from .sampler import (
     InitialState,
     SamplerConfig,
@@ -331,6 +331,14 @@ def _check_power(key: str, p: float, W: int, n: int) -> None:
 def _check_model(v: dict, given: set) -> None:
     _check_j(v, given)
     _check_power("p", v["p"], v["W"], v["n"])
+
+
+def _check_exact(v: dict, given: set) -> None:
+    _check_model(v, given)
+    try:
+        _check_weights(ModelParams(p=v["p"], W=v["W"], n=v["n"]))
+    except ValueError as exc:
+        raise ConfigurationError(f"p: {exc}") from None
 
 
 def _check_chain_capacity(ns) -> None:
@@ -733,7 +741,7 @@ class Command:
 
 
 COMMANDS: dict[str, Command] = {
-    "exact": Command("exact tail probabilities by enumeration", _MODEL, _cmd_exact, _check_model),
+    "exact": Command("exact tail probabilities by enumeration", _MODEL, _cmd_exact, _check_exact),
     "sample": Command(
         "stream per-sample cycle observables", _MODEL + _CHAIN, _cmd_sample, _check_chain
     ),

@@ -198,8 +198,11 @@ def cycle_of(pi: Permutation, j: int) -> CycleStats:
 
 
 def displacement_powers(n: int, p: float) -> tuple[float, ...]:
-    """The table d^p for every displacement d = 0, ..., 2n on [-n, n]."""
-    return tuple(d**p for d in range(2 * n + 1))
+    """The table d^p for every displacement d = 0, ..., 2n on [-n, n].
+
+    Floats for an int p too, with the values of the same float p.
+    """
+    return tuple(float(d) ** p for d in range(2 * n + 1))
 
 
 def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float:
@@ -231,7 +234,7 @@ def energy(pi: Permutation, params: ModelParams) -> float:
             f"for [-{pi.n}, {pi.n}]"
         )
     powers = displacement_powers(pi.n, params.p)
-    return displacement_sum(pi.image, powers) / params.W**params.p
+    return displacement_sum(pi.image, powers) / float(params.W) ** params.p
 
 
 def max_displacement(pi: Permutation) -> int:

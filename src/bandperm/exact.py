@@ -353,18 +353,38 @@ def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray
     blocks = _blocks(params)
     if params.infinite_p:
         return ((block, np.ones(len(block))) for block in blocks)
+    _check_weights(params)
     powers = np.array(displacement_powers(params.n, params.p))
-    wp = params.W**params.p
-    # A sum past the float range is inf, and exp(-inf) = 0.0 is then the
-    # correctly rounded weight while W^p < max / 746: the true energy is above
-    # 746, and exp(-x) = 0.0 for every x above about 745.  A larger W^p warns.
-    over = "ignore" if wp < np.finfo(float).max / 746 else "warn"
+    wp = float(params.W) ** params.p
 
     def weigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over=over):
+        with np.errstate(over="ignore"):  # see _check_weights
             return block, _exp(-(_displacement_sums(block, powers) / wp))
 
     return map(weigh, blocks)
+
+
+def _check_weights(params: ModelParams) -> None:
+    """Raise ValueError where a finite-p weight of an overflowed sum is wrong.
+
+    A displacement sum past the float range is inf, and exp(-inf) = 0.0 is
+    then the correctly rounded weight while W^p < max / 746: the true energy
+    is above 746, and exp(-x) = 0.0 for every x above about 745.  For a
+    larger W^p the true energy can be small (2 for the endpoint swap at
+    p=341, W=8, n=4), so no sum may overflow.  The reversal pi(i) = -i has
+    the largest sum (|i - j|^p is convex in i - j, so the assignment cost is
+    a Monge array), and while that sum stays below max / 2 no float sum
+    reaches inf.  Every weight is 1 at p = infinity.
+    """
+    if params.infinite_p:
+        return
+    n, p, top = params.n, params.p, np.finfo(float).max
+    wp = float(params.W) ** p
+    if wp >= top / 746 and 2 * sum(float(2 * k) ** p for k in range(1, n + 1)) >= top / 2:
+        raise ValueError(
+            f"W^p = {wp:.6g} lies within a factor 746 of the float maximum and the "
+            f"displacement sum of the reversal of [-{n}, {n}] can overflow at p={p}"
+        )
 
 
 def _displacement_sums(table: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -1,29 +1,42 @@
 """Seeded Metropolis chain over local image-swaps targeting the Gibbs measure.
 
 Proposal rule: each step draws a position a uniformly from the m = 2n+1
-positions and an offset k uniformly from {-R, ..., -1, 1, ..., R} with
-R = min(2W, m - 1), and proposes swapping the images at a and b = a + k.
+positions and a partner b, and proposes swapping the images at a and b.
 When b falls outside the interval the step is a rejected step: it still
-counts as a step for burn-in, thinning and the acceptance rate.  Every
-in-range unordered pair {a, b} is proposed with probability 1 / (m R),
-half of it from either end, so the proposal is symmetric and Metropolis
-acceptance min(1, exp(-delta_energy)) keeps the Gibbs target; at p =
-infinity the proposal is accepted iff the result stays inside the band
-support S_W.  The energy difference touches only the two affected
-displacement terms, so a step is O(1).
+counts as a step for burn-in, thinning and the acceptance rate.
 
-Why R = 2W: at p = infinity a swap of the images at a and b stays in S_W
-only if pi(a) lies within W of both a and b, which forces |a - b| <= 2W.
-Every pair further apart would be rejected for certain, so dropping those
-pairs leaves the band sampler's jump chain unchanged and only removes
-wasted steps.  At finite p the adjacent swaps alone connect all of S_m, so
-the chain stays irreducible.
+- At finite p, b = a + k with k uniform on {-R, ..., -1, 1, ..., R} and
+  R = min(2W, m - 1).  Every in-range unordered pair {a, b} is proposed
+  with probability 1 / (m R), half of it from either end, so the proposal
+  is symmetric and Metropolis acceptance min(1, exp(-delta_energy)) keeps
+  the Gibbs target.  The energy difference touches only the two affected
+  displacement terms, so a step is O(1).  The adjacent swaps alone
+  connect all of S_m, so the chain is irreducible.
+- At p = infinity, b is uniform on the 2V points other than a that lie
+  within V = min(W, 2n) of pi(a): with j uniform in [0, 2V), b = pi(a) -
+  V + j, plus one when that is >= a.  Every point of [-n, n] lies within
+  2n of pi(a), so V < W leaves out only points outside the interval.  The
+  swap puts pi(a) at b, within W by construction, so it is accepted iff
+  |pi(b) - a| <= W, that is iff the result stays in the band support S_W.
+
+Why the p = infinity rule: the swap of the images at a and b stays in S_W
+only if pi(a) lies within W of b and pi(b) within W of a.  So every
+in-band swap is proposed from both of its ends, with probability
+1 / (V m) in all, and the swapped state proposes it back with the same
+probability: the proposal is symmetric on S_W and the uniform target is
+kept.  The finite-p offset rule would propose the same swap with
+probability 1 / (m R), so this kernel is R/V >= 1 times that one off the
+diagonal, with the same support and jump chain and less mass on the
+diagonal.  By Peskun's ordering (Peskun 1973; Tierney 1998) no
+observable's asymptotic variance is larger.  Under the offset rule,
+1/(2W) of the steps would go to offsets of +-2W, which never stay in S_W.
 
 Reproducibility contract: the random stream is numpy's PCG64 seeded with
 ``SamplerConfig.seed``, consumed in blocks of ``_BLOCK`` steps.  Each block
-draws, in this order, one integer array of positions a, one integer array
-of offset indices in [0, 2R), and at finite p one array of uniforms for
-the acceptance test.  Identical (params, config) therefore produce
+draws, in this order, one integer array of positions a, then at finite p
+one integer array of offset indices in [0, 2R) and one array of uniforms
+for the acceptance test, and at p = infinity one integer array of window
+indices j in [0, 2V).  Identical (params, config) therefore produce
 bit-identical sample streams on a fixed numpy version.  Parameter sweeps
 derive per-chain seeds with ``spawn_chain_seed(base_seed, chain_index)``.
 """
@@ -211,7 +224,9 @@ def _drive(
         image = list(range(-n, n + 1))
 
     infinite = params.infinite_p
+    V = min(W, 2 * n)  # half-width of the p = infinity partner's window
     if not infinite:
+        offsets = _proposal_offsets(m, W)
         p = params.p
         wp = float(W) ** p
         costs = [d**p / wp for d in range(2 * n + 1)]
@@ -222,20 +237,22 @@ def _drive(
     debug = config.debug_energy_check
     thinning = config.thinning
     next_retain = config.burn_in + thinning
-    offsets = _proposal_offsets(m, W)
     accepted = 0
     step = 0
     while step < steps:
         block = min(_BLOCK, steps - step)
         aa = rng.integers(0, m, size=block)
-        bb = (aa + offsets[rng.integers(0, len(offsets), size=block)]).tolist()
-        aa = aa.tolist()
         if infinite:
-            for a, b in zip(aa, bb):
+            # b = pi(a) - V + j as a position index, skipping a itself
+            jj = (rng.integers(0, 2 * V, size=block) + (n - V)).tolist()
+            for a, j in zip(aa.tolist(), jj):
+                pa = image[a]
+                b = pa + j
+                if b >= a:
+                    b += 1
                 if 0 <= b < m:
-                    pa = image[a]
                     pb = image[b]
-                    if abs(pb - (a - n)) <= W and abs(pa - (b - n)) <= W:
+                    if abs(pb - (a - n)) <= W:
                         image[a] = pb
                         image[b] = pa
                         accepted += 1
@@ -244,6 +261,8 @@ def _drive(
                     retain(step, image)
                     next_retain += thinning
         else:
+            bb = (aa + offsets[rng.integers(0, len(offsets), size=block)]).tolist()
+            aa = aa.tolist()
             logu = np.log(rng.random(size=block)).tolist()
             for a, b, lu in zip(aa, bb, logu):
                 if 0 <= b < m:

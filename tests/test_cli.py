@@ -143,6 +143,8 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # the two p=inf chain runs were re-recorded when the p=inf proposal
+    # started drawing the partner within W of pi(a)
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",
@@ -153,13 +155,13 @@ GOLDEN_RUNS = {
                 "47e203a800e3ba4e9cd36a951dcfc08d7726a17697891051256f365eecd7a5b8"
             ),
             "sample_summary_pinf_W1_n2_seed3.json": (
-                "1efb616e4558d7f07c3ae5e9a5d14920beb1f1823608b1f5c0905f697b7728b2"
+                "a827554f1a580777d5734ea0cf40df2d085bac3bbd34432109b64ba8860737dc"
             ),
             "samples_pinf_W1_n2_seed3.csv": (
-                "4a549e4c50b80c6c6b34214e3017b1c997d213154676b3d0aecda895fc7606c2"
+                "661aa8f3f9491a1e9043672ac57937fb153c526be2b6b8c61c4b1d82d0b1cf38"
             ),
             "tail_pinf_W1_n2_seed3.csv": (
-                "134a734e4350ff1ed6374d54f713b8b66faa09d8ebd7fc8a69f05a5e8a328f29"
+                "337025584b7b5468497e13e32ddcc0e561027a6af3dd82951c386bda44ec89d3"
             ),
         },
     ),
@@ -207,19 +209,19 @@ GOLDEN_RUNS = {
                 "24b53d69e02f7881f6cb34bd2423c930849a1d47a5b293c3c58d5373ba85984d"
             ),
             "sweep_fits.csv": (
-                "dcb272621e33dc4adcb7a2ef99e62b0d0af08db201f4b3f06aacd6aa16e82cbc"
+                "e7b207b567f9b6dd00c024228833418161f941b58b919104e57971fe8f6d28e9"
             ),
             "tail_fit_pinf_W1_n3_seed16920295385781661272.json": (
-                "67e0db17f37047a5116c439da22cab0a9883651b73a84472df6a2531b585ebc8"
+                "6144892c4aba897186290bded8925dc7cf3fd5de48d8a3d93bf3e63d0e5c176f"
             ),
             "tail_fit_pinf_W2_n3_seed6635463128224577688.json": (
-                "ba998d322af4955a460d09b99eedef23a6ee60b243dc7fa9cd8d3b5f4318d43a"
+                "77f40e7b06ce1528ef7d9e2e6c89643459cbea1d9275f812ce6aadeb0ec04d11"
             ),
             "tail_pinf_W1_n3_seed16920295385781661272.csv": (
-                "fb47b26c5324c021a0fd50b76d94e2d7c6404c92aab0326c42f9bf2cc936ff50"
+                "3c6762614b5a9b7b33418e341d4d724b35c0febce3e2e93010379f1db4289a78"
             ),
             "tail_pinf_W2_n3_seed6635463128224577688.csv": (
-                "f498c6087b0e95622da346d7247bfc20625bd576169f22f12a86dcc5b442dbaa"
+                "607f36bbd56e1fa5e54b87cfe0456249e906f443cafdc760e910e99c0db6ef71"
             ),
         },
     ),
@@ -454,6 +456,20 @@ class TestFailClosed:
             "1,0.4855647343749998,True,None",
             "2,0.7499373437499999,True,None",
         ]
+
+    def test_overflowing_weight_sum_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # at W=8, p=341, W^p = 2^1023 is within a factor 746 of the float
+        # maximum, and the endpoint swap (energy 2) was weighed 0.0 from an
+        # overflowed sum; at W=1 the same p is admitted and runs silently
+        # (test_large_finite_p_runs_without_warnings)
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        assert cli.main(["exact", "--p", "341", "--W", "8", "--n", "4",
+                         "--output-dir", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "configuration"
+        assert payload["message"].startswith("p:")
+        parse_config("exact", {}, {"p": "341", "W": "1", "n": "4"})
 
     @pytest.mark.parametrize(
         "argv, key",

@@ -293,6 +293,28 @@ class TestExactPartition:
             assert z == pytest.approx(dist.partition_value, rel=1e-12)
             assert size == dist.support_size
 
+    @pytest.mark.parametrize("p", [2, 341])
+    def test_int_p_gives_the_float_p_values(self, p):
+        # an int p made Python-int powers, an object array that the float
+        # displacement sums could not take
+        from bandperm.exact import exact_partition
+
+        int_params, float_params = ModelParams(p=p, W=1, n=4), ModelParams(p=float(p), W=1, n=4)
+        assert exact_partition(int_params) == exact_partition(float_params)
+        pi = Permutation((4, -3, -2, -1, 0, 1, 2, 3, -4))
+        assert energy(pi, int_params) == energy(pi, float_params)
+
+    def test_refuses_weights_of_an_overflowed_sum(self):
+        # W^p = 8^341 = 2^1023 is within a factor 746 of the float maximum:
+        # an overflowed sum, weighed 0.0, could have a small true energy (2
+        # for the endpoint swap); at p=340 no displacement sum overflows
+        from bandperm.exact import exact_partition
+
+        with pytest.raises(ValueError, match="can overflow"):
+            exact_partition(ModelParams(p=341.0, W=8, n=4))
+        exact_partition(ModelParams(p=340.0, W=8, n=4))
+        assert exact_partition(ModelParams(p=341.0, W=1, n=4))[0] == 2.518563039229159
+
 
 def direct_displacement_sum(image, p):
     """sum_i |pi(i) - i|^p with each power computed in place, from i = -n up."""

@@ -1,6 +1,8 @@
 import math
 from collections import Counter, deque
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bandperm import (
@@ -21,7 +23,7 @@ from bandperm import (
     spawn_chain_seed,
     swap_images,
 )
-from bandperm.sampler import _proposal_offsets
+from bandperm.sampler import _proposal_offsets, random_band_image
 
 
 def empirical_distribution(params, config):
@@ -34,6 +36,34 @@ def empirical_distribution(params, config):
 def tv_distance(a, b):
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+def band_step(pi, W, a, j):
+    """The p=inf chain's step from pi for the outcome (a, j), a a point.
+
+    With V = min(W, 2n), the partner b is the j-th of the 2V points other
+    than a within V of pi(a), in increasing order; the swap happens iff b is
+    in [-n, n] and the result stays in S_W.
+    """
+    n = pi.n
+    V = min(W, 2 * n)
+    b = [x for x in range(pi(a) - V, pi(a) + V + 1) if x != a][j]
+    if -n <= b <= n:
+        nxt = swap_images(pi, a, b)
+        if in_support(nxt, W):
+            return nxt
+    return pi
+
+
+def band_kernel(pi, W):
+    """One p=inf step from pi as {state: Fraction}, over the m 2 min(W, 2n)
+    equally likely outcomes (a, j)."""
+    n = pi.n
+    outcomes = [(a, j) for a in range(-n, n + 1) for j in range(2 * min(W, 2 * n))]
+    row = Counter()
+    for a, j in outcomes:
+        row[band_step(pi, W, a, j)] += Fraction(1, len(outcomes))
+    return row
 
 
 class TestConfig:
@@ -156,20 +186,69 @@ class TestDetailedBalance:
 
     @pytest.mark.parametrize("p", [1.0, INFINITY])
     def test_chain_one_step_kernel_matches_reference(self, p):
-        # the chain's own first step from the identity, over fixed seeds:
-        # each in-range pair {a, b} is proposed with probability 1 / (m R)
-        # and then accepted with metropolis_acceptance
+        # the chain's own first step from the identity, over fixed seeds: at
+        # finite p each in-range pair {a, b} is proposed with probability
+        # 1 / (m R) and then accepted with metropolis_acceptance; at p=inf
+        # the step follows the enumerated kernel of band_kernel
         params = ModelParams(p=p, W=1, n=1)
         m, R = 3, 2
         ident = Permutation.identity(1)
+        band_row = band_kernel(ident, 1)
         seeds = 20_000
         one_step = (SamplerConfig(seed=s, steps=1, burn_in=0, thinning=1) for s in range(seeds))
         finals = Counter(run_chain(params, cfg).final_state for cfg in one_step)
         for a, b in ((-1, 0), (0, 1), (-1, 1)):
-            expected = metropolis_acceptance(params, ident, a, b) / (m * R)
+            if params.infinite_p:
+                expected = float(band_row[swap_images(ident, a, b)])
+            else:
+                expected = metropolis_acceptance(params, ident, a, b) / (m * R)
             got = finals.pop(swap_images(ident, a, b), 0) / seeds
             assert abs(got - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
         assert set(finals) == {ident}
+
+    @pytest.mark.parametrize(
+        "n,W", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (1, 3), (2, 5)]
+    )
+    def test_band_kernel_is_symmetric_and_scales_the_offset_rule(self, n, W):
+        # exact one-step kernel over every member of S_W: symmetric, so the
+        # uniform measure is stationary, and off the diagonal R/V >= 1 times
+        # the offset rule's 1 / (m R) for every in-band pair at most R apart,
+        # with V = min(W, 2n) (V = W on every band with W <= 2n)
+        m, R, V = 2 * n + 1, min(2 * W, 2 * n), min(W, 2 * n)
+        members = list(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
+        kernel = {pi: band_kernel(pi, W) for pi in members}
+        for pi, row in kernel.items():
+            assert sum(row.values()) == 1
+            offset_rule = Counter()
+            for a in range(-n, n + 1):
+                for b in range(a + 1, min(a + R, n) + 1):
+                    nxt = swap_images(pi, a, b)
+                    if in_support(nxt, W):
+                        offset_rule[nxt] += Fraction(1, m * R)
+            row = {nxt: t for nxt, t in row.items() if nxt != pi}
+            assert row == {nxt: t * Fraction(R, V) for nxt, t in offset_rule.items()}
+            for nxt, t in row.items():
+                assert kernel[nxt][pi] == t
+
+    @pytest.mark.parametrize("n,W", [(1, 1), (2, 2), (3, 1), (4, 2), (1, 3)])
+    def test_chain_step_follows_drawn_window_index(self, n, W):
+        # replay the RNG contract: the start consumes the stream, then a
+        # one-step block draws a position a and a window index j; the
+        # chain's state after it is band_step's for that outcome
+        params = ModelParams(p=INFINITY, W=W, n=n)
+        outcomes = set()
+        for seed in range(300):
+            cfg = SamplerConfig(
+                seed=seed, steps=1, initial_state=InitialState.RANDOM_IN_SUPPORT
+            )
+            rng = np.random.default_rng(seed)
+            start = Permutation(tuple(random_band_image(n, W, rng)))
+            a = int(rng.integers(0, 2 * n + 1, size=1)[0]) - n
+            j = int(rng.integers(0, 2 * min(W, 2 * n), size=1)[0])
+            nxt = band_step(start, W, a, j)
+            assert run_chain(params, cfg).final_state == nxt
+            outcomes.add(nxt == start)
+        assert outcomes == {True, False}
 
     def test_band_acceptance_is_indicator(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
@@ -210,8 +289,9 @@ class TestIrreducibility:
 
     @pytest.mark.parametrize("n,W", GRAPH_GRID)
     def test_local_move_graph_connected(self, n, W):
-        # the sampler only proposes pairs at most R = min(2W, 2n) apart;
-        # those moves alone still connect S_W
+        # at finite p the sampler only proposes pairs at most R = min(2W, 2n)
+        # apart; those moves alone still connect S_W (at p=inf it proposes
+        # every in-band swap, the graph of test_band_graph_connected)
         R = min(2 * W, 2 * n)
         pairs = [
             (a, b) for a in range(-n, n + 1) for b in range(a + 1, min(a + R, n) + 1)
@@ -309,11 +389,12 @@ class TestObservables:
         assert [r.step_index for r in records] == [40, 70, 100]
 
     def test_stuck_chain_reports_zeros(self):
-        # seed 0 draws only rejected proposals: the distance-2 pair twice
-        # and an out-of-range partner three times (self-validating via the
+        # seed 27 draws only rejected proposals: five partners outside the
+        # interval (a = -1 with j = 0, or a = 1 with j = 1), the third of the
+        # outcomes that the identity rejects (self-validating via the
         # acceptance rate)
         params = ModelParams(p=INFINITY, W=1, n=1)
-        cfg = SamplerConfig(seed=0, steps=5, burn_in=0, thinning=1)
+        cfg = SamplerConfig(seed=27, steps=5, burn_in=0, thinning=1)
         records = []
         summary = sample_cycle_observables(params, cfg, 0, records.append)
         assert summary.acceptance_rate == 0.0
