@@ -336,6 +336,7 @@ class RecurrenceResult:
     propagated: bool
     first_failure_k: Optional[int]
     c: float  # contraction constant derived from C0
+    last_compared_k: Optional[int]  # None when f(1) is already subnormal
 
 
 def _geometric_sums(h: np.ndarray, alpha: float) -> np.ndarray:
@@ -411,7 +412,8 @@ def recurrence_check(
     result not to exceed f(k+1), for every k < k_max, up to a 1e-9 relative
     float guard.  The comparison stops at the last k where f(k+1) is a normal
     float: below that the relative guard is void and one subnormal ulp would
-    decide.  Returns the first failing k when propagation breaks.
+    decide.  Returns the first failing k when propagation breaks, and the
+    last compared k either way: f decreases, so every k up to it is compared.
     """
     if math.isinf(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
@@ -423,10 +425,12 @@ def recurrence_check(
         raise ValueError(f"c0 must be nonnegative and finite, got {c0!r}")
     c = 1.0 / (C0 + W**-2)
     rhs, target = _recurrence_sides(p, W, 1.0 - c / W**2, c0, k_max)
-    bad = (rhs > target * (1.0 + 1e-9)) & (target >= sys.float_info.min)
+    normal = target >= sys.float_info.min
+    bad = (rhs > target * (1.0 + 1e-9)) & normal
+    last = int(np.count_nonzero(normal)) - 1 if normal[0] else None
     if not bad.any():
-        return RecurrenceResult(True, None, c)
-    return RecurrenceResult(False, int(np.argmax(bad)), c)
+        return RecurrenceResult(True, None, c, last)
+    return RecurrenceResult(False, int(np.argmax(bad)), c, last)
 
 
 def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:

@@ -713,6 +713,7 @@ def _cmd_recurrence(config: RunConfig) -> int:
                 "W": W,
                 "c0": c0,
                 "k_max": k_max,
+                "last_compared_k": result.last_compared_k,
                 "propagated": result.propagated,
                 "first_failure_k": result.first_failure_k,
                 "contraction_c": result.c,

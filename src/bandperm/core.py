@@ -223,6 +223,10 @@ def energy(pi: Permutation, params: ModelParams) -> float:
 
     Zero exactly when pi is the identity.  At p = infinity there is no
     energy, only support membership; use :func:`in_support` instead.
+    The terms are scaled before they are added, as d^p / W^p, so a small
+    energy stays finite where the unscaled sum would overflow: 2 for the
+    endpoint swap at p=341, W=8, n=4, whose two terms 8^341 sum past the
+    float maximum.
     """
     if params.infinite_p:
         raise UnsupportedExponentError(
@@ -233,8 +237,8 @@ def energy(pi: Permutation, params: ModelParams) -> float:
             f"params are for [-{params.n}, {params.n}] but permutation is "
             f"for [-{pi.n}, {pi.n}]"
         )
-    powers = displacement_powers(pi.n, params.p)
-    return displacement_sum(pi.image, powers) / float(params.W) ** params.p
+    wp = float(params.W) ** params.p
+    return displacement_sum(pi.image, [d / wp for d in displacement_powers(pi.n, params.p)])
 
 
 def max_displacement(pi: Permutation) -> int:

@@ -1,44 +1,48 @@
 """Seeded Metropolis chain over local image-swaps targeting the Gibbs measure.
 
-Proposal rule: each step draws a position a uniformly from the m = 2n+1
-positions and a partner b, and proposes swapping the images at a and b.
-When b falls outside the interval the step is a rejected step: it still
-counts as a step for burn-in, thinning and the acceptance rate.
+Each step proposes swapping the images at a site a and a partner b.  When b
+falls outside the interval the step is a rejected step: it still counts as
+a step for burn-in, thinning and the acceptance rate.
 
-- At finite p, b = a + k with k uniform on {-R, ..., -1, 1, ..., R} and
-  R = min(2W, m - 1).  Every in-range unordered pair {a, b} is proposed
-  with probability 1 / (m R), half of it from either end, so the proposal
-  is symmetric and Metropolis acceptance min(1, exp(-delta_energy)) keeps
-  the Gibbs target.  The energy difference touches only the two affected
-  displacement terms, so a step is O(1).  The adjacent swaps alone
-  connect all of S_m, so the chain is irreducible.
-- At p = infinity, b is uniform on the 2V points other than a that lie
-  within V = min(W, 2n) of pi(a): with j uniform in [0, 2V), b = pi(a) -
-  V + j, plus one when that is >= a.  Every point of [-n, n] lies within
-  2n of pi(a), so V < W leaves out only points outside the interval.  The
-  swap puts pi(a) at b, within W by construction, so it is accepted iff
-  |pi(b) - a| <= W, that is iff the result stays in the band support S_W.
+- At finite p, a is uniform on the m = 2n+1 positions and b = a + k with k
+  uniform on {-R, ..., -1, 1, ..., R} and R = min(2W, m - 1).  Every
+  in-range unordered pair {a, b} is proposed with probability 1 / (m R),
+  half of it from either end, so the proposal is symmetric and Metropolis
+  acceptance min(1, exp(-delta_energy)) keeps the Gibbs target.  The energy
+  difference touches only the two affected displacement terms, so a step
+  is O(1).  The adjacent swaps alone connect all of S_m, so the chain is
+  irreducible.
+- At p = infinity the sites are scanned in order: step s, counted from 0
+  at the start of the chain, updates a = -n + (s mod m).  b is uniform on
+  the 2V points other than a that lie within V = min(W, 2n) of pi(a): with
+  j uniform in [0, 2V), b = pi(a) - V + j, plus one when that is >= a.
+  Every point of [-n, n] lies within 2n of pi(a), so V < W leaves out only
+  points outside the interval.  The swap puts pi(a) at b, within W by
+  construction, so it is accepted iff |pi(b) - a| <= W, that is iff the
+  result stays in the band support S_W.
 
-Why the p = infinity rule: the swap of the images at a and b stays in S_W
-only if pi(a) lies within W of b and pi(b) within W of a.  So every
-in-band swap is proposed from both of its ends, with probability
-1 / (V m) in all, and the swapped state proposes it back with the same
-probability: the proposal is symmetric on S_W and the uniform target is
-kept.  The finite-p offset rule would propose the same swap with
-probability 1 / (m R), so this kernel is R/V >= 1 times that one off the
-diagonal, with the same support and jump chain and less mass on the
-diagonal.  By Peskun's ordering (Peskun 1973; Tierney 1998) no
-observable's asymptotic variance is larger.  Under the offset rule,
-1/(2W) of the steps would go to offsets of +-2W, which never stay in S_W.
+Why the scan keeps the uniform target on S_W: let K_a be the step at site
+a, and sigma the state pi with the images at a and b swapped, both in S_W.
+K_a moves pi to sigma with probability 1 / (2V).  From sigma it proposes b
+back, because b lies within V of sigma(a) = pi(b) (|pi(b) - b| <= W, and
+<= 2n), and it accepts, because sigma(b) = pi(a) lies within W of a.  So
+every K_a is symmetric, hence doubly stochastic, and the uniform measure
+is stationary after every single step: once the chain is stationary, the
+retained states are stationary draws at any thinning.  The tests check
+exhaustively, at small (n, W), that each K_a is symmetric and that the
+sweep K_{-n} ... K_n is primitive, so that there the scan converges to the
+uniform measure from any start.
 
 Reproducibility contract: the random stream is numpy's PCG64 seeded with
-``SamplerConfig.seed``, consumed in blocks of ``_BLOCK`` steps.  Each block
-draws, in this order, one integer array of positions a, then at finite p
-one integer array of offset indices in [0, 2R) and one array of uniforms
-for the acceptance test, and at p = infinity one integer array of window
-indices j in [0, 2V).  Identical (params, config) therefore produce
-bit-identical sample streams on a fixed numpy version.  Parameter sweeps
-derive per-chain seeds with ``spawn_chain_seed(base_seed, chain_index)``.
+``SamplerConfig.seed``; a random-in-support start draws first.  The steps
+consume it in blocks of ``_BLOCK``.  At finite p each block draws, in this
+order, one integer array of positions a, one integer array of offset
+indices in [0, 2R) and one array of uniforms for the acceptance test.  At
+p = infinity each block draws only one integer array of window indices j
+in [0, 2V); the site is fixed by the step count.  Identical (params,
+config) therefore produce bit-identical sample streams on a fixed numpy
+version.  Parameter sweeps derive per-chain seeds with
+``spawn_chain_seed(base_seed, chain_index)``.
 """
 from __future__ import annotations
 
@@ -224,8 +228,9 @@ def _drive(
         image = list(range(-n, n + 1))
 
     infinite = params.infinite_p
-    V = min(W, 2 * n)  # half-width of the p = infinity partner's window
-    if not infinite:
+    if infinite:
+        V = min(W, 2 * n)  # half-width of the partner's window
+    else:
         offsets = _proposal_offsets(m, W)
         p = params.p
         wp = float(W) ** p
@@ -241,26 +246,31 @@ def _drive(
     step = 0
     while step < steps:
         block = min(_BLOCK, steps - step)
-        aa = rng.integers(0, m, size=block)
         if infinite:
             # b = pi(a) - V + j as a position index, skipping a itself
             jj = (rng.integers(0, 2 * V, size=block) + (n - V)).tolist()
-            for a, j in zip(aa.tolist(), jj):
-                pa = image[a]
-                b = pa + j
-                if b >= a:
-                    b += 1
-                if 0 <= b < m:
-                    pb = image[b]
-                    if abs(pb - (a - n)) <= W:
-                        image[a] = pb
-                        image[b] = pa
-                        accepted += 1
-                step += 1
+            base, end = step, step + block
+            # segments end at a retain point, a sweep end or the block end
+            while step < end:
+                first = step % m
+                stop = min(end, step + m - first, next_retain)
+                for a, j in enumerate(jj[step - base : stop - base], first):
+                    pa = image[a]
+                    b = pa + j
+                    if b >= a:
+                        b += 1
+                    if 0 <= b < m:
+                        pb = image[b]
+                        if abs(pb - a + n) <= W:
+                            image[a] = pb
+                            image[b] = pa
+                            accepted += 1
+                step = stop
                 if step == next_retain:
                     retain(step, image)
                     next_retain += thinning
         else:
+            aa = rng.integers(0, m, size=block)
             bb = (aa + offsets[rng.integers(0, len(offsets), size=block)]).tolist()
             aa = aa.tolist()
             logu = np.log(rng.random(size=block)).tolist()

@@ -262,7 +262,9 @@ def direct_recurrence_check(p, W, C0, c0, k_max):
     # the comparison rule of recurrence_check: only where f(k+1) is normal
     bad = (rhs > target * (1.0 + 1e-9)) & (target >= sys.float_info.min)
     first = int(np.argmax(bad)) if bad.any() else None
-    return analysis.RecurrenceResult(first is None, first, 1.0 / (C0 + W**-2))
+    compared = [k for k, t in enumerate(target) if t >= sys.float_info.min]
+    last = compared[-1] if compared else None
+    return analysis.RecurrenceResult(first is None, first, 1.0 / (C0 + W**-2), last)
 
 
 class TestRecurrenceClosedForm:
@@ -286,9 +288,10 @@ class TestRecurrenceClosedForm:
             np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=tiny, err_msg=f"c0={c0}")
             got = recurrence_check(p, W, 1.0, c0, k_max)
             want = direct_recurrence_check(p, W, 1.0, c0, k_max)
-            assert (got.propagated, got.first_failure_k) == (
+            assert (got.propagated, got.first_failure_k, got.last_compared_k) == (
                 want.propagated,
                 want.first_failure_k,
+                want.last_compared_k,
             ), f"c0={c0}"
 
     def test_largest_c0_matches_search_over_reference(self, monkeypatch):

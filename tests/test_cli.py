@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -143,8 +144,8 @@ GOLDEN_RUNS = {
             ),
         },
     ),
-    # the two p=inf chain runs were re-recorded when the p=inf proposal
-    # started drawing the partner within W of pi(a)
+    # the two p=inf chain runs were re-recorded when the p=inf chain started
+    # scanning its sites in order
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",
@@ -155,13 +156,13 @@ GOLDEN_RUNS = {
                 "47e203a800e3ba4e9cd36a951dcfc08d7726a17697891051256f365eecd7a5b8"
             ),
             "sample_summary_pinf_W1_n2_seed3.json": (
-                "a827554f1a580777d5734ea0cf40df2d085bac3bbd34432109b64ba8860737dc"
+                "d7498591ea5d5ae662abb6da907d21b506c1cebfe2d28babe987801462beb1cc"
             ),
             "samples_pinf_W1_n2_seed3.csv": (
-                "661aa8f3f9491a1e9043672ac57937fb153c526be2b6b8c61c4b1d82d0b1cf38"
+                "8e7f927426d1ffb262dc80532073c1a15851b85f9220edc7b251ee467b96c5a3"
             ),
             "tail_pinf_W1_n2_seed3.csv": (
-                "337025584b7b5468497e13e32ddcc0e561027a6af3dd82951c386bda44ec89d3"
+                "994777be26ddd6c1c3716b60ec43a471fc173d9b65822b2f056f6e662379b3eb"
             ),
         },
     ),
@@ -182,6 +183,7 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # re-recorded when each per_w entry gained last_compared_k
     "recurrence": (
         (
             "recurrence", "--p", "1", "--W-list", "1,2", "--C0", "1.0",
@@ -192,7 +194,7 @@ GOLDEN_RUNS = {
                 "d9939f53f5c0fbd0bab8154cb3a454e875e0dbaae9aa055584a16f9f99d25309"
             ),
             "recurrence_certificate_p1.json": (
-                "984627ff1a0ab0393d7907b1c1f20d06c2a56fb8a9dd66e1ef660fed33cef39b"
+                "e0280e317681893a443d3a3e7c9bc8bfa1021a8a9d881115aa4313789816f830"
             ),
             "recurrence_p1.csv": (
                 "5b2f4995bfc1982bc0d96c8675673d81cc962b5216853408d197baa2493e2be1"
@@ -209,19 +211,19 @@ GOLDEN_RUNS = {
                 "24b53d69e02f7881f6cb34bd2423c930849a1d47a5b293c3c58d5373ba85984d"
             ),
             "sweep_fits.csv": (
-                "e7b207b567f9b6dd00c024228833418161f941b58b919104e57971fe8f6d28e9"
+                "3026a43edada4f28f075c67ceaff8c073f0747663cc63664a112b9d921fd7167"
             ),
             "tail_fit_pinf_W1_n3_seed16920295385781661272.json": (
-                "6144892c4aba897186290bded8925dc7cf3fd5de48d8a3d93bf3e63d0e5c176f"
+                "435fc2a27b5ee9ed0b52eb7b18e3614c9ff048cecce2f29d1c6db9c6bbf26017"
             ),
             "tail_fit_pinf_W2_n3_seed6635463128224577688.json": (
-                "77f40e7b06ce1528ef7d9e2e6c89643459cbea1d9275f812ce6aadeb0ec04d11"
+                "c30fc90c8db64f09d4f79a200dd844e7d538a1bb941a1974e27a61d6297858df"
             ),
             "tail_pinf_W1_n3_seed16920295385781661272.csv": (
-                "3c6762614b5a9b7b33418e341d4d724b35c0febce3e2e93010379f1db4289a78"
+                "d8729535a540ea54e8d077ab141dc6382c7a2d5af888c369576c8b8de80afde4"
             ),
             "tail_pinf_W2_n3_seed6635463128224577688.csv": (
-                "607f36bbd56e1fa5e54b87cfe0456249e906f443cafdc760e910e99c0db6ef71"
+                "bfbac519c816d97418e2315a6f511a931418975fa890b6a243683831422181ce"
             ),
         },
     ),
@@ -775,6 +777,21 @@ class TestRecurrenceCommand:
         csv_lines = (tmp_path / "recurrence_p1.csv").read_text().splitlines()
         assert csv_lines[0] == "W,c0,propagated,first_failure_k"
         assert len(csv_lines) == 3
+
+    def test_certificate_names_the_last_compared_k(self, tmp_path):
+        # the searched c0 at C0 = 0.3 takes f(k+1) below the normal floats
+        # long before k_max = 2000 W^3; the comparison stops there, and the
+        # certificate says where
+        assert cli.main([
+            "recurrence", "--p", "1", "--W-list", "1:3", "--k-max-factor", "2000",
+            "--C0", "0.3", "--output-dir", str(tmp_path),
+        ]) == 0
+        cert = json.loads((tmp_path / "recurrence_certificate_p1.json").read_text())
+        for entry in cert["per_w"]:
+            W, last = entry["W"], entry["last_compared_k"]
+            assert last < entry["k_max"] - 1
+            f = 2.0 * np.exp(-entry["c0"] * np.array([last + 1, last + 2], dtype=float) / W**3)
+            assert f[0] >= sys.float_info.min > f[1]
 
 
 class TestSweepCommand:

@@ -154,6 +154,13 @@ class TestEnergy:
         with pytest.raises(DomainError):
             energy(Permutation.identity(2), ModelParams(p=1.0, W=1, n=3))
 
+    def test_small_energy_of_an_overflowing_sum(self):
+        # W^p = 8^341 = 2^1023: the endpoint swap's two terms 8^341 sum past
+        # the float maximum, but its energy is 2
+        swap = Permutation((4, -3, -2, -1, 0, 1, 2, 3, -4))
+        assert energy(swap, ModelParams(p=341.0, W=8, n=4)) == 2.0
+        assert energy(swap, ModelParams(p=340.0, W=8, n=4)) == 2.0
+
     def test_zero_only_at_identity(self):
         params = ModelParams(p=1.5, W=2, n=2)
         for img in itertools.permutations(range(-2, 3)):

@@ -23,6 +23,7 @@ from bandperm import (
     spawn_chain_seed,
     swap_images,
 )
+from bandperm import sampler
 from bandperm.sampler import _proposal_offsets, random_band_image
 
 
@@ -55,15 +56,32 @@ def band_step(pi, W, a, j):
     return pi
 
 
-def band_kernel(pi, W):
-    """One p=inf step from pi as {state: Fraction}, over the m 2 min(W, 2n)
-    equally likely outcomes (a, j)."""
-    n = pi.n
-    outcomes = [(a, j) for a in range(-n, n + 1) for j in range(2 * min(W, 2 * n))]
+def site_kernel(pi, W, a):
+    """One p=inf step at site a from pi as {state: Fraction}, over the
+    2 min(W, 2n) equally likely window indices j."""
+    V = min(W, 2 * pi.n)
     row = Counter()
-    for a, j in outcomes:
-        row[band_step(pi, W, a, j)] += Fraction(1, len(outcomes))
+    for j in range(2 * V):
+        row[band_step(pi, W, a, j)] += Fraction(1, 2 * V)
     return row
+
+
+def replay_band_chain(n, W, seed, steps, burn_in, thinning, block):
+    """The p=inf chain from the identity, replayed from its RNG contract:
+    each block of up to ``block`` steps draws its window indices j in one
+    call, and step s updates site -n + (s mod m).  Returns the retained
+    (step index, state) pairs and the final state."""
+    m = 2 * n + 1
+    rng = np.random.default_rng(seed)
+    pi = Permutation.identity(n)
+    retained = []
+    for start in range(0, steps, block):
+        jj = rng.integers(0, 2 * min(W, 2 * n), size=min(block, steps - start))
+        for s, j in enumerate(jj.tolist(), start):
+            pi = band_step(pi, W, -n + s % m, j)
+            if s + 1 > burn_in and (s + 1 - burn_in) % thinning == 0:
+                retained.append((s + 1, pi))
+    return retained, pi
 
 
 class TestConfig:
@@ -189,17 +207,17 @@ class TestDetailedBalance:
         # the chain's own first step from the identity, over fixed seeds: at
         # finite p each in-range pair {a, b} is proposed with probability
         # 1 / (m R) and then accepted with metropolis_acceptance; at p=inf
-        # the step follows the enumerated kernel of band_kernel
+        # the first step updates site -n and follows its site_kernel
         params = ModelParams(p=p, W=1, n=1)
         m, R = 3, 2
         ident = Permutation.identity(1)
-        band_row = band_kernel(ident, 1)
+        site_row = site_kernel(ident, 1, -1)
         seeds = 20_000
         one_step = (SamplerConfig(seed=s, steps=1, burn_in=0, thinning=1) for s in range(seeds))
         finals = Counter(run_chain(params, cfg).final_state for cfg in one_step)
         for a, b in ((-1, 0), (0, 1), (-1, 1)):
             if params.infinite_p:
-                expected = float(band_row[swap_images(ident, a, b)])
+                expected = float(site_row[swap_images(ident, a, b)])
             else:
                 expected = metropolis_acceptance(params, ident, a, b) / (m * R)
             got = finals.pop(swap_images(ident, a, b), 0) / seeds
@@ -210,45 +228,84 @@ class TestDetailedBalance:
         "n,W", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (1, 3), (2, 5)]
     )
     def test_band_kernel_is_symmetric_and_scales_the_offset_rule(self, n, W):
-        # exact one-step kernel over every member of S_W: symmetric, so the
-        # uniform measure is stationary, and off the diagonal R/V >= 1 times
-        # the offset rule's 1 / (m R) for every in-band pair at most R apart,
-        # with V = min(W, 2n) (V = W on every band with W <= 2n)
+        # exact site kernels K_a over every member of S_W: each is stochastic
+        # and symmetric, so the uniform measure is stationary after every
+        # step of the scan; the sweep K_{-n} ... K_n is primitive (some
+        # power of it is positive), so the scan converges to that measure;
+        # and over one sweep each in-band pair at most R = min(2W, 2n) apart
+        # is proposed R/V >= 1 times as often as in m steps of the offset
+        # rule, with V = min(W, 2n)
         m, R, V = 2 * n + 1, min(2 * W, 2 * n), min(W, 2 * n)
         members = list(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
-        kernel = {pi: band_kernel(pi, W) for pi in members}
-        for pi, row in kernel.items():
-            assert sum(row.values()) == 1
+        index = {pi: i for i, pi in enumerate(members)}
+        sweep = np.eye(len(members), dtype=int)
+        per_sweep = {pi: Counter() for pi in members}
+        for a in range(-n, n + 1):
+            kernel = {pi: site_kernel(pi, W, a) for pi in members}
+            support = np.zeros_like(sweep)
+            for pi, row in kernel.items():
+                assert sum(row.values()) == 1
+                for nxt, t in row.items():
+                    assert kernel[nxt][pi] == t
+                    support[index[pi], index[nxt]] = 1
+                    if nxt != pi:
+                        per_sweep[pi][nxt] += t
+            sweep = np.minimum(sweep @ support, 1)
+        power = sweep
+        for _ in range(len(members)):
+            if power.all():
+                break
+            power = np.minimum(power @ sweep, 1)
+        assert power.all()
+        for pi in members:
             offset_rule = Counter()
             for a in range(-n, n + 1):
                 for b in range(a + 1, min(a + R, n) + 1):
                     nxt = swap_images(pi, a, b)
                     if in_support(nxt, W):
-                        offset_rule[nxt] += Fraction(1, m * R)
-            row = {nxt: t for nxt, t in row.items() if nxt != pi}
-            assert row == {nxt: t * Fraction(R, V) for nxt, t in offset_rule.items()}
-            for nxt, t in row.items():
-                assert kernel[nxt][pi] == t
+                        offset_rule[nxt] += Fraction(1, R)
+            assert per_sweep[pi] == {nxt: t * Fraction(R, V) for nxt, t in offset_rule.items()}
 
     @pytest.mark.parametrize("n,W", [(1, 1), (2, 2), (3, 1), (4, 2), (1, 3)])
     def test_chain_step_follows_drawn_window_index(self, n, W):
-        # replay the RNG contract: the start consumes the stream, then a
-        # one-step block draws a position a and a window index j; the
-        # chain's state after it is band_step's for that outcome
+        # replay the RNG contract over m + 2 steps, across a sweep boundary:
+        # the start consumes the stream, then one block draws m + 2 window
+        # indices j, and step s updates site -n + (s mod m); the chain's
+        # state after it is band_step's for those outcomes
         params = ModelParams(p=INFINITY, W=W, n=n)
-        outcomes = set()
+        m = 2 * n + 1
+        moved = set()
         for seed in range(300):
             cfg = SamplerConfig(
-                seed=seed, steps=1, initial_state=InitialState.RANDOM_IN_SUPPORT
+                seed=seed, steps=m + 2, initial_state=InitialState.RANDOM_IN_SUPPORT
             )
             rng = np.random.default_rng(seed)
-            start = Permutation(tuple(random_band_image(n, W, rng)))
-            a = int(rng.integers(0, 2 * n + 1, size=1)[0]) - n
-            j = int(rng.integers(0, 2 * min(W, 2 * n), size=1)[0])
-            nxt = band_step(start, W, a, j)
-            assert run_chain(params, cfg).final_state == nxt
-            outcomes.add(nxt == start)
-        assert outcomes == {True, False}
+            pi = Permutation(tuple(random_band_image(n, W, rng)))
+            for s, j in enumerate(rng.integers(0, 2 * min(W, 2 * n), size=m + 2).tolist()):
+                nxt = band_step(pi, W, -n + s % m, j)
+                moved.add(nxt != pi)
+                pi = nxt
+            assert run_chain(params, cfg).final_state == pi
+        assert moved == {True, False}
+
+    @pytest.mark.parametrize(
+        "steps,burn_in,thinning", [(40, 4, 3), (40, 0, 5), (37, 12, 7), (23, 23, 1)]
+    )
+    def test_scan_retains_the_replayed_states(self, monkeypatch, steps, burn_in, thinning):
+        # blocks of 6 steps at m = 5 make retain points, sweep ends and block
+        # ends fall in every order; each retained state and its step index
+        # must be the replay's
+        monkeypatch.setattr(sampler, "_BLOCK", 6)
+        params = ModelParams(p=INFINITY, W=1, n=2)
+        cfg = SamplerConfig(seed=11, steps=steps, burn_in=burn_in, thinning=thinning)
+        seen = []
+        summary = sampler._drive(
+            params, cfg, lambda step, image: seen.append((step, Permutation(tuple(image))))
+        )
+        retained, final = replay_band_chain(2, 1, 11, steps, burn_in, thinning, 6)
+        assert seen == retained
+        assert summary.final_state == final
+        assert summary.retained_samples == len(retained) == cfg.retained_count
 
     def test_band_acceptance_is_indicator(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
@@ -389,18 +446,16 @@ class TestObservables:
         assert [r.step_index for r in records] == [40, 70, 100]
 
     def test_stuck_chain_reports_zeros(self):
-        # seed 27 draws only rejected proposals: five partners outside the
-        # interval (a = -1 with j = 0, or a = 1 with j = 1), the third of the
-        # outcomes that the identity rejects (self-validating via the
-        # acceptance rate)
+        # seed 27's one step, at site -1, draws the partner -2 outside the
+        # interval (j = 0), so the chain stays at the identity: the only
+        # rejection the identity at W=1, n=1 can meet, since site 0 always
+        # moves (self-validating via the acceptance rate)
         params = ModelParams(p=INFINITY, W=1, n=1)
-        cfg = SamplerConfig(seed=27, steps=5, burn_in=0, thinning=1)
+        cfg = SamplerConfig(seed=27, steps=1, burn_in=0, thinning=1)
         records = []
         summary = sample_cycle_observables(params, cfg, 0, records.append)
         assert summary.acceptance_rate == 0.0
-        assert len(records) == 5
-        for rec in records:
-            assert (rec.diam, rec.displacement0) == (0, 0)
+        assert [(rec.diam, rec.displacement0) for rec in records] == [(0, 0)]
 
     def test_rejects_bad_base_point(self):
         params = ModelParams(p=1.0, W=1, n=1)
