@@ -8,9 +8,10 @@ image-swap move.  Each primitive is written once over a raw image tuple
 (``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``);
 the Permutation-level functions validate their arguments and delegate to
 it, the sampler calls ``orbit`` on its live state, and the tests' per-image
-reference calls them all.  The exhaustive layers work on numpy tables of
-images, one image per row: ``_orbit_table`` is the orbit walk over such a
-table.
+reference calls them all.  The scaled energy terms are written once too,
+as the ``displacement_costs`` table that ``energy`` and the sampler read.
+The exhaustive layers work on numpy tables of images, one image per row:
+``_orbit_table`` is the orbit walk over such a table.
 
 All operations are pure: inputs are never mutated and results are fresh
 values, so they are safe to call from concurrent workers.
@@ -205,11 +206,32 @@ def displacement_powers(n: int, p: float) -> tuple[float, ...]:
     return tuple(float(d) ** p for d in range(2 * n + 1))
 
 
-def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float:
-    """sum_i |pi(i) - i|^p over an image tuple, accumulated from i = -n up.
+def displacement_costs(params: ModelParams) -> tuple[float, ...]:
+    """The scaled table (d / W)^p for every displacement d = 0, ..., 2n.
 
-    The terms are read from powers, the :func:`displacement_powers` table of
-    the image's interval and exponent.
+    :func:`energy`, the chain and its acceptance probability read their
+    terms here.  Scaling before the power keeps every term finite that is
+    finite: at p=341, W=8, n=8 the largest is 2^341, although 16^341 passes
+    the float maximum.  A term that itself passes the maximum is inf.
+    Python's float power is used, as in :func:`displacement_powers`, so the
+    table is the same on every host.
+    """
+    W, p = params.W, float(params.p)
+    costs = []
+    for d in range(2 * params.n + 1):
+        try:
+            costs.append((d / W) ** p)
+        except OverflowError:
+            costs.append(INFINITY)
+    return tuple(costs)
+
+
+def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float:
+    """sum_i powers[|pi(i) - i|] over an image tuple, accumulated from i = -n up.
+
+    powers is a per-displacement table of the image's interval: the
+    :func:`displacement_powers` d^p or the :func:`displacement_costs`
+    (d / W)^p.
     """
     n = len(image) // 2
     total = 0.0
@@ -219,14 +241,14 @@ def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float
 
 
 def energy(pi: Permutation, params: ModelParams) -> float:
-    """Displacement energy (1/W^p) * sum_i |pi(i) - i|^p, finite p only.
+    """Displacement energy sum_i (|pi(i) - i| / W)^p, finite p only.
 
     Zero exactly when pi is the identity.  At p = infinity there is no
     energy, only support membership; use :func:`in_support` instead.
-    The terms are scaled before they are added, as d^p / W^p, so a small
-    energy stays finite where the unscaled sum would overflow: 2 for the
-    endpoint swap at p=341, W=8, n=4, whose two terms 8^341 sum past the
-    float maximum.
+    The terms are the scaled :func:`displacement_costs`, so a small energy
+    stays finite where the unscaled sum would overflow: 2 for the endpoint
+    swap at p=341, W=8, n=4, whose two terms 8^341 sum past the float
+    maximum.
     """
     if params.infinite_p:
         raise UnsupportedExponentError(
@@ -237,8 +259,7 @@ def energy(pi: Permutation, params: ModelParams) -> float:
             f"params are for [-{params.n}, {params.n}] but permutation is "
             f"for [-{pi.n}, {pi.n}]"
         )
-    wp = float(params.W) ** params.p
-    return displacement_sum(pi.image, [d / wp for d in displacement_powers(pi.n, params.p)])
+    return displacement_sum(pi.image, displacement_costs(params))
 
 
 def max_displacement(pi: Permutation) -> int:

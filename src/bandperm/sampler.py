@@ -1,58 +1,59 @@
 """Seeded Metropolis chain over local image-swaps targeting the Gibbs measure.
 
-Each step proposes swapping the images at a site a and a partner b.  When b
-falls outside the interval the step is a rejected step: it still counts as
-a step for burn-in, thinning and the acceptance rate.
+The chain scans the sites in order at every p: step s, counted from 0 at
+the start of the chain, updates site a = -n + (s mod m), m = 2n+1, by
+proposing to swap the images at a and a partner b.  b is uniform on the 2H
+points other than a that lie within H of a centre c: with j uniform in
+[0, 2H), b = c - H + j, plus one when that is >= a.  When b falls outside
+the interval the step is a rejected step: it still counts as a step for
+burn-in, thinning and the acceptance rate.
 
-- At finite p, a is uniform on the m = 2n+1 positions and b = a + k with k
-  uniform on {-R, ..., -1, 1, ..., R} and R = min(2W, m - 1).  Every
-  in-range unordered pair {a, b} is proposed with probability 1 / (m R),
-  half of it from either end, so the proposal is symmetric and Metropolis
-  acceptance min(1, exp(-delta_energy)) keeps the Gibbs target.  The energy
-  difference touches only the two affected displacement terms, so a step
-  is O(1).  The adjacent swaps alone connect all of S_m, so the chain is
-  irreducible.
-- At p = infinity the sites are scanned in order: step s, counted from 0
-  at the start of the chain, updates a = -n + (s mod m).  b is uniform on
-  the 2V points other than a that lie within V = min(W, 2n) of pi(a): with
-  j uniform in [0, 2V), b = pi(a) - V + j, plus one when that is >= a.
-  Every point of [-n, n] lies within 2n of pi(a), so V < W leaves out only
-  points outside the interval.  The swap puts pi(a) at b, within W by
-  construction, so it is accepted iff |pi(b) - a| <= W, that is iff the
-  result stays in the band support S_W.
+- At finite p, c = a and H = R = min(2W, 2n).  The swap is accepted with
+  probability min(1, exp(-delta_energy)).  The energy difference touches
+  only the two affected terms of ``core.displacement_costs``, so a step is
+  O(1).  The adjacent swaps alone connect all of S_m, and every sweep
+  proposes each of them, so the chain is irreducible.
+- At p = infinity, c = pi(a) and H = V = min(W, 2n).  Every point of
+  [-n, n] lies within 2n of pi(a), so V < W leaves out only points outside
+  the interval.  The swap puts pi(a) at b, within W by construction, so it
+  is accepted iff |pi(b) - a| <= W, that is iff the result stays in the
+  band support S_W.
 
-Why the scan keeps the uniform target on S_W: let K_a be the step at site
-a, and sigma the state pi with the images at a and b swapped, both in S_W.
-K_a moves pi to sigma with probability 1 / (2V).  From sigma it proposes b
-back, because b lies within V of sigma(a) = pi(b) (|pi(b) - b| <= W, and
-<= 2n), and it accepts, because sigma(b) = pi(a) lies within W of a.  So
-every K_a is symmetric, hence doubly stochastic, and the uniform measure
+Why the scan keeps the target: let K_a be the step at site a, and sigma the
+state pi with the images at a and b swapped.  At finite p, K_a proposes b
+with probability 1 / (2R) whatever the state, so from sigma it proposes the
+same swap back with the same probability, and Metropolis acceptance makes
+K_a reversible for the Gibbs measure.  At p = infinity, with pi and sigma
+both in S_W, K_a moves pi to sigma with probability 1 / (2V).  From sigma it
+proposes b back, because b lies within V of sigma(a) = pi(b)
+(|pi(b) - b| <= W, and <= 2n), and it accepts, because sigma(b) = pi(a)
+lies within W of a.  So every K_a is symmetric, hence doubly stochastic,
+and the uniform measure on S_W is reversible for it.  Either way the target
 is stationary after every single step: once the chain is stationary, the
 retained states are stationary draws at any thinning.  The tests check
-exhaustively, at small (n, W), that each K_a is symmetric and that the
-sweep K_{-n} ... K_n is primitive, so that there the scan converges to the
-uniform measure from any start.
+exhaustively, at small (n, W), that each K_a satisfies detailed balance and
+that the sweep K_{-n} ... K_n is primitive, so that there the scan
+converges to the target from any start.
 
 Reproducibility contract: the random stream is numpy's PCG64 seeded with
 ``SamplerConfig.seed``; a random-in-support start draws first.  The steps
-consume it in blocks of ``_BLOCK``.  At finite p each block draws, in this
-order, one integer array of positions a, one integer array of offset
-indices in [0, 2R) and one array of uniforms for the acceptance test.  At
-p = infinity each block draws only one integer array of window indices j
-in [0, 2V); the site is fixed by the step count.  Identical (params,
-config) therefore produce bit-identical sample streams on a fixed numpy
-version.  Parameter sweeps derive per-chain seeds with
+consume it in blocks of ``_BLOCK``.  Each block draws one integer array of
+partner indices j in [0, 2H) and, at finite p, one array of uniforms for
+the acceptance test after it; the site is fixed by the step count.
+Identical (params, config) therefore produce bit-identical sample streams
+on a fixed numpy version.  Parameter sweeps derive per-chain seeds with
 ``spawn_chain_seed(base_seed, chain_index)``.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ModelParams, Permutation, orbit
+from .core import ModelParams, Permutation, displacement_costs, displacement_sum, orbit
 
 # Proposals are pre-generated in blocks of this size; the block size is part
 # of the algorithm definition because it fixes the RNG call pattern.
@@ -70,8 +71,9 @@ class SamplerConfig:
 
     After the first ``burn_in`` proposals, every ``thinning``-th state is
     retained, so floor((steps - burn_in) / thinning) samples are produced.
-    ``debug_energy_check`` recomputes the full energy at every retained state
-    and asserts agreement with the incremental bookkeeping to within 1e-9.
+    At finite p, ``debug_energy_check`` recomputes the full energy at every
+    retained state and asserts agreement with the incremental bookkeeping to
+    within 1e-9.
     """
 
     seed: int
@@ -185,26 +187,20 @@ def metropolis_acceptance(
     """Probability that the image-swap proposal (a, b) is accepted from pi.
 
     min(1, exp(-delta_energy)) for finite p; for infinite p, 1 when the swap
-    stays in S_W and 0 otherwise.
+    stays in S_W and 0 otherwise.  The terms are the
+    :func:`core.displacement_costs`; from a state whose energy is inf (a term
+    past the float maximum, never visited by the chain) the ratio of the
+    two weights is 0/0, and the result can be nan.
     """
     pa, pb = pi(a), pi(b)
     if params.infinite_p:
         W = params.W
         return 1.0 if abs(pb - a) <= W and abs(pa - b) <= W else 0.0
-    p, W = params.p, params.W
+    costs = displacement_costs(params)
     delta = (
-        abs(pb - a) ** p + abs(pa - b) ** p - abs(pa - a) ** p - abs(pb - b) ** p
-    ) / W**p
-    return min(1.0, float(np.exp(-delta)))
-
-
-def _proposal_offsets(m: int, W: int) -> np.ndarray:
-    """The offsets -R, ..., -1, 1, ..., R with R = min(2W, m - 1), in order.
-
-    A drawn offset index i in [0, 2R) proposes b = a + offsets[i].
-    """
-    R = min(2 * W, m - 1)
-    return np.concatenate((np.arange(-R, 0), np.arange(1, R + 1)))
+        costs[abs(pb - a)] + costs[abs(pa - b)] - costs[abs(pa - a)] - costs[abs(pb - b)]
+    )
+    return 1.0 if delta <= 0.0 else math.exp(-delta)
 
 
 def _drive(
@@ -228,32 +224,31 @@ def _drive(
         image = list(range(-n, n + 1))
 
     infinite = params.infinite_p
-    if infinite:
-        V = min(W, 2 * n)  # half-width of the partner's window
-    else:
-        offsets = _proposal_offsets(m, W)
-        p = params.p
-        wp = float(W) ** p
-        costs = [d**p / wp for d in range(2 * n + 1)]
-        running_energy = sum(
-            costs[abs(v - (k - n))] for k, v in enumerate(image)
-        )
+    # the partner's window has half-width H around pi(a) at p=inf and
+    # around a at finite p; j + shift is b - centre as a position index
+    # (pi(a) is a point, hence the n), before a itself is skipped
+    H = min(W, 2 * n) if infinite else min(2 * W, 2 * n)
+    shift = n - H if infinite else -H
+    if not infinite:
+        costs = displacement_costs(params)
+        running_energy = displacement_sum(image, costs)
 
-    debug = config.debug_energy_check
+    debug = config.debug_energy_check and not infinite
     thinning = config.thinning
     next_retain = config.burn_in + thinning
     accepted = 0
     step = 0
     while step < steps:
         block = min(_BLOCK, steps - step)
-        if infinite:
-            # b = pi(a) - V + j as a position index, skipping a itself
-            jj = (rng.integers(0, 2 * V, size=block) + (n - V)).tolist()
-            base, end = step, step + block
-            # segments end at a retain point, a sweep end or the block end
-            while step < end:
-                first = step % m
-                stop = min(end, step + m - first, next_retain)
+        jj = (rng.integers(0, 2 * H, size=block) + shift).tolist()
+        if not infinite:
+            logu = np.log(rng.random(size=block)).tolist()
+        base, end = step, step + block
+        # segments end at a retain point, a sweep end or the block end
+        while step < end:
+            first = step % m
+            stop = min(end, step + m - first, next_retain)
+            if infinite:
                 for a, j in enumerate(jj[step - base : stop - base], first):
                     pa = image[a]
                     b = pa + j
@@ -265,44 +260,40 @@ def _drive(
                             image[a] = pb
                             image[b] = pa
                             accepted += 1
-                step = stop
-                if step == next_retain:
-                    retain(step, image)
-                    next_retain += thinning
-        else:
-            aa = rng.integers(0, m, size=block)
-            bb = (aa + offsets[rng.integers(0, len(offsets), size=block)]).tolist()
-            aa = aa.tolist()
-            logu = np.log(rng.random(size=block)).tolist()
-            for a, b, lu in zip(aa, bb, logu):
-                if 0 <= b < m:
-                    pa = image[a]
-                    pb = image[b]
-                    delta = (
-                        costs[abs(pb - a + n)]
-                        + costs[abs(pa - b + n)]
-                        - costs[abs(pa - a + n)]
-                        - costs[abs(pb - b + n)]
-                    )
-                    if delta <= 0.0 or lu < -delta:
-                        image[a] = pb
-                        image[b] = pa
-                        accepted += 1
-                        if debug:
-                            running_energy += delta
-                step += 1
-                if step == next_retain:
-                    if debug:
-                        fresh = sum(
-                            costs[abs(v - (k - n))] for k, v in enumerate(image)
+            else:
+                segment = zip(
+                    range(first, m), jj[step - base : stop - base], logu[step - base : stop - base]
+                )
+                for a, j, lu in segment:
+                    b = a + j
+                    if b >= a:
+                        b += 1
+                    if 0 <= b < m:
+                        pa = image[a]
+                        pb = image[b]
+                        delta = (
+                            costs[abs(pb - a + n)]
+                            + costs[abs(pa - b + n)]
+                            - costs[abs(pa - a + n)]
+                            - costs[abs(pb - b + n)]
                         )
-                        if abs(fresh - running_energy) > 1e-9:
-                            raise AssertionError(
-                                f"incremental energy drift {running_energy} vs "
-                                f"recomputed {fresh} at step {step}"
-                            )
-                    retain(step, image)
-                    next_retain += thinning
+                        if delta <= 0.0 or lu < -delta:
+                            image[a] = pb
+                            image[b] = pa
+                            accepted += 1
+                            if debug:
+                                running_energy += delta
+            step = stop
+            if step == next_retain:
+                if debug:
+                    fresh = displacement_sum(image, costs)
+                    if abs(fresh - running_energy) > 1e-9:
+                        raise AssertionError(
+                            f"incremental energy drift {running_energy} vs "
+                            f"recomputed {fresh} at step {step}"
+                        )
+                retain(step, image)
+                next_retain += thinning
     rate = accepted / steps if steps else 0.0
     return ChainSummary(config.retained_count, rate, Permutation(tuple(image)))
 

@@ -144,8 +144,9 @@ GOLDEN_RUNS = {
             ),
         },
     ),
-    # the two p=inf chain runs were re-recorded when the p=inf chain started
-    # scanning its sites in order
+    # the p=inf chain runs were re-recorded when the p=inf chain started
+    # scanning its sites in order, and the p=1 `tail` run when the finite-p
+    # chain did too
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",
@@ -176,10 +177,10 @@ GOLDEN_RUNS = {
                 "4bd18cbac13481e00c263ccf8974d34cb3d7e3b3e4c5a064b280f03546c1bbfc"
             ),
             "tail_fit_p1_W2_n3_seed5.json": (
-                "bb46ff3f2df64a54581ca9fa1e08ce918b240912873a1e845f63323aef9ff520"
+                "b34d1258b6f42db615923f0c294faa5e0e866f368ae73f8c9eeace4ebdc060df"
             ),
             "tail_p1_W2_n3_seed5.csv": (
-                "3ff28cb22f4001ccc678a9afd96721eec5624faa58a05011ab523cbf748cef87"
+                "62759aa5e9d88357a65edfa16aca0f57e22f61f29ff24ff6b0f0e6f6d5ad69f2"
             ),
         },
     ),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from bandperm import (
     reflect,
     swap_images,
 )
+from bandperm.core import displacement_costs
 from conftest import interval_permutations, orbit_by_iteration
 
 
@@ -160,6 +162,16 @@ class TestEnergy:
         swap = Permutation((4, -3, -2, -1, 0, 1, 2, 3, -4))
         assert energy(swap, ModelParams(p=341.0, W=8, n=4)) == 2.0
         assert energy(swap, ModelParams(p=340.0, W=8, n=4)) == 2.0
+
+    def test_energy_where_unscaled_powers_overflow(self):
+        # 16^341 passes the float maximum, but every (d / 8)^341 is finite
+        assert energy(Permutation.identity(8), ModelParams(p=341.0, W=8, n=8)) == 0.0
+
+    def test_costs_past_the_float_maximum_are_inf(self):
+        costs = displacement_costs(ModelParams(p=341.0, W=1, n=8))
+        assert costs[:2] == (0.0, 1.0)
+        assert costs[8] == 2.0**1023
+        assert costs[9:] == (math.inf,) * 8
 
     def test_zero_only_at_identity(self):
         params = ModelParams(p=1.5, W=2, n=2)

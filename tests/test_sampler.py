@@ -24,7 +24,7 @@ from bandperm import (
     swap_images,
 )
 from bandperm import sampler
-from bandperm.sampler import _proposal_offsets, random_band_image
+from bandperm.sampler import random_band_image
 
 
 def empirical_distribution(params, config):
@@ -66,19 +66,71 @@ def site_kernel(pi, W, a):
     return row
 
 
-def replay_band_chain(n, W, seed, steps, burn_in, thinning, block):
-    """The p=inf chain from the identity, replayed from its RNG contract:
-    each block of up to ``block`` steps draws its window indices j in one
-    call, and step s updates site -n + (s mod m).  Returns the retained
-    (step index, state) pairs and the final state."""
+def finite_partners(n, W, a):
+    """The finite-p chain's partners at site a, in window-index order: the
+    2R points other than a within R = min(2W, 2n) of a, in increasing order."""
+    R = min(2 * W, 2 * n)
+    return [x for x in range(a - R, a + R + 1) if x != a]
+
+
+def finite_site_kernel(pi, params, a):
+    """One finite-p step at site a from pi as {state: probability}, over the
+    equally likely window indices j; an in-range partner b is accepted with
+    metropolis_acceptance."""
+    partners = finite_partners(pi.n, params.W, a)
+    row = Counter()
+    for b in partners:
+        acc = metropolis_acceptance(params, pi, a, b) if -pi.n <= b <= pi.n else 0.0
+        if acc:
+            row[swap_images(pi, a, b)] += acc / len(partners)
+        row[pi] += (1 - acc) / len(partners)
+    return row
+
+
+def assert_sweep_primitive(states, kernels):
+    """Some power of the sweep K_{-n} ... K_n is positive, as boolean support
+    over states; kernels are the site kernels {state: row} in scan order."""
+    index = {pi: i for i, pi in enumerate(states)}
+    sweep = np.eye(len(states))  # 0/1 floats, so the products run in BLAS
+    for kernel in kernels:
+        support = np.zeros_like(sweep)
+        for pi, row in kernel.items():
+            for nxt, t in row.items():
+                if t:
+                    support[index[pi], index[nxt]] = 1
+        sweep = np.minimum(sweep @ support, 1)
+    # squaring reaches powers past Wielandt's bound (k - 1)^2 + 1 on k states
+    for _ in range(2 * len(states).bit_length()):
+        if sweep.all():
+            break
+        sweep = np.minimum(sweep @ sweep, 1)
+    assert sweep.all()
+
+
+def replay_chain(params, seed, steps, burn_in, thinning, block):
+    """The chain from the identity, replayed from its RNG contract: each
+    block of up to ``block`` steps draws its window indices j in one call
+    and, at finite p, its uniforms u in a second, and step s updates site
+    -n + (s mod m).  Returns the retained (step index, state) pairs and the
+    final state."""
+    n, W = params.n, params.W
     m = 2 * n + 1
+    H = min(W, 2 * n) if params.infinite_p else min(2 * W, 2 * n)
     rng = np.random.default_rng(seed)
     pi = Permutation.identity(n)
     retained = []
     for start in range(0, steps, block):
-        jj = rng.integers(0, 2 * min(W, 2 * n), size=min(block, steps - start))
-        for s, j in enumerate(jj.tolist(), start):
-            pi = band_step(pi, W, -n + s % m, j)
+        size = min(block, steps - start)
+        jj = rng.integers(0, 2 * H, size=size).tolist()
+        uu = [None] * size if params.infinite_p else rng.random(size=size).tolist()
+        for s, j, u in zip(range(start, start + size), jj, uu):
+            a = -n + s % m
+            if params.infinite_p:
+                pi = band_step(pi, W, a, j)
+            else:
+                b = finite_partners(n, W, a)[j]
+                if -n <= b <= n and u < metropolis_acceptance(params, pi, a, b):
+                    pi = swap_images(pi, a, b)
             if s + 1 > burn_in and (s + 1 - burn_in) % thinning == 0:
                 retained.append((s + 1, pi))
     return retained, pi
@@ -177,6 +229,16 @@ class TestChainBasics:
         )
         run_chain(params, cfg)
 
+    def test_large_p_chain_runs(self):
+        # every (d / W)^p is finite at W=8, though 16^341 passes the float
+        # maximum; at W=1 the terms past 8 are inf and those swaps are
+        # rejected
+        summary = run_chain(ModelParams(p=341.0, W=8, n=8), SamplerConfig(seed=1, steps=100))
+        assert summary.retained_samples == 100
+        params = ModelParams(p=341.0, W=1, n=8)
+        cfg = SamplerConfig(seed=1, steps=2_000, thinning=17, debug_energy_check=True)
+        assert math.isfinite(energy(run_chain(params, cfg).final_state, params))
+
     def test_spawn_chain_seed(self):
         a = spawn_chain_seed(7, 0)
         b = spawn_chain_seed(7, 1)
@@ -204,25 +266,45 @@ class TestDetailedBalance:
 
     @pytest.mark.parametrize("p", [1.0, INFINITY])
     def test_chain_one_step_kernel_matches_reference(self, p):
-        # the chain's own first step from the identity, over fixed seeds: at
-        # finite p each in-range pair {a, b} is proposed with probability
-        # 1 / (m R) and then accepted with metropolis_acceptance; at p=inf
-        # the first step updates site -n and follows its site_kernel
+        # the chain's own first step from the identity, over fixed seeds,
+        # updates site -n and follows that site's kernel: at finite p each
+        # in-range partner b comes up with probability 1 / (2R) and is then
+        # accepted with metropolis_acceptance
         params = ModelParams(p=p, W=1, n=1)
-        m, R = 3, 2
         ident = Permutation.identity(1)
-        site_row = site_kernel(ident, 1, -1)
+        if params.infinite_p:
+            site_row = site_kernel(ident, 1, -1)
+        else:
+            site_row = finite_site_kernel(ident, params, -1)
         seeds = 20_000
         one_step = (SamplerConfig(seed=s, steps=1, burn_in=0, thinning=1) for s in range(seeds))
         finals = Counter(run_chain(params, cfg).final_state for cfg in one_step)
         for a, b in ((-1, 0), (0, 1), (-1, 1)):
-            if params.infinite_p:
-                expected = float(site_row[swap_images(ident, a, b)])
-            else:
-                expected = metropolis_acceptance(params, ident, a, b) / (m * R)
+            expected = float(site_row[swap_images(ident, a, b)])
             got = finals.pop(swap_images(ident, a, b), 0) / seeds
             assert abs(got - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
         assert set(finals) == {ident}
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    @pytest.mark.parametrize("n,W", [(1, 1), (2, 1), (2, 2), (1, 3)])
+    def test_finite_site_kernels_reversible_and_sweep_primitive(self, n, W, p):
+        # exact site kernels K_a over all of S_m: each is stochastic and in
+        # detailed balance with the Gibbs weights, so the Gibbs measure is
+        # stationary after every step of the scan; the sweep K_{-n} ... K_n
+        # is primitive, so the scan converges to that measure
+        params = ModelParams(p=p, W=W, n=n)
+        states = list(enumerate_permutations(params))
+        gibbs = {pi: math.exp(-energy(pi, params)) for pi in states}
+        kernels = []
+        for a in range(-n, n + 1):
+            kernel = {pi: finite_site_kernel(pi, params, a) for pi in states}
+            for pi, row in kernel.items():
+                assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+                for nxt, t in row.items():
+                    back = gibbs[nxt] * kernel[nxt][pi]
+                    assert gibbs[pi] * t == pytest.approx(back, rel=1e-12)
+            kernels.append(kernel)
+        assert_sweep_primitive(states, kernels)
 
     @pytest.mark.parametrize(
         "n,W", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (1, 3), (2, 5)]
@@ -237,26 +319,18 @@ class TestDetailedBalance:
         # rule, with V = min(W, 2n)
         m, R, V = 2 * n + 1, min(2 * W, 2 * n), min(W, 2 * n)
         members = list(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
-        index = {pi: i for i, pi in enumerate(members)}
-        sweep = np.eye(len(members), dtype=int)
         per_sweep = {pi: Counter() for pi in members}
+        kernels = []
         for a in range(-n, n + 1):
             kernel = {pi: site_kernel(pi, W, a) for pi in members}
-            support = np.zeros_like(sweep)
             for pi, row in kernel.items():
                 assert sum(row.values()) == 1
                 for nxt, t in row.items():
                     assert kernel[nxt][pi] == t
-                    support[index[pi], index[nxt]] = 1
                     if nxt != pi:
                         per_sweep[pi][nxt] += t
-            sweep = np.minimum(sweep @ support, 1)
-        power = sweep
-        for _ in range(len(members)):
-            if power.all():
-                break
-            power = np.minimum(power @ sweep, 1)
-        assert power.all()
+            kernels.append(kernel)
+        assert_sweep_primitive(members, kernels)
         for pi in members:
             offset_rule = Counter()
             for a in range(-n, n + 1):
@@ -293,19 +367,20 @@ class TestDetailedBalance:
     )
     def test_scan_retains_the_replayed_states(self, monkeypatch, steps, burn_in, thinning):
         # blocks of 6 steps at m = 5 make retain points, sweep ends and block
-        # ends fall in every order; each retained state and its step index
-        # must be the replay's
+        # ends fall in every order; at both p each retained state and its
+        # step index must be the replay's
         monkeypatch.setattr(sampler, "_BLOCK", 6)
-        params = ModelParams(p=INFINITY, W=1, n=2)
         cfg = SamplerConfig(seed=11, steps=steps, burn_in=burn_in, thinning=thinning)
-        seen = []
-        summary = sampler._drive(
-            params, cfg, lambda step, image: seen.append((step, Permutation(tuple(image))))
-        )
-        retained, final = replay_band_chain(2, 1, 11, steps, burn_in, thinning, 6)
-        assert seen == retained
-        assert summary.final_state == final
-        assert summary.retained_samples == len(retained) == cfg.retained_count
+        for p in (INFINITY, 1.0):
+            params = ModelParams(p=p, W=1, n=2)
+            seen = []
+            summary = sampler._drive(
+                params, cfg, lambda step, image: seen.append((step, Permutation(tuple(image))))
+            )
+            retained, final = replay_chain(params, 11, steps, burn_in, thinning, 6)
+            assert seen == retained
+            assert summary.final_state == final
+            assert summary.retained_samples == len(retained) == cfg.retained_count
 
     def test_band_acceptance_is_indicator(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
@@ -355,24 +430,6 @@ class TestIrreducibility:
         ]
         reached, total = band_component_size(n, W, pairs)
         assert reached == total
-
-    @pytest.mark.parametrize("n,W", [(1, 1), (1, 3), (2, 1), (3, 1), (3, 2), (5, 2), (6, 4)])
-    def test_local_pairs_proposed_symmetrically(self, n, W):
-        # a and the offset index are uniform, so each (a, offset) is one
-        # equally likely outcome; every in-range pair must come up exactly
-        # once from each end and no other pair may come up
-        m = 2 * n + 1
-        R = min(2 * W, m - 1)
-        offsets = _proposal_offsets(m, W).tolist()
-        from_low, from_high = Counter(), Counter()
-        for a in range(m):
-            for k in offsets:
-                b = a + k
-                if 0 <= b < m:
-                    (from_low if a < b else from_high)[(min(a, b), max(a, b))] += 1
-        expected = {(a, b): 1 for a in range(m) for b in range(a + 1, min(a + R, m - 1) + 1)}
-        assert from_low == expected
-        assert from_high == expected
 
 
 class TestTargetsGibbs:
