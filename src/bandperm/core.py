@@ -8,8 +8,9 @@ image-swap move.  Each primitive is written once over a raw image tuple
 (``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``);
 the Permutation-level functions validate their arguments and delegate to
 it, the sampler calls ``orbit`` on its live state, and the tests' per-image
-reference calls them all.  The scaled energy terms are written once too,
-as the ``displacement_costs`` table that ``energy`` and the sampler read.
+reference calls them all.  The scaled energy terms (d / W)^p are written
+once too, as the ``displacement_costs`` table: ``energy``, the sampler, the
+exact oracle and the uncrossing certificates all read it.
 The exhaustive layers work on numpy tables of images, one image per row:
 ``_orbit_table`` is the orbit walk over such a table.
 
@@ -68,6 +69,14 @@ class ModelParams:
     @property
     def interval_size(self) -> int:
         return 2 * self.n + 1
+
+    def check_interval(self, pi: Permutation) -> None:
+        """Raise DomainError unless pi is a permutation of [-n, n]."""
+        if pi.n != self.n:
+            raise DomainError(
+                f"params are for [-{self.n}, {self.n}] but permutation is "
+                f"for [-{pi.n}, {pi.n}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -198,23 +207,16 @@ def cycle_of(pi: Permutation, j: int) -> CycleStats:
     return CycleStats(frozenset(members), len(members), lo, hi, hi - lo)
 
 
-def displacement_powers(n: int, p: float) -> tuple[float, ...]:
-    """The table d^p for every displacement d = 0, ..., 2n on [-n, n].
-
-    Floats for an int p too, with the values of the same float p.
-    """
-    return tuple(float(d) ** p for d in range(2 * n + 1))
-
-
 def displacement_costs(params: ModelParams) -> tuple[float, ...]:
     """The scaled table (d / W)^p for every displacement d = 0, ..., 2n.
 
-    :func:`energy`, the chain and its acceptance probability read their
-    terms here.  Scaling before the power keeps every term finite that is
-    finite: at p=341, W=8, n=8 the largest is 2^341, although 16^341 passes
-    the float maximum.  A term that itself passes the maximum is inf.
-    Python's float power is used, as in :func:`displacement_powers`, so the
-    table is the same on every host.
+    The one table of energy terms: :func:`energy`, the chain and its
+    acceptance probability, the exact oracle's weights and the uncrossing
+    certificates read it.  Scaling before the power keeps every term finite
+    that is finite: at p=341, W=8, n=8 the largest is 2^341, although 16^341
+    passes the float maximum.  A term that itself passes the maximum is inf.
+    Python's float power is used, not numpy's, so the table is the same on
+    every host; at W = 1 it holds the floats d^p.
     """
     W, p = params.W, float(params.p)
     costs = []
@@ -226,17 +228,15 @@ def displacement_costs(params: ModelParams) -> tuple[float, ...]:
     return tuple(costs)
 
 
-def displacement_sum(image: tuple[int, ...], powers: tuple[float, ...]) -> float:
-    """sum_i powers[|pi(i) - i|] over an image tuple, accumulated from i = -n up.
+def displacement_sum(image: tuple[int, ...], costs: tuple[float, ...]) -> float:
+    """sum_i costs[|pi(i) - i|] over an image tuple, accumulated from i = -n up.
 
-    powers is a per-displacement table of the image's interval: the
-    :func:`displacement_powers` d^p or the :func:`displacement_costs`
-    (d / W)^p.
+    costs is the :func:`displacement_costs` table of the image's interval.
     """
     n = len(image) // 2
     total = 0.0
     for k, v in enumerate(image):
-        total += powers[abs(v - (k - n))]
+        total += costs[abs(v - (k - n))]
     return total
 
 
@@ -254,11 +254,7 @@ def energy(pi: Permutation, params: ModelParams) -> float:
         raise UnsupportedExponentError(
             "energy is undefined at p = infinity; use in_support"
         )
-    if params.n != pi.n:
-        raise DomainError(
-            f"params are for [-{params.n}, {params.n}] but permutation is "
-            f"for [-{pi.n}, {pi.n}]"
-        )
+    params.check_interval(pi)
     return displacement_sum(pi.image, displacement_costs(params))
 
 

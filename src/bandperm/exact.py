@@ -10,11 +10,13 @@ permutations (capped) in numpy blocks, one block per leading pair of
 values.  Rows are in lexicographic order in both.  The image generator,
 the member tables of the uncrossing certificates (:func:`_member_table`)
 and the Gibbs weights (:func:`_weight_blocks`) all read those blocks.
-Finite-p energies, weights and cycles of j are computed a column at a time
-with the float order of the per-permutation formulas, so every value is
-bit-identical to them.  The p = infinity tail curve needs no enumeration:
-a marked connectivity transfer DP over the positions counts the members of
-S_W by the diameter of the cycle of j (:func:`band_diameter_counts`).  One
+Finite-p energies sum the terms of :func:`core.displacement_costs`, the
+table :func:`core.energy` and the chain read.  Energies, weights and
+cycles of j are computed a column at a time with the float order of the
+per-permutation formulas, so every value is bit-identical to them.  The
+p = infinity tail curve needs no enumeration: a marked connectivity
+transfer DP over the positions counts the members of S_W by the diameter
+of the cycle of j (:func:`band_diameter_counts`).  One
 profile column step (:func:`_band_step`) serves both the count |S_W| and
 the band table: it lists the admissible values of a position from the
 profile masks of the partial rows.
@@ -29,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import ModelParams, Permutation, displacement_powers
+from .core import ModelParams, Permutation, displacement_costs
 
 # Largest interval size 2n+1 admitted to the factorial mode.  At 9! = 362880
 # permutations, on a 2-vCPU Xeon VM, the block pass of the tail curve and
@@ -344,59 +346,35 @@ def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray
     """(block, unnormalized Gibbs weights) over the blocks of :func:`_blocks`.
 
     Every weight is 1.0 on S_W at p = infinity.  At finite p each energy
-    adds the displacement powers column by column from position -n up, the
-    float order of :func:`core.displacement_sum`, then divides by W^p;
-    math.exp (not np.exp, which may differ from libm by an ulp) weighs each
-    distinct energy once.  The capacity check runs on the call, before
-    iteration.
+    adds the :func:`core.displacement_costs` column by column from position
+    -n up, the float order of :func:`core.energy`; math.exp (not np.exp,
+    which may differ from libm by an ulp) weighs each distinct energy once.
+    A sum past the float maximum is inf, and its weight exp(-inf) = 0.0 is
+    the correctly rounded one, since the energy is then above 745.  The
+    capacity check runs on the call, before iteration.
     """
     blocks = _blocks(params)
     if params.infinite_p:
         return ((block, np.ones(len(block))) for block in blocks)
-    _check_weights(params)
-    powers = np.array(displacement_powers(params.n, params.p))
-    wp = float(params.W) ** params.p
+    costs = np.array(displacement_costs(params))
 
     def weigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(over="ignore"):  # see _check_weights
-            return block, _exp(-(_displacement_sums(block, powers) / wp))
+        with np.errstate(over="ignore"):  # an overflowed sum weighs 0.0
+            return block, _exp(-_displacement_sums(block, costs))
 
     return map(weigh, blocks)
 
 
-def _check_weights(params: ModelParams) -> None:
-    """Raise ValueError where a finite-p weight of an overflowed sum is wrong.
-
-    A displacement sum past the float range is inf, and exp(-inf) = 0.0 is
-    then the correctly rounded weight while W^p < max / 746: the true energy
-    is above 746, and exp(-x) = 0.0 for every x above about 745.  For a
-    larger W^p the true energy can be small (2 for the endpoint swap at
-    p=341, W=8, n=4), so no sum may overflow.  The reversal pi(i) = -i has
-    the largest sum (|i - j|^p is convex in i - j, so the assignment cost is
-    a Monge array), and while that sum stays below max / 2 no float sum
-    reaches inf.  Every weight is 1 at p = infinity.
-    """
-    if params.infinite_p:
-        return
-    n, p, top = params.n, params.p, np.finfo(float).max
-    wp = float(params.W) ** p
-    if wp >= top / 746 and 2 * sum(float(2 * k) ** p for k in range(1, n + 1)) >= top / 2:
-        raise ValueError(
-            f"W^p = {wp:.6g} lies within a factor 746 of the float maximum and the "
-            f"displacement sum of the reversal of [-{n}, {n}] can overflow at p={p}"
-        )
-
-
-def _displacement_sums(table: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _displacement_sums(table: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """:func:`core.displacement_sum` of every row of a member table.
 
-    The terms are read from the :func:`core.displacement_powers` table and
+    The terms are read from a :func:`core.displacement_costs` table and
     added a column at a time from position -n up, the float order of the
     per-image sum, so every value is bit-identical to it.
     """
     total = np.zeros(len(table))
     for k in range(table.shape[1]):
-        total += powers[np.abs(table[:, k] - k)]
+        total += costs[np.abs(table[:, k] - k)]
     return total
 
 

@@ -188,15 +188,19 @@ def metropolis_acceptance(
 
     min(1, exp(-delta_energy)) for finite p; for infinite p, 1 when the swap
     stays in S_W and 0 otherwise.  The terms are the
-    :func:`core.displacement_costs`; from a state whose energy is inf (a term
-    past the float maximum, never visited by the chain) the ratio of the
-    two weights is 0/0, and the result can be nan.
+    :func:`core.displacement_costs`.  Raises DomainError when params are for
+    another interval than pi, and ValueError from a state whose energy is
+    inf (a term past the float maximum, never visited by the chain), where
+    the ratio of the two weights is 0/0.
     """
+    params.check_interval(pi)
     pa, pb = pi(a), pi(b)
     if params.infinite_p:
         W = params.W
         return 1.0 if abs(pb - a) <= W and abs(pa - b) <= W else 0.0
     costs = displacement_costs(params)
+    if math.isinf(displacement_sum(pi.image, costs)):
+        raise ValueError(f"the energy of {pi.to_list()} is inf at p={params.p}, W={params.W}")
     delta = (
         costs[abs(pb - a)] + costs[abs(pa - b)] - costs[abs(pa - a)] - costs[abs(pb - b)]
     )

@@ -15,7 +15,9 @@ crossings (:func:`_crossings`); the forward map is then one row swap per
 row, and :func:`_preimages` inverts it over the candidate swaps of every
 row at once.  The public functions run the same kernel on a one-row table,
 so the exhaustive certificate of :func:`run_verification`, which runs it on
-the whole enumeration, certifies them.
+the whole enumeration, certifies them.  Finite-p energies and their
+differences read the :func:`core.displacement_costs` table of their (p, W),
+the terms :func:`core.energy` sums.
 
 Composition-order convention: the transposition of the two crossing targets
 is applied after the permutation, which is the same as swapping the images
@@ -38,7 +40,7 @@ from .core import (
     Permutation,
     UnsupportedExponentError,
     _orbit_table,
-    displacement_powers,
+    displacement_costs,
     reflect,
 )
 from .exact import _displacement_sums, _exp, _member_table
@@ -47,7 +49,7 @@ from .exact import _displacement_sums, _exp, _member_table
 RATIO_GUARD = 1e-9
 
 # Frozen regression bound for the per-fiber weighted sum at finite p:
-# sum over the fiber of P(pi)/P(tau) <= K * W^2 * exp(-|t - max C(0)|^p / W^p).
+# sum over the fiber of P(pi)/P(tau) <= K * W^2 * exp(-(|t - max C(0)| / W)^p).
 # Brute force over the exhaustive range (2n+1 = 7, p in {1, 1.5, 2, 4},
 # W in {1, 2}, t in 0..2) observed a maximum quotient of 0.657.
 RATIO_SUM_K = 1.0
@@ -326,42 +328,41 @@ def crossing_ratio_check(
 
     With a, tau(a) <= t < b, tau(b), the swap of images at (a, b) recreates
     a crossing; its Gibbs weight relative to tau is exp(-delta_energy) and
-    must not exceed exp(-|min(b, tau(b)) - max(a, tau(a))|^p / W^p), up to a
-    1e-9 multiplicative float guard.
+    must not exceed exp(-(|min(b, tau(b)) - max(a, tau(a))| / W)^p), up to a
+    1e-9 multiplicative float guard.  Both exponents read the
+    :func:`core.displacement_costs` of params, which must be tau's interval.
     """
     if params.infinite_p:
         raise UnsupportedExponentError("the ratio inequality is a finite-p statement")
+    params.check_interval(tau)
     ta, tb = tau(a), tau(b)  # raises DomainError outside [-n, n]
     if not (a <= t and ta <= t and b > t and tb > t):
         raise CrossingConditionError(
             f"need a, tau(a) <= {t} < b, tau(b); got a={a}, tau(a)={ta}, "
             f"b={b}, tau(b)={tb}"
         )
-    powers = np.array(displacement_powers(tau.n, params.p))
-    wp = float(params.W) ** params.p
-    log_ratio, log_bound, satisfied = (
-        x.item() for x in _ratio_logs(a, ta, b, tb, powers, wp)
-    )
+    costs = np.array(displacement_costs(params))
+    log_ratio, log_bound, satisfied = (x.item() for x in _ratio_logs(a, ta, b, tb, costs))
     return RatioCheck(
         math.exp(log_ratio), math.exp(log_bound), satisfied, log_ratio, log_bound
     )
 
 
-def _ratio_logs(a, ta, b, tb, powers: np.ndarray, wp: float) -> tuple[np.ndarray, ...]:
+def _ratio_logs(a, ta, b, tb, costs: np.ndarray) -> tuple[np.ndarray, ...]:
     """(log ratio, log bound, satisfied) for the swaps at (a, b), elementwise.
 
-    powers is the :func:`core.displacement_powers` table and wp is W^p;
-    each |x|^p is a lookup in it, so the values are those of the formula
-    evaluated in Python floats.
+    costs is the :func:`core.displacement_costs` table; each (|x| / W)^p is
+    a lookup in it, so the values are those of the formula evaluated in
+    Python floats.
     """
     delta = (
-        powers[np.abs(tb - a)]
-        + powers[np.abs(ta - b)]
-        - powers[np.abs(ta - a)]
-        - powers[np.abs(tb - b)]
-    ) / wp
+        costs[np.abs(tb - a)]
+        + costs[np.abs(ta - b)]
+        - costs[np.abs(ta - a)]
+        - costs[np.abs(tb - b)]
+    )
     gap = np.minimum(b, tb) - np.maximum(a, ta)
-    log_ratio, log_bound = -delta, -powers[gap] / wp
+    log_ratio, log_bound = -delta, -costs[gap]
     return log_ratio, log_bound, log_ratio <= log_bound + math.log1p(RATIO_GUARD)
 
 
@@ -597,9 +598,11 @@ def _full_pass(
 
     The fibres at each t are independent of p and W, so they are built and
     checked against uncross_preimage (preimage_sets_full) once, then reused
-    with each p's energies: energy_monotonicity (uncrossing never increases
-    energy), ratio_bound (the weight-ratio inequality over every admissible
-    (tau, a, b, t)) and ratio_sum (each fibre's summed weight ratio).
+    with the energies: energy_monotonicity (uncrossing never increases
+    energy) once per p, and ratio_bound (the weight-ratio inequality over
+    every admissible (tau, a, b, t)) and ratio_sum (each fibre's summed
+    weight ratio) at each (p, W).  Monotonicity does not depend on the
+    scale W, so it reads the W = 1 energies sum_i |pi(i) - i|^p.
     """
     members = _members(ModelParams(p=1.0, W=1, n=n))
     table = members.table
@@ -609,9 +612,8 @@ def _full_pass(
     for t, fibres in maps:
         _check_preimages(cert, members, t, None, fibres)
     for p in p_values:
-        # displacement sums; the energy at bandwidth W is sums / W^p
-        powers = np.array(displacement_powers(n, p))
-        sums = _displacement_sums(table, powers)
+        unscaled = np.array(displacement_costs(ModelParams(p=p, W=1, n=n)))  # d^p
+        sums = _displacement_sums(table, unscaled)
         for t, (rows, _, at) in maps:
             cert._bump("energy_monotonicity", len(rows))
             bad = np.flatnonzero(sums[at] > sums[rows] + 1e-9)
@@ -627,32 +629,29 @@ def _full_pass(
                     }
                 )
         for W in w_values:
-            _ratio_checks(cert, members, maps, sums, powers, p, W)
+            _ratio_checks(cert, members, maps, ModelParams(p=p, W=W, n=n))
 
 
 def _ratio_checks(
     cert: VerificationCertificate,
     members: _Members,
     maps: list[tuple[int, Fibres]],
-    sums: np.ndarray,
-    powers: np.ndarray,
-    p: float,
-    W: int,
+    params: ModelParams,
 ) -> None:
     """Both weight-ratio checks at one (p, W), for every tau and every t.
 
     ratio_bound: the inequality of :func:`crossing_ratio_check` for every
     straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
     of tau's fibre relative to tau sum to at most
-    RATIO_SUM_K * W^2 * exp(-|t - max C_tau(0)|^p / W^p).  Witnesses are
+    RATIO_SUM_K * W^2 * exp(-(|t - max C_tau(0)| / W)^p).  Witnesses are
     the first maxima, and violations are listed, in the (tau, t, a, b)
     order of a loop over the members that checks both at each (tau, t).
     """
-    wp = float(W) ** p
-    best, found = _ratio_bounds(cert, members, maps, powers, p, W, wp)
+    costs = np.array(displacement_costs(params))
+    best, found = _ratio_bounds(cert, members, maps, costs, params)
     if best is not None and best[0] > cert.max_ratio_quotient:
         cert.max_ratio_quotient, _, cert.max_ratio_witness = best
-    best, found_sums = _ratio_sums(cert, members, maps, sums, p, W, wp)
+    best, found_sums = _ratio_sums(cert, members, maps, costs, params)
     if best is not None and best[0] > cert.max_ratio_sum_quotient:
         cert.max_ratio_sum_quotient, _, cert.max_ratio_sum_witness = best
     found.extend(found_sums)
@@ -674,10 +673,10 @@ def _first_max(best: Best, quotient: float, tau: int) -> bool:
     return best is None or quotient > best[0] or (quotient == best[0] and tau < best[1])
 
 
-def _ratio_bounds(cert, members, maps, powers, p, W, wp) -> tuple[Best, Found]:
+def _ratio_bounds(cert, members, maps, costs, params) -> tuple[Best, Found]:
     """ratio_bound over the table, _CHUNK rows at a time."""
     table, _, walk = members
-    n = walk.n
+    n, p, W = walk.n, params.p, params.W
     best, found = None, []
     cols = np.arange(table.shape[1])
     for lo in range(0, len(table), _CHUNK):
@@ -691,7 +690,7 @@ def _ratio_bounds(cert, members, maps, powers, p, W, wp) -> tuple[Best, Found]:
             if not len(r):
                 continue
             log_ratio, log_bound, satisfied = _ratio_logs(
-                a, block[r, a], b, block[r, b], powers, wp
+                a, block[r, a], b, block[r, b], costs
             )
             quotient = _exp(np.minimum(log_ratio - log_bound, 700.0))
 
@@ -716,13 +715,13 @@ def _ratio_bounds(cert, members, maps, powers, p, W, wp) -> tuple[Best, Found]:
     return best, found
 
 
-def _ratio_sums(cert, members, maps, sums, p, W, wp) -> tuple[Best, Found]:
+def _ratio_sums(cert, members, maps, costs, params) -> tuple[Best, Found]:
     """ratio_sum over the whole table at each t.  Each fibre's sum adds its
     terms in enumeration order (np.add.at is unbuffered)."""
     table, _, walk = members
-    n = walk.n
+    n, p, W = walk.n, params.p, params.W
     best, found = None, []
-    energies = sums / wp
+    energies = _displacement_sums(table, costs)
     top = walk.top - n
     for k, (t, (rows, _, at)) in enumerate(maps):
         size = np.bincount(at, minlength=len(table))
@@ -734,7 +733,7 @@ def _ratio_sums(cert, members, maps, sums, p, W, wp) -> tuple[Best, Found]:
         np.add.at(total, at, _exp(-(energies[rows] - energies[at])))
         limit = np.zeros(n + 1)
         for x in np.unique(top[checked]).tolist():
-            limit[x] = RATIO_SUM_K * W * W * math.exp(-abs(t - x) ** p / wp)
+            limit[x] = RATIO_SUM_K * W * W * math.exp(-costs[t - x])
         total, bound = total[checked], limit[top[checked]]
         with np.errstate(divide="ignore", invalid="ignore"):
             quotient = total / bound

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import resource
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bandperm import cli
+from bandperm import CapacityError, ModelParams, Permutation, cli, energy
 from bandperm.cli import (
     ConfigurationError,
     default_lambda_grid,
@@ -41,16 +42,20 @@ def tree_hashes(root: Path) -> dict[str, str]:
 # SHA-256 of every file (manifest included) that small runs write into a
 # relative output directory, recorded before the CLI's options moved into
 # one table per command.  Artifacts are byte-identical on a fixed numpy
-# version, so a change to any of these files is a change of contract.
+# version, so a change to any of these files is a change of contract.  The
+# exact, exact_cap_j and uncross_full runs were re-recorded when the oracle
+# and the certificates started summing the scaled terms (d / W)^p of
+# core.displacement_costs in place of d^p / W^p: their floats moved in the
+# last bits, and the ratio-sum witness of uncross_full to a tied row.
 GOLDEN_RUNS = {
     "exact": (
         ("exact", "--p", "1.5", "--W", "2", "--n", "2", "--j", "1"),
         {
             "exact_summary_p1_5_W2_n2.json": (
-                "a75a665500d290b1443748f53027f3e61496fac1552fa2cf11cc3c7ae8cbd1c6"
+                "163ff292d833d4e2fa5588685a7d2b388f0764214c7a83d9f8a0afbeee6c126d"
             ),
             "exact_tail_p1_5_W2_n2.csv": (
-                "6a913072622d7b280610a21153f44f6f8e835016e5f492aeace42b6b0992560f"
+                "08a650d0c3dd6548b35ad32aac3fa9afdeaad661cf8f6e1567265c16abeb93d2"
             ),
             "manifest.json": (
                 "f2e65784ab72dd232bc5f0d2d76a4a6c3bdb0d923bd7adeec355f9c1fa461741"
@@ -78,10 +83,10 @@ GOLDEN_RUNS = {
         ("exact", "--p", "1.5", "--W", "3", "--n", "4", "--j", "-4"),
         {
             "exact_summary_p1_5_W3_n4.json": (
-                "52940ffd9d664123476a126d6b9da3e7572b85ae0bafb743e5e7aa011a43b00d"
+                "9c227ea723f4f5389f5e8f63e2c7bff671e61b02bad2dd1f09e240dee155a82f"
             ),
             "exact_tail_p1_5_W3_n4.csv": (
-                "64bcfdeb77c37efc72f62b4bb655a41845802f01d0970c48922b028c9ead6fae"
+                "77fa01c978faed2579ecf14e3696780199c6bd6913e757b5cea4686be9f01e52"
             ),
             "manifest.json": (
                 "8520a5f3c690bc0a51e3761424d42e2f5c99dc314d757f7ef4236d423a1af654"
@@ -140,7 +145,7 @@ GOLDEN_RUNS = {
                 "ed1cb193d6606a95788749d9ea670c319db237c0e95e7d6b6b506198169e0e40"
             ),
             "uncross_certificate_n3.json": (
-                "ac38134d474fbab606e60641d51b64885499bee2650efa23c0f8278cc440090a"
+                "418f1e20a0a9b8e6f5d32ced21da086229e98f241fce2cb3bcbb442ee3575094"
             ),
         },
     ),
@@ -446,11 +451,7 @@ class TestFailClosed:
             ["exact", "--p", "341", "--W", "1", "--n", "4"],
             ["recurrence", "--p", "1000", "--W-list", "1:2"],
         ):
-            res = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-m", "bandperm", *argv,
-                 "--output-dir", str(tmp_path)],
-                capture_output=True, text=True,
-            )
+            res = run_silently(argv, tmp_path)
             assert (res.returncode, res.stderr) == (0, "")
         summary = json.loads((tmp_path / "exact_summary_p341_W1_n4.json").read_text())
         assert summary["partition_value"] == 2.518563039229159
@@ -460,19 +461,20 @@ class TestFailClosed:
             "2,0.7499373437499999,True,None",
         ]
 
-    def test_overflowing_weight_sum_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        # at W=8, p=341, W^p = 2^1023 is within a factor 746 of the float
-        # maximum, and the endpoint swap (energy 2) was weighed 0.0 from an
-        # overflowed sum; at W=1 the same p is admitted and runs silently
-        # (test_large_finite_p_runs_without_warnings)
-        monkeypatch.setattr(cli, "run", forbidden_run)
-        assert cli.main(["exact", "--p", "341", "--W", "8", "--n", "4",
-                         "--output-dir", str(tmp_path)]) == 2
-        (line,) = capsys.readouterr().out.splitlines()
-        payload = json.loads(line)
-        assert payload["error"] == "configuration"
-        assert payload["message"].startswith("p:")
-        parse_config("exact", {}, {"p": "341", "W": "1", "n": "4"})
+    def test_exact_weighs_an_overflowing_unscaled_sum(self, tmp_path):
+        # at W=8, p=341 the endpoint swap's unscaled terms 8^341 = 2^1023 sum
+        # past the float maximum, but its energy is 2: the partition value
+        # is the fsum of exp(-energy) over all 9! permutations
+        res = run_silently(["exact", "--p", "341", "--W", "8", "--n", "4"], tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+        summary = json.loads((tmp_path / "exact_summary_p341_W8_n4.json").read_text())
+        params = ModelParams(p=341.0, W=8, n=4)
+        expected = math.fsum(
+            math.exp(-energy(Permutation(img), params))
+            for img in itertools.permutations(range(-4, 5))
+        )
+        assert summary["partition_value"] == expected
+        assert summary["support_size"] == 362880
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -524,44 +526,47 @@ class TestFailClosed:
         assert json.loads(line)["message"].startswith(f"{key}:")
 
     @pytest.mark.parametrize(
-        "argv, key",
+        "argv",
         [
-            (["exact", "--p", "400", "--W", "1", "--n", "4"], "p"),
-            (["exact", "--p", "2", "--W", str(10**200), "--n", "2"], "p"),
-            (["sample", "--p", "1000", "--W", "1", "--n", "50", "--steps", "100"], "p"),
-            (["tail", "--p", "1000", "--W", "1", "--n", "50", "--steps", "100"], "p"),
-            (
-                ["sweep", "--p", "1000", "--W-list", "1", "--n-list", "50", "--max-workers", "1"],
-                "p",
-            ),
-            (["uncross-verify", "--n", "3", "--W-list", "1", "--p-list", "1000"], "p_list"),
+            ["exact", "--p", "400", "--W", "1", "--n", "4"],
+            ["exact", "--p", "2", "--W", str(10**200), "--n", "2"],
+            ["sample", "--p", "1000", "--W", "1", "--n", "50", "--steps", "3000"],
+            ["tail", "--p", "1000", "--W", "1", "--n", "50", "--steps", "3000"],
+            ["sweep", "--p", "1000", "--W-list", "1", "--n-list", "50", "--steps", "3000",
+             "--max-workers", "1"],
         ],
     )
-    def test_overflowing_power_is_a_config_error(
-        self, argv, key, tmp_path, capsys, monkeypatch
-    ):
-        # max(2n, W)^p overflows a float; these ended in an OverflowError
-        # traceback with exit 1, the no-data code
+    def test_large_power_runs_without_warnings(self, argv, tmp_path):
+        # max(2n, W)^p passes the float maximum, but the oracle and the chain
+        # read the terms (d / W)^p; one past the maximum is inf, an energy
+        # whose weight is 0.0
+        res = run_silently(argv, tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+
+    def test_large_power_job_runs(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        jobs = [{"n": 2}, {"p": 1000, "n": 50}]
+        cfg_file.write_text(json.dumps({"jobs": jobs, "steps": 3000, "max_workers": 1}))
+        res = run_silently(["sweep", "--config", str(cfg_file)], tmp_path / "out")
+        assert (res.returncode, res.stderr) == (0, "")
+
+    def test_overflowing_power_list_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the certificates take four-term differences of the energy terms,
+        # and an inf term would give inf - inf
         monkeypatch.setattr(cli, "run", forbidden_run)
+        argv = ["uncross-verify", "--n", "3", "--W-list", "1", "--p-list", "1000"]
         assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         payload = json.loads(line)
         assert payload["error"] == "configuration"
-        assert payload["message"].startswith(f"{key}:")
-
-    def test_overflowing_power_names_the_job(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", forbidden_run)
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"jobs": [{"n": 2}, {"p": 1000, "n": 50}]}))
-        assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
-        (line,) = capsys.readouterr().out.splitlines()
-        assert json.loads(line)["message"].startswith("jobs[1].p:")
+        assert payload["message"].startswith("p_list:")
 
     def test_power_check_boundary(self):
         # 8^341 = 2^1023 is the largest finite power of 8; 8^342 overflows
-        parse_config("exact", {}, {"p": "341", "W": "1", "n": "4"})
-        with pytest.raises(ConfigurationError, match="^p:"):
-            parse_config("exact", {}, {"p": "342", "W": "1", "n": "4"})
+        parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "341"})
+        with pytest.raises(ConfigurationError, match="^p_list:"):
+            parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "342"})
+        parse_config("exact", {}, {"p": "342", "W": "1", "n": "4"})
         parse_config("exact", {}, {"p": "inf", "W": str(10**400), "n": "4"})
 
     def test_help_exits_zero_and_shows_defaults(self, capsys):
@@ -573,6 +578,15 @@ class TestFailClosed:
 
 def forbidden_run(config):
     raise AssertionError("a command body ran")
+
+
+def run_silently(argv, output_dir):
+    """The CLI in a subprocess that fails on any RuntimeWarning."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bandperm", *argv,
+         "--output-dir", str(output_dir)],
+        capture_output=True, text=True,
+    )
 
 
 # Values that parse for some key, mixed with arbitrary JSON values.
@@ -611,7 +625,7 @@ class TestParserProperties:
         )
         try:
             config = parse_config(command, file_values, overrides)
-        except ConfigurationError:
+        except (ConfigurationError, CapacityError):  # exit 2 or 3
             return
         assert isinstance(config, cli.RunConfig)
         strict_manifest(config)

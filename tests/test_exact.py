@@ -304,24 +304,22 @@ class TestExactPartition:
         pi = Permutation((4, -3, -2, -1, 0, 1, 2, 3, -4))
         assert energy(pi, int_params) == energy(pi, float_params)
 
-    def test_refuses_weights_of_an_overflowed_sum(self):
-        # W^p = 8^341 = 2^1023 is within a factor 746 of the float maximum:
-        # an overflowed sum, weighed 0.0, could have a small true energy (2
-        # for the endpoint swap); at p=340 no displacement sum overflows
-        from bandperm.exact import exact_partition
-
-        with pytest.raises(ValueError, match="can overflow"):
-            exact_partition(ModelParams(p=341.0, W=8, n=4))
-        exact_partition(ModelParams(p=340.0, W=8, n=4))
+    def test_weighs_an_overflowing_unscaled_sum(self):
+        # at p=341, W=8 the endpoint swap's unscaled terms 8^341 = 2^1023 sum
+        # past the float maximum, but its energy is 2; at W=1 the sums past
+        # the maximum are energies above 745, whose weight is 0.0
+        swap = (4, -3, -2, -1, 0, 1, 2, 3, -4)
+        weights = [w for img, w in _weighted(ModelParams(p=341.0, W=8, n=4)) if img == swap]
+        assert weights == [math.exp(-2.0)]
         assert exact_partition(ModelParams(p=341.0, W=1, n=4))[0] == 2.518563039229159
 
 
-def direct_displacement_sum(image, p):
-    """sum_i |pi(i) - i|^p with each power computed in place, from i = -n up."""
+def direct_energy(image, p, W):
+    """sum_i (|pi(i) - i| / W)^p with each term computed in place, from i = -n up."""
     n = len(image) // 2
     total = 0.0
     for k, v in enumerate(image):
-        total += abs(v - (k - n)) ** p
+        total += (abs(v - (k - n)) / W) ** p
     return total
 
 
@@ -332,9 +330,8 @@ def two_pass_reference(params, j, lam_grid):
     if params.infinite_p:
         weights = [1.0 for _ in enumerate_images(params)]
     else:
-        wp = params.W**params.p
         weights = [
-            math.exp(-(direct_displacement_sum(img, params.p) / wp))
+            math.exp(-direct_energy(img, params.p, params.W))
             for img in enumerate_images(params)
         ]
     mass = [0.0] * (2 * n + 1)
@@ -353,9 +350,19 @@ class TestOnePassOracle:
     def test_table_weights_match_direct_powers(self, p):
         for W in (1, 2, 3):
             params = ModelParams(p=p, W=W, n=3)
-            wp = W**p
             for img, w in _weighted(params):
-                assert w == math.exp(-(direct_displacement_sum(img, p) / wp))
+                assert w == math.exp(-direct_energy(img, p, W))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.7, 341.0])
+    def test_weights_are_exp_of_minus_energy(self, p):
+        # the oracle sums the terms that core.energy and the chain sum, in
+        # the same order; at p=341 a permutation with a displacement above W
+        # has an energy far past 745, and weight 0.0
+        for W in (1, 2, 3, 8):
+            for n in (1, 2, 3):
+                params = ModelParams(p=p, W=W, n=n)
+                for img, w in _weighted(params):
+                    assert w == math.exp(-energy(Permutation(img), params))
 
     @pytest.mark.parametrize(
         "params",
@@ -495,7 +502,7 @@ class TestExactExpectation:
             if params.infinite_p:
                 w = 1.0
             else:
-                w = math.exp(-(direct_displacement_sum(img, p) / 2**p))
+                w = math.exp(-direct_energy(img, p, 2))
             z_terms.append(w)
             num_terms.append(w * abs(Permutation(img)(0)))
         expected = math.fsum(num_terms) / math.fsum(z_terms)

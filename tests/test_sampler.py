@@ -8,6 +8,7 @@ import pytest
 from bandperm import (
     INFINITY,
     ChainSummary,
+    DomainError,
     InitialState,
     ModelParams,
     Permutation,
@@ -387,6 +388,22 @@ class TestDetailedBalance:
         ident = Permutation.identity(1)
         assert metropolis_acceptance(params, ident, 0, 1) == 1.0
         assert metropolis_acceptance(params, ident, -1, 1) == 0.0
+
+    def test_acceptance_from_an_infinite_energy_raises(self):
+        # the endpoint swap has two terms 16^341 = inf at W=1, so the
+        # weight ratio of the proposal (-8, 7) is 0/0; it read nan
+        params = ModelParams(p=341.0, W=1, n=8)
+        start = swap_images(Permutation.identity(8), -8, 8)
+        with pytest.raises(ValueError, match="inf"):
+            metropolis_acceptance(params, start, -8, 7)
+        assert metropolis_acceptance(params, Permutation.identity(8), -8, 7) == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, INFINITY])
+    def test_acceptance_on_a_mismatched_interval(self, p):
+        # params for [-2, 2], pi on [-4, 4]; at p=1 this ended in an IndexError
+        pi = swap_images(Permutation.identity(4), -4, 4)
+        with pytest.raises(DomainError):
+            metropolis_acceptance(ModelParams(p=p, W=1, n=2), pi, -4, 4)
 
 
 def band_component_size(n, W, pairs):

@@ -270,6 +270,11 @@ class TestRatioCheck:
                 Permutation.identity(3), 0, 1, 0, ModelParams(p=INFINITY, W=1, n=3)
             )
 
+    def test_mismatched_interval(self):
+        # params for [-1, 1], tau on [-3, 3], as core.energy refuses
+        with pytest.raises(DomainError):
+            crossing_ratio_check(Permutation.identity(3), 0, 2, 1, ModelParams(p=1.0, W=1, n=1))
+
     def test_ratio_equals_weight_quotient(self):
         # independent route: both Gibbs weights computed from full energies
         params = ModelParams(p=1.5, W=2, n=3)
@@ -351,16 +356,14 @@ class TestAgainstPerImageReference:
         assert got["violations_total"] > 1000
 
     def test_energy_violations_equal(self, monkeypatch):
-        # negated displacement sums on both sides: uncrossing now raises
-        # the energy, and the fibres' weight sums blow up
+        # negated energies on both sides: uncrossing now raises the energy,
+        # and the fibres' weight sums blow up
         table_sums = uncross_module._displacement_sums
-        image_sum = reference.displacement_sum
+        image_energy = reference.energy
         monkeypatch.setattr(
-            uncross_module, "_displacement_sums", lambda t, powers: -table_sums(t, powers)
+            uncross_module, "_displacement_sums", lambda t, costs: -table_sums(t, costs)
         )
-        monkeypatch.setattr(
-            reference, "displacement_sum", lambda img, powers: -image_sum(img, powers)
-        )
+        monkeypatch.setattr(reference, "energy", lambda img, p, W: -image_energy(img, p, W))
         args = (3, (1, 2), (1.5, 2.0))
         got = run_verification(*args).to_json_dict()
         assert got == reference.run_verification(*args).to_json_dict()

@@ -18,8 +18,6 @@ from typing import Iterable, Optional, Sequence
 from bandperm.core import (
     INFINITY,
     ModelParams,
-    displacement_powers,
-    displacement_sum,
     image_max_displacement,
     orbit,
     swapped,
@@ -103,15 +101,27 @@ def preimage_images(tau: Image, t: int, band: Optional[int]) -> list[Image]:
     return found
 
 
+def energy(image: Image, p: float, W: int) -> float:
+    """sum_i (|pi(i) - i| / W)^p with each term computed in place, from i = -n up."""
+    n = len(image) // 2
+    total = 0.0
+    for k, v in enumerate(image):
+        total += (abs(v - (k - n)) / W) ** p
+    return total
+
+
 def _ratio_logs(
-    a: int, ta: int, b: int, tb: int, p: float, wp: float
+    a: int, ta: int, b: int, tb: int, p: float, W: int
 ) -> tuple[float, float, bool]:
-    """(log ratio, log bound, satisfied) for the swap at (a, b); wp is W^p."""
+    """(log ratio, log bound, satisfied) for the swap at (a, b)."""
     delta = (
-        abs(tb - a) ** p + abs(ta - b) ** p - abs(ta - a) ** p - abs(tb - b) ** p
-    ) / wp
+        (abs(tb - a) / W) ** p
+        + (abs(ta - b) / W) ** p
+        - (abs(ta - a) / W) ** p
+        - (abs(tb - b) / W) ** p
+    )
     gap = min(b, tb) - max(a, ta)
-    log_ratio, log_bound = -delta, -(abs(gap) ** p) / wp
+    log_ratio, log_bound = -delta, -((abs(gap) / W) ** p)
     return log_ratio, log_bound, log_ratio <= log_bound + math.log1p(uncross.RATIO_GUARD)
 
 
@@ -249,9 +259,8 @@ def _full_pass(
     for t, fibres in maps:
         _check_preimages(cert, members, t, None, fibres)
     for p in p_values:
-        # displacement sums; the energy at bandwidth W is sums[img] / W^p
-        powers = displacement_powers(n, p)
-        sums = {img: displacement_sum(img, powers) for img in members[0]}
+        # monotonicity does not depend on the scale: the W = 1 energies
+        sums = {img: energy(img, p, 1) for img in members[0]}
         for t, fibres in maps:
             for rho, pis in fibres.items():
                 cert._bump("energy_monotonicity", len(pis))
@@ -268,10 +277,10 @@ def _full_pass(
                             }
                         )
         for W in w_values:
-            wp = float(W) ** p
+            energies = {img: energy(img, p, W) for img in members[0]}
             for tau, top in zip(*members):
                 for t, fibres in maps:
-                    _ratio_checks(cert, tau, top, t, fibres, sums, p, W, wp)
+                    _ratio_checks(cert, tau, top, t, fibres, energies, p, W)
 
 
 def _ratio_checks(
@@ -280,17 +289,16 @@ def _ratio_checks(
     top: int,
     t: int,
     fibres: dict[Image, list[Image]],
-    sums: dict[Image, float],
+    energies: dict[Image, float],
     p: float,
     W: int,
-    wp: float,
 ) -> None:
-    """Both weight-ratio checks for tau at t; top is max C_tau(0), wp is W^p.
+    """Both weight-ratio checks for tau at t; top is max C_tau(0).
 
     ratio_bound: the inequality of :func:`crossing_ratio_check` for every
     straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
     of tau's fibre relative to tau sum to at most
-    uncross.RATIO_SUM_K * W^2 * exp(-|t - max C_tau(0)|^p / W^p).
+    uncross.RATIO_SUM_K * W^2 * exp(-(|t - max C_tau(0)| / W)^p).
     """
     n = len(tau) // 2
     lows = [(a, tau[a + n]) for a in range(-n, min(n, t) + 1) if tau[a + n] <= t]
@@ -298,7 +306,7 @@ def _ratio_checks(
     cert._bump("ratio_bound", len(lows) * len(highs))
     for a, ta in lows:
         for b, tb in highs:
-            log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, p, wp)
+            log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, p, W)
             quotient = math.exp(min(log_ratio - log_bound, 700.0))
             if quotient <= cert.max_ratio_quotient and satisfied:
                 continue
@@ -322,9 +330,8 @@ def _ratio_checks(
         return
     fibre = fibres[tau]
     cert._bump("ratio_sum")
-    e_tau = sums[tau] / wp
-    total = sum(math.exp(-(sums[pi] / wp - e_tau)) for pi in fibre)
-    bound = uncross.RATIO_SUM_K * W * W * math.exp(-abs(t - top) ** p / wp)
+    total = sum(math.exp(-(energies[pi] - energies[tau])) for pi in fibre)
+    bound = uncross.RATIO_SUM_K * W * W * math.exp(-((abs(t - top) / W) ** p))
     quotient = total / bound
     satisfied = total <= bound * (1.0 + uncross.RATIO_GUARD)
     if quotient <= cert.max_ratio_sum_quotient and satisfied:
