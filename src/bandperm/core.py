@@ -10,7 +10,12 @@ the Permutation-level functions validate their arguments and delegate to
 it, the sampler calls ``orbit`` on its live state, and the tests' per-image
 reference calls them all.  The scaled energy terms (d / W)^p are written
 once too, as the ``displacement_costs`` table: ``energy``, the sampler, the
-exact oracle and the uncrossing certificates all read it.
+exact oracle and the uncrossing certificates all read it.  The energy
+change of one image swap is written once as ``swap_cost``, the four terms
+of that table the swap changes: the chain's acceptance probability and
+every finite-p certificate check read it.  The chain's hot loop in
+``sampler._drive`` keeps an inline copy on purpose, since a call per
+proposal would slow the long finite-p chains.
 The exhaustive layers work on numpy tables of images, one image per row:
 ``_orbit_table`` is the orbit walk over such a table.
 
@@ -238,6 +243,20 @@ def displacement_sum(image: tuple[int, ...], costs: tuple[float, ...]) -> float:
     for k, v in enumerate(image):
         total += costs[abs(v - (k - n))]
     return total
+
+
+def swap_cost(costs, a, pa, b, pb):
+    """E(sigma) - E(pi), where pi maps a to pa and b to pb, and sigma is pi
+    with those two images traded.
+
+    costs is a :func:`displacement_costs` table; only its four terms at a
+    and b change, so no full energy is summed and nothing cancels, however
+    large the energies are.  With the tuple table and int arguments it is
+    one float; with the table as an ndarray and array arguments it is the
+    same float expression elementwise, bit for bit.  Points and images may
+    be shifted by a common offset, as in a member table.
+    """
+    return costs[abs(pb - a)] + costs[abs(pa - b)] - costs[abs(pa - a)] - costs[abs(pb - b)]
 
 
 def energy(pi: Permutation, params: ModelParams) -> float:

@@ -9,10 +9,11 @@ the interval the step is a rejected step: it still counts as a step for
 burn-in, thinning and the acceptance rate.
 
 - At finite p, c = a and H = R = min(2W, 2n).  The swap is accepted with
-  probability min(1, exp(-delta_energy)).  The energy difference touches
-  only the two affected terms of ``core.displacement_costs``, so a step is
-  O(1).  The adjacent swaps alone connect all of S_m, and every sweep
-  proposes each of them, so the chain is irreducible.
+  probability min(1, exp(-delta_energy)).  The energy difference is
+  ``core.swap_cost``, the four terms of ``core.displacement_costs`` that the
+  swap changes, so a step is O(1); the step loop writes that expression
+  inline rather than calling it.  The adjacent swaps alone connect all of
+  S_m, and every sweep proposes each of them, so the chain is irreducible.
 - At p = infinity, c = pi(a) and H = V = min(W, 2n).  Every point of
   [-n, n] lies within 2n of pi(a), so V < W leaves out only points outside
   the interval.  The swap puts pi(a) at b, within W by construction, so it
@@ -53,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ModelParams, Permutation, displacement_costs, displacement_sum, orbit
+from .core import ModelParams, Permutation, displacement_costs, displacement_sum, orbit, swap_cost
 
 # Proposals are pre-generated in blocks of this size; the block size is part
 # of the algorithm definition because it fixes the RNG call pattern.
@@ -71,9 +72,8 @@ class SamplerConfig:
 
     After the first ``burn_in`` proposals, every ``thinning``-th state is
     retained, so floor((steps - burn_in) / thinning) samples are produced.
-    At finite p, ``debug_energy_check`` recomputes the full energy at every
-    retained state and asserts agreement with the incremental bookkeeping to
-    within 1e-9.
+    The chain keeps no running energy: each acceptance test reads only the
+    four terms a swap changes, so there is no incremental sum to drift.
     """
 
     seed: int
@@ -81,7 +81,6 @@ class SamplerConfig:
     burn_in: int = 0
     thinning: int = 1
     initial_state: InitialState = InitialState.IDENTITY
-    debug_energy_check: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -186,9 +185,9 @@ def metropolis_acceptance(
 ) -> float:
     """Probability that the image-swap proposal (a, b) is accepted from pi.
 
-    min(1, exp(-delta_energy)) for finite p; for infinite p, 1 when the swap
-    stays in S_W and 0 otherwise.  The terms are the
-    :func:`core.displacement_costs`.  Raises DomainError when params are for
+    min(1, exp(-delta_energy)) for finite p, with delta_energy the
+    :func:`core.swap_cost` of the swap; for infinite p, 1 when the swap
+    stays in S_W and 0 otherwise.  Raises DomainError when params are for
     another interval than pi, and ValueError from a state whose energy is
     inf (a term past the float maximum, never visited by the chain), where
     the ratio of the two weights is 0/0.
@@ -201,9 +200,7 @@ def metropolis_acceptance(
     costs = displacement_costs(params)
     if math.isinf(displacement_sum(pi.image, costs)):
         raise ValueError(f"the energy of {pi.to_list()} is inf at p={params.p}, W={params.W}")
-    delta = (
-        costs[abs(pb - a)] + costs[abs(pa - b)] - costs[abs(pa - a)] - costs[abs(pb - b)]
-    )
+    delta = swap_cost(costs, a, pa, b, pb)
     return 1.0 if delta <= 0.0 else math.exp(-delta)
 
 
@@ -235,9 +232,7 @@ def _drive(
     shift = n - H if infinite else -H
     if not infinite:
         costs = displacement_costs(params)
-        running_energy = displacement_sum(image, costs)
 
-    debug = config.debug_energy_check and not infinite
     thinning = config.thinning
     next_retain = config.burn_in + thinning
     accepted = 0
@@ -275,6 +270,8 @@ def _drive(
                     if 0 <= b < m:
                         pa = image[a]
                         pb = image[b]
+                        # core.swap_cost, inline: b and a are position
+                        # indices here, hence the + n
                         delta = (
                             costs[abs(pb - a + n)]
                             + costs[abs(pa - b + n)]
@@ -285,17 +282,8 @@ def _drive(
                             image[a] = pb
                             image[b] = pa
                             accepted += 1
-                            if debug:
-                                running_energy += delta
             step = stop
             if step == next_retain:
-                if debug:
-                    fresh = displacement_sum(image, costs)
-                    if abs(fresh - running_energy) > 1e-9:
-                        raise AssertionError(
-                            f"incremental energy drift {running_energy} vs "
-                            f"recomputed {fresh} at step {step}"
-                        )
                 retain(step, image)
                 next_retain += thinning
     rate = accepted / steps if steps else 0.0

@@ -15,9 +15,10 @@ crossings (:func:`_crossings`); the forward map is then one row swap per
 row, and :func:`_preimages` inverts it over the candidate swaps of every
 row at once.  The public functions run the same kernel on a one-row table,
 so the exhaustive certificate of :func:`run_verification`, which runs it on
-the whole enumeration, certifies them.  Finite-p energies and their
-differences read the :func:`core.displacement_costs` table of their (p, W),
-the terms :func:`core.energy` sums.
+the whole enumeration, certifies them.  Every finite-p check reads the
+energy change of one image swap, :func:`core.swap_cost` on the
+:func:`core.displacement_costs` table of its (p, W), and never a difference
+or comparison of two full energies, which cancel to nothing at large p.
 
 Composition-order convention: the transposition of the two crossing targets
 is applied after the permutation, which is the same as swapping the images
@@ -41,9 +42,11 @@ from .core import (
     UnsupportedExponentError,
     _orbit_table,
     displacement_costs,
+    displacement_sum,
     reflect,
+    swap_cost,
 )
-from .exact import _displacement_sums, _exp, _member_table
+from .exact import _exp, _member_table
 
 # Multiplicative slack for floating-point comparisons of energy ratios.
 RATIO_GUARD = 1e-9
@@ -162,12 +165,14 @@ def _swap(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
-def _uncrossed(table: np.ndarray, walk: _Walk, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uncrossing map at t: (rows, images) for the rows whose 0-cycle
-    exceeds t, rows in table order."""
+def _uncrossed(table: np.ndarray, walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
+    """The uncrossing map at t: (rows, images, a, b) for the rows whose
+    0-cycle exceeds t, rows in table order.  Each row's images at columns
+    a and b, its up- and down-crossing sources, are traded."""
     rows = np.flatnonzero(walk.top > t + walk.n)
     _, up, _, _, down, _ = _crossings(walk, t)
-    return rows, _swap(table[rows], up[rows], down[rows])
+    a, b = up[rows], down[rows]
+    return rows, _swap(table[rows], a, b), a, b
 
 
 def _preimages(
@@ -211,7 +216,7 @@ def _preimages(
         )
         owner, a, b = owner[keep], a[keep], b[keep]
     candidates = _swap(taus[owner], a, b)
-    rows, back = _uncrossed(candidates, _walk(candidates), t)
+    rows, back, _, _ = _uncrossed(candidates, _walk(candidates), t)
     kept = rows[(back == taus[owner[rows]]).all(1)]
     owner, candidates = owner[kept], candidates[kept]
     order = np.lexsort([*candidates.T[::-1], owner])
@@ -264,7 +269,7 @@ def uncross(pi: Permutation, t: int) -> Permutation:
     max C_rho(0) > t - 2W.
     """
     table = _table([pi.image])
-    rows, rho = _uncrossed(table, _walk(table), t)
+    rows, rho, _, _ = _uncrossed(table, _walk(table), t)
     if not len(rows):
         raise NoCrossingError(
             f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
@@ -355,14 +360,8 @@ def _ratio_logs(a, ta, b, tb, costs: np.ndarray) -> tuple[np.ndarray, ...]:
     a lookup in it, so the values are those of the formula evaluated in
     Python floats.
     """
-    delta = (
-        costs[np.abs(tb - a)]
-        + costs[np.abs(ta - b)]
-        - costs[np.abs(ta - a)]
-        - costs[np.abs(tb - b)]
-    )
     gap = np.minimum(b, tb) - np.maximum(a, ta)
-    log_ratio, log_bound = -delta, -costs[gap]
+    log_ratio, log_bound = -swap_cost(costs, a, ta, b, tb), -costs[gap]
     return log_ratio, log_bound, log_ratio <= log_bound + math.log1p(RATIO_GUARD)
 
 
@@ -445,19 +444,28 @@ def _locate(members: _Members, rows: np.ndarray) -> np.ndarray:
 
 
 # The uncrossing map at one threshold, inverted by brute force over the
-# members: (rows, images, at), where row rows[i] maps to images[i], and
-# at[i] is the table row of images[i] (-1 when it is not a member).
-Fibres = tuple[np.ndarray, np.ndarray, np.ndarray]
+# members: (rows, images, at, a, b), where row rows[i] maps to images[i] by
+# the swap at columns a[i] and b[i], and at[i] is the table row of
+# images[i] (-1 when it is not a member).
+Fibres = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _fibres(members: _Members, t: int) -> Fibres:
     parts = []
     for lo in range(0, len(members.table), _CHUNK):  # bounds the kernel's temporaries
         block = slice(lo, lo + _CHUNK)
-        rows, images = _uncrossed(members.table[block], members.walk.take(block), t)
-        parts.append((lo + rows, images))
-    rows, images = (np.concatenate(x) for x in zip(*parts))
-    return rows, images, _locate(members, images)
+        rows, *rest = _uncrossed(members.table[block], members.walk.take(block), t)
+        parts.append((lo + rows, *rest))
+    rows, images, a, b = (np.concatenate(x) for x in zip(*parts))
+    return rows, images, _locate(members, images), a, b
+
+
+def _swap_costs(fibres: Fibres, costs: np.ndarray) -> np.ndarray:
+    """E(pi) - E(tau) for every member pi of the fibres, tau its image: the
+    :func:`core.swap_cost` of the swap that takes tau back to pi."""
+    _, images, _, a, b = fibres
+    i = np.arange(len(images))
+    return swap_cost(costs, a, images[i, a], b, images[i, b])
 
 
 def _fibre_order(images: np.ndarray, positions: np.ndarray) -> list[int]:
@@ -479,7 +487,7 @@ def _check_images(
     label: dict,
 ) -> None:
     """Every image of the map stays in S_W with max C(0) in (t - 2W, t]."""
-    rows, images, at = fibres
+    rows, images, at, _, _ = fibres
     n = members.walk.n
     cert._bump(check, len(rows))
     top = members.walk.top[at] - n  # at = -1 reads a wrong row; masked below
@@ -518,7 +526,7 @@ def _check_preimages(
     check = "preimage_sets_full" if band is None else "preimage_sets_band"
     label = {} if band is None else {"W": band}
     table, _, walk = members
-    rows, _, at = fibres
+    rows, _, at, _, _ = fibres
     ts = t + walk.n
     kept = (at >= 0) & (walk.top[at] <= ts)
     order = np.argsort(at[kept], kind="stable")
@@ -598,11 +606,13 @@ def _full_pass(
 
     The fibres at each t are independent of p and W, so they are built and
     checked against uncross_preimage (preimage_sets_full) once, then reused
-    with the energies: energy_monotonicity (uncrossing never increases
-    energy) once per p, and ratio_bound (the weight-ratio inequality over
+    with each member's swap cost E(pi) - E(uncross(pi)) (:func:`_swap_costs`):
+    energy_monotonicity (uncrossing never raises the energy by more than
+    1e-9) once per p, and ratio_bound (the weight-ratio inequality over
     every admissible (tau, a, b, t)) and ratio_sum (each fibre's summed
     weight ratio) at each (p, W).  Monotonicity does not depend on the
-    scale W, so it reads the W = 1 energies sum_i |pi(i) - i|^p.
+    scale W, so it reads the W = 1 terms |d|^p.  Full energies are summed
+    only for the records of its violations.
     """
     members = _members(ModelParams(p=1.0, W=1, n=n))
     table = members.table
@@ -612,11 +622,11 @@ def _full_pass(
     for t, fibres in maps:
         _check_preimages(cert, members, t, None, fibres)
     for p in p_values:
-        unscaled = np.array(displacement_costs(ModelParams(p=p, W=1, n=n)))  # d^p
-        sums = _displacement_sums(table, unscaled)
-        for t, (rows, _, at) in maps:
+        unit = displacement_costs(ModelParams(p=p, W=1, n=n))  # d^p
+        for t, fibres in maps:
+            rows, images, at, _, _ = fibres
             cert._bump("energy_monotonicity", len(rows))
-            bad = np.flatnonzero(sums[at] > sums[rows] + 1e-9)
+            bad = np.flatnonzero(_swap_costs(fibres, np.array(unit)) < -1e-9)
             for i in _fibre_order(at, bad):
                 cert.violations.append(
                     {
@@ -624,8 +634,8 @@ def _full_pass(
                         "p": p,
                         "t": t,
                         "pi": _image(table[rows[i]]),
-                        "energy_before": float(sums[rows[i]]),
-                        "energy_after": float(sums[at[i]]),
+                        "energy_before": displacement_sum(_image(table[rows[i]]), unit),
+                        "energy_after": displacement_sum(_image(images[i]), unit),
                     }
                 )
         for W in w_values:
@@ -716,21 +726,24 @@ def _ratio_bounds(cert, members, maps, costs, params) -> tuple[Best, Found]:
 
 
 def _ratio_sums(cert, members, maps, costs, params) -> tuple[Best, Found]:
-    """ratio_sum over the whole table at each t.  Each fibre's sum adds its
-    terms in enumeration order (np.add.at is unbuffered)."""
+    """ratio_sum over the whole table at each t.  Each fibre member's
+    weight relative to tau is exp(-swap_cost) of the swap that recreates it
+    from tau (:func:`_swap_costs`), never a difference of two full energies,
+    which both grow like (2n / W)^p.  Each fibre's sum adds its terms in
+    enumeration order (np.add.at is unbuffered)."""
     table, _, walk = members
     n, p, W = walk.n, params.p, params.W
     best, found = None, []
-    energies = _displacement_sums(table, costs)
     top = walk.top - n
-    for k, (t, (rows, _, at)) in enumerate(maps):
+    for k, (t, fibres) in enumerate(maps):
+        at = fibres[2]
         size = np.bincount(at, minlength=len(table))
         checked = np.flatnonzero((size > 0) & (top <= t))
         cert._bump("ratio_sum", len(checked))
         if not len(checked):
             continue
         total = np.zeros(len(table))
-        np.add.at(total, at, _exp(-(energies[rows] - energies[at])))
+        np.add.at(total, at, _exp(-_swap_costs(fibres, costs)))
         limit = np.zeros(n + 1)
         for x in np.unique(top[checked]).tolist():
             limit[x] = RATIO_SUM_K * W * W * math.exp(-costs[t - x])

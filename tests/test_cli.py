@@ -47,6 +47,11 @@ def tree_hashes(root: Path) -> dict[str, str]:
 # and the certificates started summing the scaled terms (d / W)^p of
 # core.displacement_costs in place of d^p / W^p: their floats moved in the
 # last bits, and the ratio-sum witness of uncross_full to a tied row.
+# uncross_full was re-recorded again when each fibre member's weight ratio
+# became exp(-core.swap_cost) of its one swap, in place of a difference of
+# two full energies: max_ratio_sum_quotient moved by an ulp to the correctly
+# rounded 0.26979993348211717, and its witness to the exactly tied row
+# [-1, -3, 0, -2, 3, 1, 2]; counts and violations are unchanged.
 GOLDEN_RUNS = {
     "exact": (
         ("exact", "--p", "1.5", "--W", "2", "--n", "2", "--j", "1"),
@@ -145,7 +150,7 @@ GOLDEN_RUNS = {
                 "ed1cb193d6606a95788749d9ea670c319db237c0e95e7d6b6b506198169e0e40"
             ),
             "uncross_certificate_n3.json": (
-                "418f1e20a0a9b8e6f5d32ced21da086229e98f241fce2cb3bcbb442ee3575094"
+                "fa79afab9d3652069bc7c2450b2b26fe59777a45ff03179fe0fb4f78005e5499"
             ),
         },
     ),
@@ -645,9 +650,17 @@ class TestParserProperties:
         if code == cli.EXIT_OK:
             assert out.getvalue() == ""
         else:
-            assert code == cli.EXIT_CONFIG
+            # a drawn value such as --n 9999999 parses, then fails the
+            # chain capacity check: exit 3, not 2
+            errors = {cli.EXIT_CONFIG: "configuration", cli.EXIT_CAPACITY: "capacity"}
             (line,) = out.getvalue().splitlines()
-            assert json.loads(line)["error"] == "configuration"
+            assert json.loads(line)["error"] == errors[code]
+
+    def test_main_capacity_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", strict_manifest)  # run no command body
+        assert cli.main(["sample", "--n", "9999999"]) == cli.EXIT_CAPACITY
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["error"] == "capacity"
 
 
 class TestAtomicWrites:

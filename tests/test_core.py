@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -19,7 +20,7 @@ from bandperm import (
     reflect,
     swap_images,
 )
-from bandperm.core import displacement_costs
+from bandperm.core import displacement_costs, swap_cost
 from conftest import interval_permutations, orbit_by_iteration
 
 
@@ -188,6 +189,27 @@ class TestEnergy:
         assert energy(reflect(pi), params) == pytest.approx(
             energy(pi, params), abs=1e-12
         )
+
+
+class TestSwapCost:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5])
+    def test_equals_the_energy_change_of_the_swap(self, p):
+        params = ModelParams(p=p, W=2, n=2)
+        costs = displacement_costs(params)
+        for img in itertools.permutations(range(-2, 3)):
+            pi = Permutation(img)
+            for a, b in itertools.combinations(pi.domain(), 2):
+                change = energy(swap_images(pi, a, b), params) - energy(pi, params)
+                assert swap_cost(costs, a, pi(a), b, pi(b)) == pytest.approx(change, rel=1e-12)
+
+    def test_array_form_equals_the_scalar_calls(self):
+        # every (a, pi(a), b, pi(b)) on [-3, 3], the arrays shifted to 0..6
+        # in int8 as in a member table
+        costs = displacement_costs(ModelParams(p=1.5, W=2, n=3))
+        points = list(itertools.product(range(-3, 4), repeat=4))
+        shifted = (np.array(points, dtype=np.int8) + 3).T
+        got = swap_cost(np.array(costs), *shifted)
+        assert got.tolist() == [swap_cost(costs, *args) for args in points]
 
 
 class TestSupport:

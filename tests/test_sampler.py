@@ -223,13 +223,6 @@ class TestChainBasics:
         again = run_chain(params, cfg)
         assert again.final_state == summary.final_state
 
-    def test_debug_energy_check_clean(self):
-        params = ModelParams(p=1.7, W=2, n=3)
-        cfg = SamplerConfig(
-            seed=8, steps=20_000, burn_in=0, thinning=100, debug_energy_check=True
-        )
-        run_chain(params, cfg)
-
     def test_large_p_chain_runs(self):
         # every (d / W)^p is finite at W=8, though 16^341 passes the float
         # maximum; at W=1 the terms past 8 are inf and those swaps are
@@ -237,7 +230,7 @@ class TestChainBasics:
         summary = run_chain(ModelParams(p=341.0, W=8, n=8), SamplerConfig(seed=1, steps=100))
         assert summary.retained_samples == 100
         params = ModelParams(p=341.0, W=1, n=8)
-        cfg = SamplerConfig(seed=1, steps=2_000, thinning=17, debug_energy_check=True)
+        cfg = SamplerConfig(seed=1, steps=2_000, thinning=17)
         assert math.isfinite(energy(run_chain(params, cfg).final_state, params))
 
     def test_spawn_chain_seed(self):

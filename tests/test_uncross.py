@@ -296,6 +296,15 @@ class TestVerificationSuite:
         assert cert.counts["ratio_sum"] > 0
         assert cert.max_ratio_quotient <= 1.0 + 1e-9
 
+    def test_clean_at_large_p(self):
+        # every energy difference is the four changed terms: at p=341 two
+        # full energies near 6^341 would cancel to 0, and each fibre
+        # member's weight ratio would read 1
+        cert = run_verification(3, [1], [341.0])
+        assert cert.ok, f"violations: {cert.violations[:3]}"
+        assert cert.counts["ratio_sum"] > 0
+        assert cert.max_ratio_sum_quotient == pytest.approx(math.exp(-2))
+
     def test_ratio_sum_bound_over_exhaustive_range(self):
         # the frozen K = 1.0 must hold across the full exhaustive range;
         # the brute-force maximum quotient (0.657 at p=1, W=1) is pinned
@@ -356,14 +365,14 @@ class TestAgainstPerImageReference:
         assert got["violations_total"] > 1000
 
     def test_energy_violations_equal(self, monkeypatch):
-        # negated energies on both sides: uncrossing now raises the energy,
-        # and the fibres' weight sums blow up
-        table_sums = uncross_module._displacement_sums
-        image_energy = reference.energy
+        # negated fibre members' swap costs on both sides: uncrossing now
+        # raises the energy, and the fibres' weight sums blow up
+        table_costs = uncross_module._swap_costs
+        image_cost = reference.member_cost
         monkeypatch.setattr(
-            uncross_module, "_displacement_sums", lambda t, costs: -table_sums(t, costs)
+            uncross_module, "_swap_costs", lambda fibres, costs: -table_costs(fibres, costs)
         )
-        monkeypatch.setattr(reference, "energy", lambda img, p, W: -image_energy(img, p, W))
+        monkeypatch.setattr(reference, "member_cost", lambda *args: -image_cost(*args))
         args = (3, (1, 2), (1.5, 2.0))
         got = run_verification(*args).to_json_dict()
         assert got == reference.run_verification(*args).to_json_dict()
