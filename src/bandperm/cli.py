@@ -317,19 +317,19 @@ def _check_j(v: dict, given: set) -> None:
         raise ConfigurationError(f"j: must lie in [-{v['n']}, {v['n']}], got {v['j']}")
 
 
-def _check_power(key: str, p: float, W: int, n: int) -> None:
-    """max(2n, W)^p must be a finite float at finite p, for the certificates.
+def _check_power(key: str, p: float, n: int) -> None:
+    """(2n)^p must be a finite float at finite p, for the certificates.
 
-    Their terms (d / W)^p, d <= 2n, are then finite at every W, and so are
-    the powers d^p of energy_monotonicity; an inf term would make the
+    Their terms (d / W)^p, d <= 2n, are then finite at every W >= 1, and so
+    are the powers d^p of energy_monotonicity; an inf term would make the
     four-term energy difference of a swap inf - inf.  The other commands
     need no such check: an inf term there is an inf energy, of weight 0.
     """
     try:
-        float(max(2 * n, W)) ** p
+        float(2 * n) ** p
     except OverflowError:
         if math.isfinite(p):
-            raise ConfigurationError(f"{key}: max(2n, W)^p is not a finite float at p={p}")
+            raise ConfigurationError(f"{key}: (2n)^p is not a finite float at p={p}")
 
 
 def _check_chain_capacity(ns) -> None:
@@ -381,7 +381,7 @@ def _check_sweep(v: dict, given: set) -> None:
 
 def _check_uncross(v: dict, given: set) -> None:
     for p in v["p_list"]:
-        _check_power("p_list", p, max(v["W_list"]), v["n"])
+        _check_power("p_list", p, v["n"])
 
 
 def _check_recurrence(v: dict, given: set) -> None:

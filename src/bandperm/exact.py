@@ -14,12 +14,14 @@ Finite-p energies sum the terms of :func:`core.displacement_costs`, the
 table :func:`core.energy` and the chain read.  Energies, weights and
 cycles of j are computed a column at a time with the float order of the
 per-permutation formulas, so every value is bit-identical to them.  The
-p = infinity tail curve needs no enumeration: a marked connectivity
-transfer DP over the positions counts the members of S_W by the diameter
-of the cycle of j (:func:`band_diameter_counts`).  One
-profile column step (:func:`_band_step`) serves both the count |S_W| and
-the band table: it lists the admissible values of a position from the
-profile masks of the partial rows.
+p = infinity tail curve and partition value need no enumeration: a marked
+connectivity transfer DP over the positions counts the members of S_W by
+the diameter of the cycle of j (:func:`band_diameter_counts`), in time
+quadratic in 2n+1.  Its one bound is on the states it creates
+(DIAMETER_STATE_CAP), not on |S_W|.  One profile column step
+(:func:`_band_step`) serves both the count |S_W| and the band table: it
+lists the admissible values of a position from the profile masks of the
+partial rows.
 """
 from __future__ import annotations
 
@@ -41,6 +43,12 @@ FULL_ENUMERATION_CAP = 9
 
 # Largest band-support size the p = infinity mode will enumerate.
 BAND_ENUMERATION_CAP = 2_000_000
+
+# Largest (2n+1) * (states at one position) band_diameter_counts may reach,
+# so it creates at most this many states in all.  At W = 2 and n = 200 that
+# product peaks at 401 * 2,989 = 1,198,589; the DP creates 538,700 states,
+# in about 7 s on a 2-vCPU Xeon VM.
+DIAMETER_STATE_CAP = 2_000_000
 
 # Rows of a member table converted to image tuples at a time.
 _ROWS = 1 << 16
@@ -196,10 +204,15 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
     and it closes at the position x = max C(j), giving diameter x - s.  It
     counts when it holds j.  The pruning of :func:`_band_step` (value
     q - W is forced at position q while free) keeps every branch alive.
+    Once the marked cycle closes, s is never read again, so the states
+    then carry s = -1: O(m) states per position, and O(m^2) time.  Raises
+    CapacityError as soon as m times the states at one position passes
+    DIAMETER_STATE_CAP, which bounds the states created in all.
     """
     m = 2 * n + 1
     jx = j + n
-    # (open paths, birth position s of the marked path, closed diameter)
+    # (open paths, birth position s of the marked path, -1 once it closed,
+    # closed diameter)
     states: dict[tuple, int] = {((), None, None): 1}
     for r in range(m):
         nxt: dict[tuple, int] = {}
@@ -208,13 +221,7 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
             ends = {x[1]: x for x in paths}
             own = ends.get(r)  # the path position r extends, None if r is alone
             lo, hi = max(0, r - W), min(m - 1, r + W)
-            if lo == r - W and lo in starts:
-                values = [lo]
-            else:
-                values = [
-                    v for v in range(lo, hi + 1)
-                    if v in starts or v >= r and v not in ends
-                ]
+            forced = lo == r - W and lo in starts
             births = [born]
             if born is None and own is None and r <= jx:
                 births.append(r)  # r is the minimum of the cycle of j
@@ -228,6 +235,11 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
                     return (x, x, label | (_HOLDS_J if x == jx else 0))
 
                 head = own or alone(r)
+                # lazy: a band far wider than the state cap allows stops at it
+                values = [lo] if forced else (
+                    v for v in range(lo, hi + 1)
+                    if v in starts or v >= r and v not in ends
+                )
                 for v in values:  # the arc r -> v joins head to tail
                     tail = starts.get(v) or alone(v)
                     label = head[2] | tail[2]
@@ -238,7 +250,7 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
                         if label & _MARKED and label & _HOLDS_J:
                             # nothing is dropped from here on: all paths are old
                             rest = [(a, b, _OLD) for a, b, _ in rest]
-                            key = (_canonical(rest), s, r - s)
+                            key = (_canonical(rest), -1, r - s)
                         elif label & (_MARKED | _HOLDS_J):
                             continue  # the cycle of j has another minimum
                         else:
@@ -247,30 +259,16 @@ def band_diameter_counts(n: int, W: int, j: int) -> list[int]:
                         merged = rest + [(head[0], tail[1], label)]
                         key = (_canonical(merged), s, diam)
                     nxt[key] = nxt.get(key, 0) + count
+                    if m * len(nxt) > DIAMETER_STATE_CAP:
+                        raise CapacityError(
+                            f"(2n+1) * (states at one position) of the p = infinity "
+                            f"DP exceeds its cap {DIAMETER_STATE_CAP} (W={W}, 2n+1={m})"
+                        )
         states = nxt
     counts = [0] * m
     for (_, _, diam), count in states.items():
         counts[diam] += count
     return counts
-
-
-def _band_size(params: ModelParams) -> int:
-    """|S_W| from the counting DP, raising CapacityError over the band cap.
-
-    The DP stops as soon as its running total passes the cap, and never
-    starts at 2n+1 >= 31, so the check is bounded for any n and W.
-    """
-    m = params.interval_size
-    if m < _BAND_OVER_CAP_SIZE:
-        for total in _band_counts(m, params.W):
-            if total > BAND_ENUMERATION_CAP:
-                break
-        else:
-            return total
-    raise CapacityError(
-        f"|S_W| exceeds the band enumeration cap {BAND_ENUMERATION_CAP} "
-        f"(W={params.W}, 2n+1={m})"
-    )
 
 
 def _blocks(params: ModelParams) -> Iterator[np.ndarray]:
@@ -280,11 +278,19 @@ def _blocks(params: ModelParams) -> Iterator[np.ndarray]:
     Infinite p: S_W as one block.  Finite p: all (2n+1)! permutations, in
     the blocks of :func:`_permutation_blocks`.  Raises CapacityError, naming
     the cap, when the instance is too large; the check runs on the call,
-    before iteration.
+    before iteration.  At infinite p the counting DP stops as soon as its
+    running total passes the cap, and never starts at 2n+1 >= 31, so the
+    check is bounded for any n and W.
     """
     m = params.interval_size
     if params.infinite_p:
-        _band_size(params)
+        if m >= _BAND_OVER_CAP_SIZE or any(
+            total > BAND_ENUMERATION_CAP for total in _band_counts(m, params.W)
+        ):
+            raise CapacityError(
+                f"|S_W| exceeds the band enumeration cap {BAND_ENUMERATION_CAP} "
+                f"(W={params.W}, 2n+1={m})"
+            )
         return iter([_band_table(params.n, params.W)])
     if m > FULL_ENUMERATION_CAP:
         raise CapacityError(
@@ -399,10 +405,14 @@ def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
 
 
 def exact_distribution(params: ModelParams) -> ExactDistribution:
-    """Materialize the exact Gibbs distribution for an enumerable instance."""
-    pairs = list(_weighted(params))
-    z = math.fsum(w for _, w in pairs)
-    entries = tuple((Permutation(img), w / z) for img, w in pairs)
+    """Materialize the exact Gibbs distribution for an enumerable instance.
+
+    A first pass sums the weights into z, so the second builds the entries
+    without a list of (image, weight) pairs beside them.
+    """
+    weights = (w.tolist() for _, w in _weight_blocks(params))
+    z = math.fsum(itertools.chain.from_iterable(weights))
+    entries = tuple((Permutation(img), w / z) for img, w in _weighted(params))
     return ExactDistribution(params, entries, z)
 
 
@@ -427,7 +437,6 @@ def exact_tail_and_partition(
         if lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {lam}")
     if params.infinite_p:
-        _band_size(params)  # capacity check before the DP
         mass = band_diameter_counts(n, params.W, j)
         support_size = sum(mass)
         partition_value = float(support_size)
@@ -471,16 +480,10 @@ def exact_tail_curve(
 
 
 def exact_partition(params: ModelParams) -> tuple[float, int]:
-    """(partition value, support size) without materializing the entries.
-
-    For infinite p both equal |S_W|, available from the counting DP; for
-    finite p they come from one pass over the weights.
-    """
-    if params.infinite_p:
-        total = _band_size(params)
-        return float(total), total
-    _, partition_value, support_size = exact_tail_and_partition(params, 0, ())
-    return partition_value, support_size
+    """(partition value, support size) without materializing the entries:
+    :func:`exact_tail_and_partition` with no tail points.  At infinite p
+    both are |S_W|, from the diameter DP and under its bound."""
+    return exact_tail_and_partition(params, 0, ())[1:]
 
 
 def exact_tail(params: ModelParams, j: int, lam: int) -> float:

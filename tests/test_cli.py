@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bandperm import CapacityError, ModelParams, Permutation, cli, energy
+from bandperm import (
+    CapacityError,
+    ModelParams,
+    Permutation,
+    cli,
+    count_band_permutations,
+    energy,
+)
 from bandperm.cli import (
     ConfigurationError,
     default_lambda_grid,
@@ -349,6 +356,14 @@ class TestExactCommand:
         assert sidecar["partition_value"] == 3.0
         assert sidecar["support_size"] == 3
 
+    def test_band_past_the_enumeration_cap(self, tmp_path):
+        # |S_2| on 101 points is far above the band enumeration cap; the
+        # p = infinity oracle is bound only by its DP's states
+        argv = ["exact", "--p", "inf", "--W", "2", "--n", "50"]
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "exact_summary_pinf_W2_n50.json").read_text())
+        assert summary["support_size"] == count_band_permutations(101, 2)
+
     def test_capacity_exit_code(self, tmp_path):
         res = run_cli(
             "exact", "--p", "1", "--W", "1", "--n", "6",
@@ -416,6 +431,7 @@ class TestFailClosed:
             ["tail", "--n", str(cli.CHAIN_INTERVAL_CAP // 2 + 1), "--steps", "10"],
             ["sweep", "--n-list", f"1,{10**12}", "--steps", "10"],
             ["uncross-verify", "--n", str(10**8), "--p-list", "1"],
+            ["exact", "--p", "inf", "--W", "13", "--n", "14"],
         ],
     )
     def test_huge_instance_is_a_capacity_error(self, argv, tmp_path):
@@ -566,11 +582,15 @@ class TestFailClosed:
         assert payload["error"] == "configuration"
         assert payload["message"].startswith("p_list:")
 
-    def test_power_check_boundary(self):
+    def test_power_check_boundary(self, tmp_path):
         # 8^341 = 2^1023 is the largest finite power of 8; 8^342 overflows
         parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "341"})
         with pytest.raises(ConfigurationError, match="^p_list:"):
             parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "342"})
+        # the certificates read (d / W)^p and d^p with d <= 2n, so a band
+        # wider than 2n is no reason to refuse a p: 1000^200 overflows, 6^200 not
+        argv = ["uncross-verify", "--n", "3", "--W-list", "1000", "--p-list", "200"]
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
         parse_config("exact", {}, {"p": "342", "W": "1", "n": "4"})
         parse_config("exact", {}, {"p": "inf", "W": str(10**400), "n": "4"})
 

@@ -176,8 +176,14 @@ class TestBandCounts:
         "n, W", [(15, 1), (14, 13), (14, 27), (100_000, 3), (10**30, 10**20)]
     )
     def test_capacity_check_is_bounded(self, n, W):
-        with pytest.raises(CapacityError, match="cap"):
-            exact_partition(ModelParams(p=INFINITY, W=W, n=n))
+        # exact_partition is bound by the diameter DP's state cap, not by
+        # |S_W|: |S_1| = F(32) on 31 points is past the enumeration cap
+        params = ModelParams(p=INFINITY, W=W, n=n)
+        if (n, W) == (15, 1):
+            assert exact_partition(params) == (2_178_309.0, 2_178_309)
+        else:
+            with pytest.raises(CapacityError, match="cap"):
+                exact_partition(params)
 
 
 class TestExactDistribution:
@@ -482,6 +488,36 @@ class TestBandDiameterDP:
         # point once and in a transposition twice
         assert band_diameter_counts(1, 1, 0) == [1, 2, 0]
         assert band_diameter_counts(1, 1, -1) == [2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "n, W, j, total, moment",
+        [
+            (25, 2, 0, 2670418559604655193, 5042305410515178488),
+            (12, 3, -4, 382497958000, 1479100120852),
+        ],
+    )
+    def test_pinned_totals_past_the_walk(self, n, W, j, total, moment):
+        # sum c and sum d * c, recorded from the DP that keyed a closed
+        # marked cycle by its birth position too
+        counts = band_diameter_counts(n, W, j)
+        assert sum(counts) == total == count_band_permutations(2 * n + 1, W)
+        assert sum(d * c for d, c in enumerate(counts)) == moment
+
+    def test_every_instance_under_the_enumeration_cap_runs(self):
+        # every (n, W) whose |S_W| is under the band enumeration cap stays
+        # far under the DP's state cap (W >= 2n is the same DP as W = 2n)
+        admitted = []
+        for n in range(1, 15):
+            for W in range(1, 2 * n + 1):
+                totals = _band_counts(2 * n + 1, W)
+                if any(t > BAND_ENUMERATION_CAP for t in totals):
+                    break  # |S_W| grows with W
+                admitted.append((n, W))
+        assert len(admitted) == 38
+        for n, W in admitted:
+            count = count_band_permutations(2 * n + 1, W)
+            got = exact_partition(ModelParams(p=INFINITY, W=W, n=n))
+            assert got == (float(count), count), (n, W)
 
 
 class TestExactExpectation:
