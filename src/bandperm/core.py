@@ -17,7 +17,8 @@ every finite-p certificate check read it.  The chain's hot loop in
 ``sampler._drive`` keeps an inline copy on purpose, since a call per
 proposal would slow the long finite-p chains.
 The exhaustive layers work on numpy tables of images, one image per row:
-``_orbit_table`` is the orbit walk over such a table.
+``_orbit_table`` is the one orbit walk over such a table, point-major, and
+both the finite-p oracle and the uncrossing certificates read it.
 
 All operations are pure: inputs are never mutated and results are fresh
 values, so they are safe to call from concurrent workers.
@@ -184,21 +185,22 @@ def _orbit_table(table: np.ndarray, x: int) -> np.ndarray:
     """:func:`orbit` of one point in every row of a member table at once.
 
     Rows are images shifted to 0..m-1 (point i of [-n, n] in column i + n),
-    and x is a shifted point.  Column k of the result is pi^k(x) in every
-    row, found by pointer jumps; the walk stops once every row has come
-    back to x, so the last column is x in the row with the longest cycle.
+    and x is a shifted point.  The result is point-major: its row k is
+    pi^k(x) in every member, so each pointer jump is one contiguous gather.
+    The walk stops once every member has come back to x, so the last row
+    is x in the member with the longest cycle.
     """
     count, m = table.shape
     rows = np.arange(count)
-    out = np.empty((count, m + 1), dtype=table.dtype)
-    out[:, 0] = x
+    out = np.empty((m + 1, count), dtype=table.dtype)
+    out[0] = x
     closed = np.zeros(count, dtype=bool)
     for k in range(1, m + 1):  # a cycle has at most m points
-        out[:, k] = table[rows, out[:, k - 1]]
-        closed |= out[:, k] == x
+        out[k] = table[rows, out[k - 1]]
+        closed |= out[k] == x
         if closed.all():
             break
-    return out[:, : k + 1]
+    return out[: k + 1]
 
 
 def cycle_of(pi: Permutation, j: int) -> CycleStats:

@@ -2,18 +2,20 @@
 
 The exact Gibbs distribution, partition value and tail probabilities
 computed here are the ground truth against which the Markov chain and the
-uncrossing-map properties are validated.  One function,
-:func:`_blocks`, chooses what is enumerated and checks its size: at
-infinite p the band support S_W, built as one int8 table a column at a
-time, which reaches much larger intervals; at finite p all (2n+1)!
-permutations (capped) in numpy blocks, one block per leading pair of
-values.  Rows are in lexicographic order in both.  The image generator,
-the member tables of the uncrossing certificates (:func:`_member_table`)
-and the Gibbs weights (:func:`_weight_blocks`) all read those blocks.
-Finite-p energies sum the terms of :func:`core.displacement_costs`, the
-table :func:`core.energy` and the chain read.  Energies, weights and
-cycles of j are computed a column at a time with the float order of the
-per-permutation formulas, so every value is bit-identical to them.  The
+uncrossing-map properties are validated.  One function, :func:`_blocks`,
+chooses what is enumerated and checks its size against one cap on the
+member count: at infinite p the band support S_W, built as one int8 table
+a column at a time, which reaches much larger intervals; at finite p all
+(2n+1)! permutations, which are S_W at W = 2n, in numpy blocks, one block
+per leading pair of values.  Rows are in lexicographic order in both.  The
+image generator, the member tables of the uncrossing certificates
+(:func:`_member_table`) and the Gibbs weights (:func:`_weight_blocks`) all
+read those blocks.  Finite-p energies sum the terms of
+:func:`core.displacement_costs`, the table :func:`core.energy` and the
+chain read.  Energies and weights are computed a column at a time with the
+float order of the per-permutation formulas, so every value is
+bit-identical to them; the cycles of j are walked by
+:func:`core._orbit_table`, the walk the uncrossing certificates read.  The
 p = infinity tail curve and partition value need no enumeration: a marked
 connectivity transfer DP over the positions counts the members of S_W by
 the diameter of the cycle of j (:func:`band_diameter_counts`), in time
@@ -21,7 +23,8 @@ quadratic in 2n+1.  Its one bound is on the states it creates
 (DIAMETER_STATE_CAP), not on |S_W|.  One profile column step
 (:func:`_band_step`) serves both the count |S_W| and the band table: it
 lists the admissible values of a position from the profile masks of the
-partial rows.
+partial rows.  The count's bound is on the masks at one position
+(PROFILE_MASK_CAP).
 """
 from __future__ import annotations
 
@@ -33,16 +36,23 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import ModelParams, Permutation, displacement_costs
+from .core import ModelParams, Permutation, _orbit_table, displacement_costs
 
-# Largest interval size 2n+1 admitted to the factorial mode.  At 9! = 362880
-# permutations, on a 2-vCPU Xeon VM, the block pass of the tail curve and
-# partition value takes about 0.05 s, and exact_distribution and
-# exact_expectation, which build one Permutation per image, 1 to 2 s.
-FULL_ENUMERATION_CAP = 9
-
-# Largest band-support size the p = infinity mode will enumerate.
+# Most members any enumeration holds: |S_W| at infinite p, and (2n+1)! at
+# finite p, where every permutation is a member, so at most 9 points there
+# (9! = 362,880 <= cap < 11!).  At 9!, on a 2-vCPU Xeon VM, the block pass
+# of the tail curve and partition value takes about 0.05 s, and
+# exact_distribution and exact_expectation, which build one Permutation per
+# image, 1 to 2 s.
 BAND_ENUMERATION_CAP = 2_000_000
+
+# Largest C(k, floor(k/2)), k = min(2W, m), that count_band_permutations
+# admits.  After any position every partial row of the profile DP has used
+# all values below its window and none above it, so the same number of the
+# at most k values in between; no position holds more masks than that.
+# (m, W) = (29, 11), at 705,432 masks, counts in about 7 s and 420 MB on a
+# 2-vCPU Xeon VM.
+PROFILE_MASK_CAP = 2_000_000
 
 # Largest (2n+1) * (states at one position) band_diameter_counts may reach,
 # so it creates at most this many states in all.  At W = 2 and n = 200 that
@@ -91,10 +101,17 @@ def count_band_permutations(m: int, W: int) -> int:
     the column step that also builds the band table (:func:`_band_step`).
     The checks independent of that step are brute force over all m!
     permutations, the Fibonacci numbers (the counts at W = 1) and the
-    backtracking reference enumerator of tests/test_exact.py.
+    backtracking reference enumerator of tests/test_exact.py.  Raises
+    CapacityError before the first step when the masks at one position may
+    pass PROFILE_MASK_CAP.
     """
     if m < 1 or W < 1:
         raise ValueError("m and W must be positive")
+    # C(k, floor(k/2)) with k = min(2W, m); at W >= m - 1 the DP takes no step
+    if W < m - 1 and math.comb(min(2 * W, m), min(W, m // 2)) > PROFILE_MASK_CAP:
+        raise CapacityError(
+            f"the profile DP's masks may pass their cap {PROFILE_MASK_CAP} (W={W}, m={m})"
+        )
     return list(_band_counts(m, W))[-1]
 
 
@@ -276,27 +293,23 @@ def _blocks(params: ModelParams) -> Iterator[np.ndarray]:
     rows, concatenated, are in lexicographic order.
 
     Infinite p: S_W as one block.  Finite p: all (2n+1)! permutations, in
-    the blocks of :func:`_permutation_blocks`.  Raises CapacityError, naming
-    the cap, when the instance is too large; the check runs on the call,
-    before iteration.  At infinite p the counting DP stops as soon as its
-    running total passes the cap, and never starts at 2n+1 >= 31, so the
-    check is bounded for any n and W.
+    the blocks of :func:`_permutation_blocks`.  One capacity check serves
+    both: the members are S_W, with W = 2n at finite p, where every
+    permutation is in the band, and their count may not pass
+    BAND_ENUMERATION_CAP.  It raises CapacityError, naming the cap, on the
+    call, before iteration.  The counting DP stops as soon as its running
+    total passes the cap, yields (2n+1)! at once at finite p, and never
+    starts at 2n+1 >= 31, so the check is bounded for any n and W.
     """
     m = params.interval_size
-    if params.infinite_p:
-        if m >= _BAND_OVER_CAP_SIZE or any(
-            total > BAND_ENUMERATION_CAP for total in _band_counts(m, params.W)
-        ):
-            raise CapacityError(
-                f"|S_W| exceeds the band enumeration cap {BAND_ENUMERATION_CAP} "
-                f"(W={params.W}, 2n+1={m})"
-            )
-        return iter([_band_table(params.n, params.W)])
-    if m > FULL_ENUMERATION_CAP:
+    totals = _band_counts(m, params.W if params.infinite_p else m - 1)
+    if m >= _BAND_OVER_CAP_SIZE or any(total > BAND_ENUMERATION_CAP for total in totals):
         raise CapacityError(
-            f"interval size {m} exceeds the exhaustive cap "
-            f"{FULL_ENUMERATION_CAP} for finite p ((2n+1)! mode)"
+            f"the members exceed the enumeration cap {BAND_ENUMERATION_CAP} "
+            f"(p={params.p}, W={params.W}, 2n+1={m})"
         )
+    if params.infinite_p:
+        return iter([_band_table(params.n, params.W)])
     return _permutation_blocks(m)
 
 
@@ -424,11 +437,11 @@ def exact_tail_and_partition(
     The curve lists P(diam of the cycle of j >= lam) for each lam.  At
     infinite p the counts of :func:`band_diameter_counts` give it exactly:
     integer suffix counts over |S_W|, divided with int / int, which rounds
-    correctly.  At finite p one pass over :func:`_weight_blocks` follows
-    the cycle of j in every row of a block at once (at most 2n pointer
-    jumps, tracking its minimum and maximum), bins each weight by that
-    diameter in enumeration order and streams it into math.fsum, which
-    rounds the partition value correctly whatever the order.
+    correctly.  At finite p one pass over :func:`_weight_blocks` walks the
+    cycle of j in every row of a block at once (:func:`core._orbit_table`),
+    bins each weight by that cycle's diameter in enumeration order and
+    streams it into math.fsum, which rounds the partition value correctly
+    whatever the order.
     """
     n = params.n
     if not -n <= j <= n:
@@ -445,19 +458,12 @@ def exact_tail_and_partition(
         support_size = math.factorial(params.interval_size)
         # weight mass grouped by cycle diameter (diameters are in 0..2n)
         by_diam = np.zeros(2 * n + 1)
-        x = j + n
 
         def binned() -> Iterator[list[float]]:
             for block, weights in blocks:
-                rows = np.arange(len(block))
-                point = block[:, x]
-                lo, hi = np.minimum(point, x), np.maximum(point, x)
-                for _ in range(2 * n - 1):  # a cycle has at most 2n+1 points
-                    point = block[rows, point]
-                    np.minimum(lo, point, out=lo)
-                    np.maximum(hi, point, out=hi)
+                orbit = _orbit_table(block, j + n)
                 # unbuffered, in row order: the float sums of mass[d] += w
-                np.add.at(by_diam, hi - lo, weights)
+                np.add.at(by_diam, orbit.max(0) - orbit.min(0), weights)
                 yield weights.tolist()
 
         partition_value = math.fsum(itertools.chain.from_iterable(binned()))

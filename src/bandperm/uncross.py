@@ -119,22 +119,26 @@ def _image(row: np.ndarray) -> list[int]:
 
 
 class _Walk(NamedTuple):
-    """The orbit of 0 in every row of a member table, shifted by n."""
+    """The orbit of 0 in every row of a member table, shifted by n.
+
+    orbits is point-major, as :func:`core._orbit_table` returns it: one
+    column per member; period and top have one entry per member.
+    """
 
     n: int
-    orbits: np.ndarray  # column k is pi^k(0); see core._orbit_table
+    orbits: np.ndarray  # row k is pi^k(0) in every member
     period: np.ndarray  # length of the cycle of 0
     top: np.ndarray  # max of the cycle of 0
 
     def take(self, rows) -> _Walk:
-        return _Walk(self.n, self.orbits[rows], self.period[rows], self.top[rows])
+        return _Walk(self.n, self.orbits[:, rows], self.period[rows], self.top[rows])
 
 
 def _walk(table: np.ndarray) -> _Walk:
     n = table.shape[1] // 2
     orbits = _orbit_table(table, n)
-    period = (orbits[:, 1:] == n).argmax(1).astype(table.dtype) + 1
-    return _Walk(n, orbits, period, orbits.max(1))
+    period = (orbits[1:] == n).argmax(0).astype(table.dtype) + 1
+    return _Walk(n, orbits, period, orbits.max(0))
 
 
 def _crossings(walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
@@ -147,14 +151,14 @@ def _crossings(walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
     """
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    here, nxt = walk.orbits[:, :-1], walk.orbits[:, 1:]
-    steps = np.arange(here.shape[1]) < walk.period[:, None]
+    here, nxt = walk.orbits[:-1], walk.orbits[1:]
+    steps = np.arange(len(here))[:, None] < walk.period
     ts = t + walk.n
     below, lands_below = here <= ts, nxt <= ts
-    up = (below & ~lands_below & steps).argmax(1)
-    down = here.shape[1] - 1 - (lands_below & ~below & steps)[:, ::-1].argmax(1)
-    rows = np.arange(len(here))
-    return up, here[rows, up], nxt[rows, up], down, here[rows, down], nxt[rows, down]
+    up = (below & ~lands_below & steps).argmax(0)
+    down = len(here) - 1 - (lands_below & ~below & steps)[::-1].argmax(0)
+    rows = np.arange(here.shape[1])
+    return up, here[up, rows], nxt[up, rows], down, here[down, rows], nxt[down, rows]
 
 
 def _swap(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,7 +203,7 @@ def _preimages(
             f"max of the cycle of 0 exceeds {t}; tau is outside the map's image"
         )
     on_cycle = np.zeros((count, m), dtype=bool)
-    on_cycle[np.arange(count)[:, None], walk.orbits] = True
+    on_cycle[np.arange(count), walk.orbits] = True
     low = on_cycle[:, a_cols] & (taus[:, a_cols] <= ts)
     owner, i, j = np.nonzero(low[:, :, None] & (taus[:, None, b_cols] > ts))
     a, b = a_cols[i], b_cols[j]
@@ -780,7 +784,8 @@ def run_verification(
     """Run the exhaustive invariant suite and return its certificate.
 
     Band checks run for every W; finite-p checks run for every finite p in
-    p_values (and need 2n+1 within the factorial enumeration cap).
+    p_values (and need their (2n+1)! members within the enumeration cap,
+    so 2n+1 <= 9).
     """
     w_values = tuple(sorted(set(w_values)))
     p_values = tuple(sorted(set(p_values)))

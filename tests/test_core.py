@@ -20,7 +20,8 @@ from bandperm import (
     reflect,
     swap_images,
 )
-from bandperm.core import displacement_costs, swap_cost
+from bandperm.core import _orbit_table, displacement_costs, orbit, swap_cost
+from bandperm.exact import _band_table
 from conftest import interval_permutations, orbit_by_iteration
 
 
@@ -130,6 +131,29 @@ class TestCycleOf:
         stats = cycle_of(pi, j)
         j2 = data.draw(st.sampled_from(sorted(stats.elements)))
         assert cycle_of(pi, j2) == stats
+
+
+class TestOrbitTable:
+    def test_row_k_is_the_kth_orbit_point_in_every_member(self):
+        # all 5,040 permutations of 7 points, shifted to 0..6, at every x
+        table = np.array(list(itertools.permutations(range(7))), dtype=np.int8)
+        images = [tuple(v - 3 for v in row) for row in table.tolist()]
+        for x in range(7):
+            walked = _orbit_table(table, x)
+            cycles = [orbit(image, x - 3) for image in images]
+            assert walked.shape == (max(map(len, cycles)) + 1, len(table))
+            for column, cycle in zip(walked.T.tolist(), cycles):
+                assert [v - 3 for v in column] == [
+                    cycle[k % len(cycle)] for k in range(len(column))
+                ]
+
+    def test_walk_stops_once_every_member_is_back(self):
+        # S_1 on 17 points, F(18) = 2,584 members: every cycle has at most
+        # two points, so the walk is x, pi(x), x
+        table = _band_table(8, 1)
+        assert len(table) == 2584
+        for x in range(17):
+            assert _orbit_table(table, x).shape == (3, 2584)
 
 
 class TestEnergy:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -120,7 +123,8 @@ class TestEnumeration:
         )
 
     def test_capacity_error_finite_p(self):
-        with pytest.raises(CapacityError, match="9"):
+        # 11! permutations pass the one enumeration cap, which admits 9!
+        with pytest.raises(CapacityError, match=str(BAND_ENUMERATION_CAP)):
             enumerate_permutations(ModelParams(p=1.0, W=1, n=5))
 
     def test_capacity_error_band(self):
@@ -151,6 +155,35 @@ class TestBandCounts:
 
     def test_unconstrained_case(self):
         assert count_band_permutations(4, 5) == math.factorial(4)
+
+    def test_wide_band_by_inclusion_exclusion(self):
+        # W = 13 on 15 points excludes exactly the permutations that map
+        # an end to the other end: 15! - 2 * 14! + 13!, through the DP,
+        # whose masks have k = 15 free bits
+        f = math.factorial
+        assert count_band_permutations(15, 13) == f(15) - 2 * f(14) + f(13)
+
+    def test_mask_bound_raises_before_the_first_step(self):
+        # at (29, 12) the masks may reach C(24, 12) = 2,704,156; the DP
+        # used to run out of a 1 GiB address space after 4.5 s
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        script = (
+            "import time\n"
+            "from bandperm import CapacityError, count_band_permutations\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    count_band_permutations(29, 12)\n"
+            "except CapacityError:\n"
+            "    print(time.perf_counter() - start)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) < 5.0
 
     def test_running_totals_bound_the_count(self):
         # the capacity check stops once a running total passes the cap,

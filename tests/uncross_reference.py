@@ -375,7 +375,8 @@ def run_verification(
     """Run the exhaustive invariant suite and return its certificate.
 
     Band checks run for every W; finite-p checks run for every finite p in
-    p_values (and need 2n+1 within the factorial enumeration cap).
+    p_values (and need their (2n+1)! members within the enumeration cap,
+    so 2n+1 <= 9).
     """
     w_values = tuple(sorted(set(w_values)))
     p_values = tuple(sorted(set(p_values)))
