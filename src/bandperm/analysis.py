@@ -169,7 +169,8 @@ def decay_fit_window(
 
     Excludes the boundary head lam <= head_cut (default 2W) and points whose
     surviving count falls below min_survivors or whose survival reached 0 or
-    1 exactly; all three cutoffs are exposed to configuration.
+    1 exactly.  head_cut and min_survivors can be set; the survival 0/1
+    exclusion is fixed, since -log survival is undefined or 0 there.
     """
     if head_cut is None:
         head_cut = 2 * curve.params.W

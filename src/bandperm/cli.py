@@ -5,13 +5,17 @@ Each command's configuration keys live in one table of :class:`Option`
 entries (parser, default, help); the flags are derived from it.
 Configuration comes from an optional JSON file plus command-line flags,
 flags winning; both go through the same parsers.  The fully resolved
-configuration is echoed into a manifest next to every artifact.  Reruns
-with identical configuration and seed produce byte-identical files:
-nothing time- or host-dependent is ever written.
+configuration is echoed into a manifest next to every artifact.  Each
+command body returns its files as text, and :func:`run` alone writes them
+and then the manifest.  Reruns with identical configuration and seed
+produce byte-identical files: nothing time- or host-dependent is ever
+written.
 
 Exit codes: 0 success, 1 no data (too few samples to estimate or fit),
 2 configuration error (including any malformed flag), 3 capacity error,
-4 verification failure (the invariant suite found a violation).
+4 verification failure (the invariant suite found a violation).  Exits 1,
+2 and 3 write no artifact and no manifest; exit 4 writes the certificate
+and the manifest first.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .core import INFINITY, ModelParams, Permutation
+from .core import INFINITY, ModelParams, Permutation, UnsupportedExponentError
 from .exact import CapacityError, exact_tail_and_partition
 from .sampler import (
     InitialState,
@@ -44,7 +48,7 @@ from .analysis import (
     largest_propagating_c0,
     recurrence_check,
 )
-from .uncross import run_verification
+from .uncross import check_power, run_verification
 
 FORMAT_VERSION = "1"
 OUTPUT_DIR_ENV = "BANDPERM_OUTPUT_DIR"
@@ -317,21 +321,6 @@ def _check_j(v: dict, given: set) -> None:
         raise ConfigurationError(f"j: must lie in [-{v['n']}, {v['n']}], got {v['j']}")
 
 
-def _check_power(key: str, p: float, n: int) -> None:
-    """(2n)^p must be a finite float at finite p, for the certificates.
-
-    Their terms (d / W)^p, d <= 2n, are then finite at every W >= 1, and so
-    are the powers d^p of energy_monotonicity; an inf term would make the
-    four-term energy difference of a swap inf - inf.  The other commands
-    need no such check: an inf term there is an inf energy, of weight 0.
-    """
-    try:
-        float(2 * n) ** p
-    except OverflowError:
-        if math.isfinite(p):
-            raise ConfigurationError(f"{key}: (2n)^p is not a finite float at p={p}")
-
-
 def _check_chain_capacity(ns) -> None:
     m = 2 * max(ns) + 1
     if m > CHAIN_INTERVAL_CAP:
@@ -381,7 +370,10 @@ def _check_sweep(v: dict, given: set) -> None:
 
 def _check_uncross(v: dict, given: set) -> None:
     for p in v["p_list"]:
-        _check_power("p_list", p, v["n"])
+        try:
+            check_power(v["n"], p)
+        except UnsupportedExponentError as exc:
+            raise ConfigurationError(f"p_list: {exc}")
 
 
 def _check_recurrence(v: dict, given: set) -> None:
@@ -446,8 +438,20 @@ def parse_config(
 
 
 # ---------------------------------------------------------------------------
-# Artifact writing
+# Artifact texts.  A command body returns its files as Artifacts; run alone
+# writes them, then the manifest, so a body that raises leaves no file.
 # ---------------------------------------------------------------------------
+
+Artifacts = dict[str, str]  # file name -> text
+
+
+class VerificationFailure(Exception):
+    """The invariant suite found violations.  Carries the artifacts, which
+    run writes before it prints the message to stderr and exits 4."""
+
+    def __init__(self, artifacts: Artifacts, violations: int) -> None:
+        super().__init__(json.dumps({"error": "verification", "violations": violations}))
+        self.artifacts = artifacts
 
 
 def _fmt(value) -> str:
@@ -467,23 +471,18 @@ def _write_text(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv(header: str, rows) -> str:
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_curve(path: Path, curve: TailCurve) -> None:
-    _write_csv(
-        path,
-        ["lambda", "survival", "stderr", "count"],
-        ((pt.lam, pt.survival, pt.stderr, pt.count) for pt in curve.points),
-    )
+def _curve(curve: TailCurve) -> str:
+    rows = ((pt.lam, pt.survival, pt.stderr, pt.count) for pt in curve.points)
+    return _csv("lambda,survival,stderr,count", rows)
 
 
 def _p_token(p: float) -> str:
@@ -494,37 +493,26 @@ def _p_token(p: float) -> str:
     return str(p).replace(".", "_")
 
 
-def _write_manifest(config: RunConfig, artifacts: list[str]) -> None:
-    payload = config.manifest_dict()
-    payload["artifacts"] = sorted(artifacts)
-    _write_json(config.output_dir / "manifest.json", payload)
-
-
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each maps the resolved values to its Artifacts
 # ---------------------------------------------------------------------------
 
 
-def _cmd_exact(config: RunConfig) -> int:
-    v = config.values
+def _cmd_exact(v: dict) -> Artifacts:
     params = ModelParams(p=v["p"], W=v["W"], n=v["n"])
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
     tag = f"p{_p_token(params.p)}_W{params.W}_n{params.n}"
     curve, partition_value, support_size = exact_tail_and_partition(params, v["j"], grid)
-    csv_name = f"exact_tail_{tag}.csv"
-    json_name = f"exact_summary_{tag}.json"
-    _write_csv(config.output_dir / csv_name, ["lambda", "tail_probability"], curve)
-    _write_json(
-        config.output_dir / json_name,
-        {
-            "format_version": FORMAT_VERSION,
-            "partition_value": partition_value,
-            "support_size": support_size,
-            "j": v["j"],
-        },
-    )
-    _write_manifest(config, [csv_name, json_name])
-    return EXIT_OK
+    summary = {
+        "format_version": FORMAT_VERSION,
+        "partition_value": partition_value,
+        "support_size": support_size,
+        "j": v["j"],
+    }
+    return {
+        f"exact_tail_{tag}.csv": _csv("lambda,tail_probability", curve),
+        f"exact_summary_{tag}.json": _json(summary),
+    }
 
 
 def _sampler_config(v: dict, params: ModelParams, seed: int) -> SamplerConfig:
@@ -567,43 +555,27 @@ def _chain(v: dict, job: dict) -> tuple[ModelParams, str, list[tuple], dict, Per
     return params, tag, rows, fields, summary.final_state
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    v = config.values
+def _cmd_sample(v: dict) -> Artifacts:
     params, tag, rows, fields, final_state = _chain(v, v)
-    csv_name = f"samples_{tag}.csv"
-    json_name = f"sample_summary_{tag}.json"
-    _write_csv(
-        config.output_dir / csv_name,
-        ["step_index", "diam", "displacement0", "maxC0", "minC0"],
-        rows,
-    )
-    _write_json(config.output_dir / json_name, {**fields, "final_state": final_state.to_list()})
-    artifacts = [csv_name, json_name]
+    artifacts = {
+        f"samples_{tag}.csv": _csv("step_index,diam,displacement0,maxC0,minC0", rows),
+        f"sample_summary_{tag}.json": _json({**fields, "final_state": final_state.to_list()}),
+    }
     if v.get("lambda_grid") and rows:
-        curve = estimate_tail_curve(
-            [r[1] for r in rows], v["lambda_grid"], params, v["j"]
-        )
-        tail_name = f"tail_{tag}.csv"
-        _write_curve(config.output_dir / tail_name, curve)
-        artifacts.append(tail_name)
-    _write_manifest(config, artifacts)
-    return EXIT_OK
+        curve = estimate_tail_curve([r[1] for r in rows], v["lambda_grid"], params, v["j"])
+        artifacts[f"tail_{tag}.csv"] = _curve(curve)
+    return artifacts
 
 
-def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
+def _tail_job(v: dict, job: dict) -> tuple[tuple, Artifacts]:
     """One tail job for a single (p, W, n, seed): a chain, its survival curve
-    and decay fit.  Writes tail_*.csv and tail_fit_*.json; returns the job's
-    sweep_fits.csv row and the artifact names."""
-    config, job = args
-    v = config.values
+    and decay fit.  Returns the job's sweep_fits.csv row and its tail_*.csv
+    and tail_fit_*.json artifacts."""
     params, tag, rows, fields, _ = _chain(v, job)
     grid = v.get("lambda_grid") or default_lambda_grid(params.n, params.W)
     diams = [r[1] for r in rows]
     curve = estimate_tail_curve(diams, grid, params, v["j"])  # NoDataError if empty
     mean_disp0 = sum(r[2] for r in rows) / len(rows)
-    csv_name = f"tail_{tag}.csv"
-    json_name = f"tail_fit_{tag}.json"
-    _write_curve(config.output_dir / csv_name, curve)
     fit_payload = {
         **fields,
         "mean_diam": curve.mean_diam,
@@ -619,70 +591,47 @@ def _tail_job(args: tuple) -> tuple[tuple, list[str]]:
     except UnfittableError as exc:
         fit_payload["decay_rate"] = None
         fit_payload["unfittable"] = str(exc)
-    _write_json(config.output_dir / json_name, fit_payload)
     row = (
         _p_token(params.p), params.W, params.n, job["seed"], curve.mean_diam,
         mean_disp0, fields["retained_samples"], fields["acceptance_rate"],
     )
-    return row, [csv_name, json_name]
+    return row, {f"tail_{tag}.csv": _curve(curve), f"tail_fit_{tag}.json": _json(fit_payload)}
 
 
-def _cmd_tail(config: RunConfig) -> int:
+def _cmd_tail(v: dict) -> Artifacts:
     """A one-job sweep on the command's own values, without sweep_fits.csv."""
-    v = config.values
-    _, artifacts = _tail_job((config, v))
-    _write_manifest(config, artifacts)
-    return EXIT_OK
+    return _tail_job(v, v)[1]
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    v = config.values
+def _cmd_sweep(v: dict) -> Artifacts:
     for index, job in enumerate(v["jobs"]):  # the manifest echoes the seeds used
         if job.get("seed") is None:
             job["seed"] = spawn_chain_seed(v["seed"], index)
-    job_args = [(config, job) for job in v["jobs"]]
-    workers = min(v["max_workers"], len(job_args), os.cpu_count() or 1)
+    tail_job = partial(_tail_job, v)
+    workers = min(v["max_workers"], len(v["jobs"]), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tail_job, job_args))
+            results = list(pool.map(tail_job, v["jobs"]))
     else:
-        results = [_tail_job(args) for args in job_args]
-    fits_name = "sweep_fits.csv"
-    _write_csv(
-        config.output_dir / fits_name,
-        [
-            "p", "W", "n", "seed", "mean_diam", "mean_displacement0",
-            "retained", "acceptance_rate",
-        ],
+        results = list(map(tail_job, v["jobs"]))
+    artifacts = {name: text for _, files in results for name, text in files.items()}
+    artifacts["sweep_fits.csv"] = _csv(
+        "p,W,n,seed,mean_diam,mean_displacement0,retained,acceptance_rate",
         sorted(row for row, _ in results),
     )
-    _write_manifest(config, [name for _, names in results for name in names] + [fits_name])
-    return EXIT_OK
+    return artifacts
 
 
-def _cmd_uncross_verify(config: RunConfig) -> int:
-    v = config.values
-    cert = run_verification(
-        v["n"], v["W_list"], v["p_list"], v.get("lambda_grid")
-    )
-    name = f"uncross_certificate_n{v['n']}.json"
-    payload = cert.to_json_dict()
-    payload["format_version"] = FORMAT_VERSION
-    _write_json(config.output_dir / name, payload)
-    _write_manifest(config, [name])
+def _cmd_uncross_verify(v: dict) -> Artifacts:
+    cert = run_verification(v["n"], v["W_list"], v["p_list"], v.get("lambda_grid"))
+    payload = {**cert.to_json_dict(), "format_version": FORMAT_VERSION}
+    artifacts = {f"uncross_certificate_n{v['n']}.json": _json(payload)}
     if not cert.ok:
-        print(
-            json.dumps(
-                {"error": "verification", "violations": len(cert.violations)}
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        raise VerificationFailure(artifacts, len(cert.violations))
+    return artifacts
 
 
-def _cmd_recurrence(config: RunConfig) -> int:
-    v = config.values
+def _cmd_recurrence(v: dict) -> Artifacts:
     p = v["p"]
     rows = []
     certificate = {
@@ -708,16 +657,10 @@ def _cmd_recurrence(config: RunConfig) -> int:
                 "contraction_c": result.c,
             }
         )
-    name_csv = f"recurrence_p{_p_token(p)}.csv"
-    name_json = f"recurrence_certificate_p{_p_token(p)}.json"
-    _write_csv(
-        config.output_dir / name_csv,
-        ["W", "c0", "propagated", "first_failure_k"],
-        rows,
-    )
-    _write_json(config.output_dir / name_json, certificate)
-    _write_manifest(config, [name_csv, name_json])
-    return EXIT_OK
+    return {
+        f"recurrence_p{_p_token(p)}.csv": _csv("W,c0,propagated,first_failure_k", rows),
+        f"recurrence_certificate_p{_p_token(p)}.json": _json(certificate),
+    }
 
 
 @dataclass(frozen=True)
@@ -726,7 +669,7 @@ class Command:
 
     help: str
     options: tuple[Option, ...]
-    run: Callable[[RunConfig], int]
+    run: Callable[[dict], Artifacts]
     check: Optional[Callable[[dict, set], None]] = None
 
 
@@ -749,12 +692,29 @@ COMMANDS: dict[str, Command] = {
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit status."""
+    """Run a resolved configuration; returns the process exit status.
+
+    The only place that writes: the output directory first, then the body's
+    artifacts, then the manifest listing them.  A body that raises writes
+    nothing, except a VerificationFailure, whose artifacts are written.
+    """
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"output_dir: cannot create {config.output_dir}: {exc}")
-    return COMMANDS[config.command].run(config)
+    failure = None
+    try:
+        artifacts = COMMANDS[config.command].run(config.values)
+    except VerificationFailure as exc:
+        failure, artifacts = exc, exc.artifacts
+    for name, text in artifacts.items():
+        _write_text(config.output_dir / name, text)
+    manifest = {**config.manifest_dict(), "artifacts": sorted(artifacts)}
+    _write_text(config.output_dir / "manifest.json", _json(manifest))
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ class DegenerateSwapError(ValueError):
 
 
 class UnsupportedExponentError(ValueError):
-    """The operation needs a finite displacement exponent."""
+    """The operation needs a finite displacement exponent; the uncrossing
+    checks also need its powers (2n)^p to be finite floats."""
 
 
 @dataclass(frozen=True)

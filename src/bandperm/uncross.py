@@ -330,6 +330,23 @@ class RatioCheck:
     log_bound: float
 
 
+def check_power(n: int, p: float) -> None:
+    """Raise UnsupportedExponentError if (2n)^p passes the float maximum at finite p.
+
+    The finite-p checks on [-n, n] take four-term differences of the terms
+    (d / W)^p and d^p, d <= 2n; these are then finite at every W >= 1, where
+    one inf term would make the difference inf - inf = nan.  Both
+    :func:`crossing_ratio_check` and :func:`run_verification` call it.  The
+    oracle and the chain need no such check: an inf term there is an inf
+    energy, of weight 0.
+    """
+    try:
+        float(2 * n) ** p
+    except OverflowError:
+        if math.isfinite(p):
+            raise UnsupportedExponentError(f"(2n)^p is not a finite float at n={n}, p={p}")
+
+
 def crossing_ratio_check(
     tau: Permutation, a: int, b: int, t: int, params: ModelParams
 ) -> RatioCheck:
@@ -343,6 +360,7 @@ def crossing_ratio_check(
     """
     if params.infinite_p:
         raise UnsupportedExponentError("the ratio inequality is a finite-p statement")
+    check_power(params.n, params.p)
     params.check_interval(tau)
     ta, tb = tau(a), tau(b)  # raises DomainError outside [-n, n]
     if not (a <= t and ta <= t and b > t and tb > t):
@@ -785,10 +803,12 @@ def run_verification(
 
     Band checks run for every W; finite-p checks run for every finite p in
     p_values (and need their (2n+1)! members within the enumeration cap,
-    so 2n+1 <= 9).
+    so 2n+1 <= 9, and (2n)^p a finite float: :func:`check_power`).
     """
     w_values = tuple(sorted(set(w_values)))
     p_values = tuple(sorted(set(p_values)))
+    for p in p_values:
+        check_power(n, p)
     lam_tuple = tuple(lam_values) if lam_values is not None else tuple(range(0, min(4, 2 * n) + 1))
     # a lazy range: the passes' capacity checks must run before anything of size n
     t_values = tuple(t_values) if t_values is not None else range(0, n)

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -27,6 +28,8 @@ from bandperm.cli import (
     default_lambda_grid,
     parse_config,
 )
+
+uncross_module = importlib.import_module("bandperm.uncross")
 
 
 def run_cli(*args, cwd=None):
@@ -464,6 +467,21 @@ class TestFailClosed:
         assert json.loads(line)["error"] == "capacity"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tail", "--steps", "10"],
+            # the n=1 job has samples and runs first; the n=50 job's burn-in
+            # takes every step
+            ["sweep", "--n-list", "1,50", "--steps", "100"],
+        ],
+    )
+    def test_no_data_writes_no_file(self, argv, tmp_path, capsys, fake_pool):
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == cli.EXIT_NO_DATA
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["error"] == "no-data"
+        assert list(tmp_path.iterdir()) == []
+
     def test_large_finite_p_runs_without_warnings(self, tmp_path):
         # a displacement sum or a power (k/W)^p past the float range is inf,
         # and its weight exp(-inf) = 0.0 is the correctly rounded one; the
@@ -690,13 +708,13 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(cli.os, "replace", fail)
         with pytest.raises(OSError):
-            cli._write_json(tmp_path / "a.json", {"x": 1})
+            cli._write_text(tmp_path / "a.json", cli._json({"x": 1}))
         assert list(tmp_path.iterdir()) == []
 
     def test_overwrite_leaves_only_the_target(self, tmp_path):
         target = tmp_path / "a.csv"
         for rows in ([(1, 2.5)], [(3, 4.5)]):
-            cli._write_csv(target, ["a", "b"], rows)
+            cli._write_text(target, cli._csv("a,b", rows))
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
         assert target.read_text() == "a,b\n3,4.5\n"
 
@@ -811,6 +829,23 @@ class TestUncrossVerifyCommand:
         assert cert["violations_total"] == 0
         assert cert["counts"]["ratio_bound"] > 0
         assert cert["max_preimage_size"] <= 4
+
+
+    def test_violation_writes_the_certificate_then_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a bound far below the observed ratio sums, as in the reference test
+        monkeypatch.setattr(uncross_module, "RATIO_SUM_K", 1e-3)
+        argv = ["uncross-verify", "--n", "3", "--W-list", "1", "--p-list", "1"]
+        assert cli.main(argv + ["--output-dir", str(tmp_path)]) == cli.EXIT_VERIFICATION
+        name = "uncross_certificate_n3.json"
+        cert = json.loads((tmp_path / name).read_text())
+        assert cert["violations_total"] > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"] == [name]
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        expected = {"error": "verification", "violations": cert["violations_total"]}
+        assert json.loads(line) == expected
+        assert captured.out == ""
 
 
 class TestRecurrenceCommand:

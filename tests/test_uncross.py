@@ -305,6 +305,16 @@ class TestVerificationSuite:
         assert cert.counts["ratio_sum"] > 0
         assert cert.max_ratio_sum_quotient == pytest.approx(math.exp(-2))
 
+    def test_overflowing_power_refused(self):
+        # 6^2000 passes the float maximum: the certificate would count the
+        # nan swap costs of inf - inf as violations, and this swap's cost
+        # would be 3^2000 + 6^2000 - 3^2000 = nan
+        with pytest.raises(UnsupportedExponentError, match=r"\(2n\)\^p"):
+            run_verification(3, [1], [2000.0])
+        tau = Permutation.from_mapping(3, {0: -3, -3: 0})
+        with pytest.raises(UnsupportedExponentError, match=r"\(2n\)\^p"):
+            crossing_ratio_check(tau, 0, 3, 0, ModelParams(p=2000.0, W=1, n=3))
+
     def test_ratio_sum_bound_over_exhaustive_range(self):
         # the frozen K = 1.0 must hold across the full exhaustive range;
         # the brute-force maximum quotient (0.657 at p=1, W=1) is pinned
