@@ -17,8 +17,8 @@ from pathlib import Path
 from bandperm import (
     ModelParams,
     SamplerConfig,
+    band_structure_stat,
     estimate_tail_curve,
-    fit_decay_and_exponent,
     sample_cycle_observables,
     spawn_chain_seed,
 )
@@ -46,14 +46,14 @@ def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("bandperm_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["W,n,steps,mean_diam,mean_diam_stderr,half_steps_mean,drift"]
-    curves = []
+    means_by_w = {}
     for k, w in enumerate(W_GRID):
         steps = STEPS_PER_W * w
         t0 = time.perf_counter()
         full = run_chain_curve(w, steps, 2 * k)
         half = run_chain_curve(w, steps // 2, 2 * k + 1)
         drift = abs(full.mean_diam - half.mean_diam) / full.mean_diam
-        curves.append(full)
+        means_by_w[w] = [full.mean_diam]
         rows.append(
             f"{w},{4 * w * w},{steps},{full.mean_diam!r},"
             f"{full.mean_diam_stderr!r},{half.mean_diam!r},{drift!r}"
@@ -62,7 +62,7 @@ def main() -> int:
             f"W={w}: E[diam] = {full.mean_diam:.3f} +- {full.mean_diam_stderr:.3f} "
             f"(doubling drift {100 * drift:.1f}%, {time.perf_counter() - t0:.0f}s)"
         )
-    fit = fit_decay_and_exponent(curves)
+    fit = band_structure_stat(means_by_w)
     print(
         f"exponent alpha_hat = {fit.exponent_alpha_hat:.3f} "
         f"(R^2 = {fit.residual:.4f}); upper-bound consistency: "

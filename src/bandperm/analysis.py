@@ -21,9 +21,8 @@ import numpy as np
 from .core import ModelParams, Permutation
 from .uncross import _preimage_sizes
 
-# Default fit-window rules (both overridable per call): drop grid points
-# with fewer than this many surviving samples, and drop the boundary head
-# lam <= 2W where the one-step geometry distorts the decay.
+# Fewest surviving samples (survival * count) a grid point of the decay
+# fit window needs; see fit_exponential_decay for the whole window rule.
 MIN_SURVIVORS = 10
 
 # Contiguous chain blocks of the jackknife standard error on mean_diam.
@@ -126,12 +125,14 @@ def estimate_tail_curve(
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares fit summary; residual is the R^2 of the primary fit.
+    """Least-squares fit summary; residual is the R^2 of the fitted line.
 
-    decay_rate_c_hat is the slope of -log survival against lambda within the
-    fit window; exponent_alpha_hat is the slope of log(mean) against log(W)
-    across curves (None when only one curve is supplied).  window records
-    the lambda range (single curve) or W range (cross-curve) actually used.
+    A decay fit (:func:`fit_exponential_decay`) sets decay_rate_c_hat, the
+    slope of -log survival against lambda, and window is the lambda range
+    of the points used.  A fit across bandwidths
+    (:func:`band_structure_stat`) sets exponent_alpha_hat, the slope of
+    log(mean) against log(W), and window is the W range.  The other slope
+    is None.
     """
 
     decay_rate_c_hat: Optional[float]
@@ -139,7 +140,6 @@ class FitResult:
     residual: float
     window: tuple[float, float]
     n_points: int
-    per_curve: tuple["FitResult", ...] = ()
 
 
 def _least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
@@ -160,39 +160,21 @@ def _least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float
     return slope, intercept, r_squared
 
 
-def decay_fit_window(
-    curve: TailCurve,
-    head_cut: Optional[int] = None,
-    min_survivors: int = MIN_SURVIVORS,
-) -> list[TailPoint]:
-    """Grid points used for the decay fit.
+def fit_exponential_decay(curve: TailCurve) -> FitResult:
+    """Least-squares fit of -log survival against lambda inside the window.
 
-    Excludes the boundary head lam <= head_cut (default 2W) and points whose
-    surviving count falls below min_survivors or whose survival reached 0 or
-    1 exactly.  head_cut and min_survivors can be set; the survival 0/1
-    exclusion is fixed, since -log survival is undefined or 0 there.
+    The window is fixed: a grid point is used when lam > 2W (the boundary
+    head, where the one-step geometry distorts the decay, is dropped),
+    0 < survival < 1 (-log survival is undefined or 0 outside) and at least
+    MIN_SURVIVORS samples survive.  Raises UnfittableError below 3 points.
     """
-    if head_cut is None:
-        head_cut = 2 * curve.params.W
-    picked = []
-    for pt in curve.points:
-        if pt.lam <= head_cut:
-            continue
-        if pt.survival <= 0.0 or pt.survival >= 1.0:
-            continue
-        if pt.survival * pt.count < min_survivors:
-            continue
-        picked.append(pt)
-    return picked
-
-
-def fit_exponential_decay(
-    curve: TailCurve,
-    head_cut: Optional[int] = None,
-    min_survivors: int = MIN_SURVIVORS,
-) -> FitResult:
-    """Least-squares fit of -log survival against lambda inside the window."""
-    picked = decay_fit_window(curve, head_cut, min_survivors)
+    picked = [
+        pt
+        for pt in curve.points
+        if pt.lam > 2 * curve.params.W
+        and 0.0 < pt.survival < 1.0
+        and pt.survival * pt.count >= MIN_SURVIVORS
+    ]
     if len(picked) < 3:
         raise UnfittableError(
             f"only {len(picked)} usable grid points after windowing; need >= 3"
@@ -209,80 +191,37 @@ def fit_exponential_decay(
     )
 
 
-def _scaling_fit(
-    means_by_w: Mapping[int, Optional[float]],
-    what: str,
-    decay_rate: Optional[float] = None,
-    per_curve: tuple[FitResult, ...] = (),
-) -> FitResult:
+def band_structure_stat(samples_by_w: Mapping[int, Sequence[float]]) -> FitResult:
     """Least-squares line of log(mean) against log(W), in increasing W.
 
-    Every mean must be positive, or the log scale is meaningless.
+    samples_by_w maps each bandwidth to its samples, or to a one-element
+    list holding a mean already taken (such as a TailCurve's mean_diam).
+    For the displacements |pi(0)|, a slope near 1 reproduces the linear
+    band-structure law; for the cycle diameters the slope is the
+    localization exponent alpha.  Raises NoDataError on a bandwidth with no
+    samples, and UnfittableError on fewer than two bandwidths or when a
+    mean is not positive (the log scale is then meaningless).
     """
-    ws = sorted(means_by_w)
+    ws = sorted(samples_by_w)
+    means = []
     for w in ws:
-        mean = means_by_w[w]
-        if mean is None or not mean > 0:
-            raise UnfittableError(f"{what} at W={w} is not positive")
+        samples = np.asarray(list(samples_by_w[w]), dtype=float)
+        if len(samples) == 0:
+            raise NoDataError(f"no samples for W={w}")
+        mean = float(samples.mean())
+        if not mean > 0:
+            raise UnfittableError(f"mean at W={w} is not positive")
+        means.append(mean)
     slope, _, r_squared = _least_squares_line(
-        [math.log(w) for w in ws], [math.log(means_by_w[w]) for w in ws]
+        [math.log(w) for w in ws], [math.log(mean) for mean in means]
     )
     return FitResult(
-        decay_rate_c_hat=decay_rate,
+        decay_rate_c_hat=None,
         exponent_alpha_hat=slope,
         residual=r_squared,
         window=(float(ws[0]), float(ws[-1])),
         n_points=len(ws),
-        per_curve=per_curve,
     )
-
-
-def fit_decay_and_exponent(
-    curves: Sequence[TailCurve],
-    head_cut: Optional[int] = None,
-    min_survivors: int = MIN_SURVIVORS,
-) -> FitResult:
-    """Per-curve decay rates plus the cross-curve diameter-scaling exponent.
-
-    With one curve this is exactly :func:`fit_exponential_decay`.  With a
-    W-grid of curves, log(mean diam) is regressed on log(W); the returned
-    decay_rate_c_hat is the largest-W curve's rate and per_curve holds every
-    individual decay fit.
-    """
-    if not curves:
-        raise NoDataError("no curves supplied")
-    fits = tuple(
-        fit_exponential_decay(c, head_cut, min_survivors) for c in curves
-    )
-    if len(curves) == 1:
-        return fits[0]
-    ws = [c.params.W for c in curves]
-    if len(set(ws)) != len(ws):
-        raise UnfittableError("curves must have distinct bandwidths W")
-    return _scaling_fit(
-        {c.params.W: c.mean_diam for c in curves},
-        "mean_diam",
-        decay_rate=fits[ws.index(max(ws))].decay_rate_c_hat,
-        per_curve=fits,
-    )
-
-
-def band_structure_stat(
-    displacements_by_w: Mapping[int, Sequence[float]],
-) -> FitResult:
-    """Regression of log mean |pi(0)| on log W across a bandwidth grid.
-
-    A slope near 1 reproduces the linear band-structure law for the typical
-    displacement.  Raises UnfittableError on fewer than two bandwidths or
-    when any bandwidth's mean is zero (the log scale is then meaningless).
-    """
-    means = {}
-    for w, values in displacements_by_w.items():
-        samples = np.asarray(list(values), dtype=float)
-        if len(samples) == 0:
-            raise NoDataError(f"no samples for W={w}")
-        means[w] = float(samples.mean())
-    return _scaling_fit(means, "mean displacement")
 
 
 @dataclass(frozen=True)
@@ -306,11 +245,15 @@ def preimage_size_stats(
     Admissible means max C_tau(0) <= t; other samples are skipped.  Only the
     hard-support model is meaningful here, since that is where the W^2
     versus W entropy question lives.  The sizes are those of
-    uncross_preimage, from one call of its kernel on all samples.
+    uncross_preimage, from one call of its kernel on all samples.  Every
+    tau must be a permutation of params' interval.
     """
     if not params.infinite_p:
         raise ValueError("preimage size statistics require p = infinity")
-    images = [tau.image for tau in taus]
+    images = []
+    for tau in taus:
+        params.check_interval(tau)
+        images.append(tau.image)
     sizes = _preimage_sizes(images, t, params.W).tolist() if images else []
     if not sizes:
         raise NoDataError("no admissible samples (max C(0) <= t never held)")

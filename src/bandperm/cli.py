@@ -39,7 +39,6 @@ from .sampler import (
     spawn_chain_seed,
 )
 from .analysis import (
-    MIN_SURVIVORS,
     NoDataError,
     TailCurve,
     UnfittableError,
@@ -243,6 +242,7 @@ class Option:
 
 _POS = partial(_parse_int, lo=1)
 _NONNEG = partial(_parse_int, lo=0)
+_SIZES = partial(_parse_int_list, lo=1)  # W_list, n_list
 _COMMON = (
     Option(
         "output_dir", _parse_str, None,
@@ -268,14 +268,10 @@ _CHAIN = (
     Option("thinning", _POS, None, "keep every k-th state (default 2n+1)"),
     Option("initial_state", _parse_state, "identity", f"one of {_STATES}"),
 )
-_FIT = (
-    Option("head_cut", _NONNEG, None, "decay fit skips lambda <= head_cut (default 2W)"),
-    Option("min_survivors", _POS, MIN_SURVIVORS, "fewest survivors a fitted point needs"),
-)
-_SWEEP = _COMMON + _CHAIN + _FIT + (
+_SWEEP = _COMMON + _CHAIN + (
     Option("p", _parse_p, None, "exponent >= 1 or 'inf' (default inf)"),
-    Option("W_list", _parse_int_list, "1", "bandwidths of the job grid"),
-    Option("n_list", _parse_int_list, "50", "half-lengths of the job grid"),
+    Option("W_list", _SIZES, "1", "bandwidths of the job grid"),
+    Option("n_list", _SIZES, "50", "half-lengths of the job grid"),
     Option(
         "seeds", partial(_parse_list, item=_parse_seed, ranges=True), None,
         "job seeds (default one job per (W, n), its seed spawned from --seed)",
@@ -293,13 +289,13 @@ _JOB = (
 )
 _UNCROSS = _COMMON + (
     Option("n", _POS, 3, "half-length of the interval [-n, n]"),
-    Option("W_list", _parse_int_list, "1,2", "bandwidths"),
+    Option("W_list", _SIZES, "1,2", "bandwidths"),
     Option("p_list", partial(_parse_list, item=_parse_p), "inf", "exponents"),
     _GRID,
 )
 _RECURRENCE = _COMMON + (
     Option("p", _parse_p, 1, "finite exponent >= 1"),
-    Option("W_list", _parse_int_list, "1:8", "bandwidths"),
+    Option("W_list", _SIZES, "1:8", "bandwidths"),
     Option("C0", _parse_float, 1.0, "constant of the one-step bound, > 0"),
     Option(
         "c0", partial(_parse_float, lo=0.0), None,
@@ -583,7 +579,7 @@ def _tail_job(v: dict, job: dict) -> tuple[tuple, Artifacts]:
         "mean_displacement0": mean_disp0,
     }
     try:
-        fit = fit_exponential_decay(curve, v.get("head_cut"), v["min_survivors"])
+        fit = fit_exponential_decay(curve)
         fit_payload["decay_rate"] = fit.decay_rate_c_hat
         fit_payload["r_squared"] = fit.residual
         fit_payload["window"] = list(fit.window)
@@ -679,7 +675,7 @@ COMMANDS: dict[str, Command] = {
         "stream per-sample cycle observables", _MODEL + _CHAIN, _cmd_sample, _check_chain
     ),
     "tail": Command(
-        "empirical survival curve and decay fit", _MODEL + _CHAIN + _FIT, _cmd_tail, _check_chain
+        "empirical survival curve and decay fit", _MODEL + _CHAIN, _cmd_tail, _check_chain
     ),
     "uncross-verify": Command(
         "exhaustive uncrossing invariants", _UNCROSS, _cmd_uncross_verify, _check_uncross

@@ -299,8 +299,10 @@ def uncross_preimage(
     threshold).  Candidates are image swaps of tau at the admissible source
     pairs, kept when the round trip through :func:`uncross` returns tau; at
     infinite p the preimage is additionally restricted to S_W, which caps
-    its size at W^2.  Results are sorted by image tuple.
+    its size at W^2.  Results are sorted by image tuple.  params must be
+    for tau's interval.
     """
+    params.check_interval(tau)
     band = params.W if params.infinite_p else None
     table = _table([tau.image])
     _, found = _preimages(table, _walk(table), t, band)

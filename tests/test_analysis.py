@@ -8,6 +8,7 @@ import pytest
 from bandperm import analysis
 from bandperm import (
     INFINITY,
+    DomainError,
     ModelParams,
     NoDataError,
     Permutation,
@@ -20,7 +21,6 @@ from bandperm import (
     enumerate_permutations,
     estimate_tail_curve,
     exact_tail,
-    fit_decay_and_exponent,
     fit_exponential_decay,
     largest_propagating_c0,
     preimage_size_stats,
@@ -89,22 +89,14 @@ class TestFits:
         assert fit.residual == pytest.approx(1.0, abs=1e-12)
         assert fit.exponent_alpha_hat is None
 
-    def test_single_curve_via_combined_fitter(self):
-        curve = synthetic_curve(BAND_W1, 0.25, range(0, 41))
-        fit = fit_decay_and_exponent([curve])
-        assert fit.decay_rate_c_hat == pytest.approx(0.25, abs=1e-9)
-
     def test_synthetic_exponent_recovered(self):
-        curves = []
-        for w in (1, 2, 4, 8):
-            params = ModelParams(p=INFINITY, W=w, n=50)
-            curves.append(
-                synthetic_curve(params, 1.0 / w**3, range(0, 100), mean_diam=3.0 * w * w)
-            )
-        fit = fit_decay_and_exponent(curves)
+        # means 3 W^2 from several samples each, the bandwidths out of order
+        data = {w: [2.0 * w * w, 4.0 * w * w, 3.0 * w * w] for w in (8, 1, 4, 2)}
+        fit = band_structure_stat(data)
         assert fit.exponent_alpha_hat == pytest.approx(2.0, abs=1e-9)
         assert fit.residual == pytest.approx(1.0, abs=1e-12)
-        assert len(fit.per_curve) == 4
+        assert fit.decay_rate_c_hat is None
+        assert (fit.window, fit.n_points) == ((1.0, 8.0), 4)
 
     def test_degenerate_curve_unfittable(self):
         flat = TailCurve(
@@ -183,6 +175,11 @@ class TestPreimageSizeStats:
     def test_requires_band_model(self):
         with pytest.raises(ValueError):
             preimage_size_stats(ModelParams(p=1.0, W=1, n=3), 1, [])
+
+    def test_mismatched_interval(self):
+        # params for [-5, 5], tau on [-2, 2], as uncross_preimage refuses
+        with pytest.raises(DomainError):
+            preimage_size_stats(ModelParams(p=INFINITY, W=1, n=5), 0, [Permutation.identity(2)])
 
     def test_no_admissible_samples(self):
         tau = Permutation.from_mapping(3, {0: 2, 2: 0})

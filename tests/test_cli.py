@@ -165,8 +165,11 @@ GOLDEN_RUNS = {
         },
     ),
     # the p=inf chain runs were re-recorded when the p=inf chain started
-    # scanning its sites in order, and the p=1 `tail` run when the finite-p
-    # chain did too
+    # scanning its sites in order.  The `tail` run was re-recorded with a new
+    # argv when the decay fit window became fixed (its old --head-cut 1 is
+    # gone); its curve and fit files equal those the settable window wrote
+    # at its defaults.  The sweep manifest was re-recorded then, as it no
+    # longer echoes min_survivors
     "sample": (
         (
             "sample", "--p", "inf", "--W", "1", "--n", "2", "--seed", "3",
@@ -189,18 +192,18 @@ GOLDEN_RUNS = {
     ),
     "tail": (
         (
-            "tail", "--p", "1", "--W", "2", "--n", "3", "--seed", "5",
-            "--steps", "20000", "--head-cut", "1",
+            "tail", "--p", "1", "--W", "1", "--n", "4", "--seed", "5",
+            "--steps", "20000",
         ),
         {
             "manifest.json": (
-                "4bd18cbac13481e00c263ccf8974d34cb3d7e3b3e4c5a064b280f03546c1bbfc"
+                "619c4c4bb299744791b14d64d7f0700b9cc6a0f5769b122019c88c6c29206366"
             ),
-            "tail_fit_p1_W2_n3_seed5.json": (
-                "b34d1258b6f42db615923f0c294faa5e0e866f368ae73f8c9eeace4ebdc060df"
+            "tail_fit_p1_W1_n4_seed5.json": (
+                "42ec44052b411d8c7f14228684e235feea8b16fbda30fa608bf947d80f636fab"
             ),
-            "tail_p1_W2_n3_seed5.csv": (
-                "62759aa5e9d88357a65edfa16aca0f57e22f61f29ff24ff6b0f0e6f6d5ad69f2"
+            "tail_p1_W1_n4_seed5.csv": (
+                "f175526da644ce07728be03d8fcda77d4d4162afb6f282b549e68def7bee5ad8"
             ),
         },
     ),
@@ -229,7 +232,7 @@ GOLDEN_RUNS = {
         ),
         {
             "manifest.json": (
-                "24b53d69e02f7881f6cb34bd2423c930849a1d47a5b293c3c58d5373ba85984d"
+                "18a444969fa321e91e3ebeef28aa3716a7fd128c5fc6c012199b498a0590febe"
             ),
             "sweep_fits.csv": (
                 "3026a43edada4f28f075c67ceaff8c073f0747663cc63664a112b9d921fd7167"
@@ -530,6 +533,14 @@ class TestFailClosed:
             (["exact", "--bogus", "1"], "--bogus"),
             (["exact", "--W"], "--W"),
             (["no-such-command"], "no-such-command"),
+            # a zero bandwidth or half-length in a list used to reach the
+            # command body and end in a traceback (exit 1)
+            (["recurrence", "--W-list", "0"], "W_list"),
+            (["uncross-verify", "--W-list", "0"], "W_list"),
+            (["sweep", "--W-list", "0"], "W_list"),
+            (["sweep", "--n-list", "0"], "n_list"),
+            # the decay fit window is fixed
+            (["tail", "--head-cut", "1"], "--head-cut"),
         ],
     )
     def test_bad_flag_is_one_json_line(self, argv, key, tmp_path, capsys, monkeypatch):
@@ -552,6 +563,8 @@ class TestFailClosed:
             ("recurrence", {"C0": 10**400}, "C0"),
             ("sweep", {"p": 10**400}, "p"),
             ("exact", {"output_dir": 5}, "output_dir"),
+            ("uncross-verify", {"W_list": [0]}, "W_list"),
+            ("sweep", {"n_list": [2, 0]}, "n_list"),
         ],
     )
     def test_bad_config_file_value_names_the_key(
@@ -563,6 +576,16 @@ class TestFailClosed:
         assert cli.main([command, "--config", str(cfg_file)]) == 2
         (line,) = capsys.readouterr().out.splitlines()
         assert json.loads(line)["message"].startswith(f"{key}:")
+
+    def test_decay_window_key_in_config_file_is_unknown(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", forbidden_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"min_survivors": 5}))
+        assert cli.main(["sweep", "--config", str(cfg_file)]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "configuration"
+        assert "'min_survivors'" in payload["message"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -634,7 +657,7 @@ def run_silently(argv, output_dir):
 
 # Values that parse for some key, mixed with arbitrary JSON values.
 _LIKELY = st.sampled_from(
-    ["inf", "1", "2", "-1", "0:4", "1,2", "1:3:0", "identity", "nan", "1e400", "", "0:1" + "0" * 30]
+    ["inf", "0", "1", "2", "-1", "0:4", "1,2", "1:3:0", "identity", "nan", "1e400", "", "0:1" + "0" * 30]
 )
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=8)
@@ -672,6 +695,12 @@ class TestParserProperties:
             return
         assert isinstance(config, cli.RunConfig)
         strict_manifest(config)
+        # every bandwidth and half-length that reaches a command body is >= 1
+        values = config.values
+        sizes = [values[k] for k in ("W", "n") if k in values]
+        sizes += values.get("W_list", []) + values.get("n_list", [])
+        sizes += [job[k] for job in values.get("jobs", []) for k in ("W", "n")]
+        assert all(size >= 1 for size in sizes)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

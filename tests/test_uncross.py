@@ -186,6 +186,11 @@ class TestPreimage:
         with pytest.raises(DomainError):
             uncross_preimage(tau, 0, params)
 
+    def test_mismatched_interval(self):
+        # params for [-5, 5], tau on [-2, 2], as crossing_ratio_check refuses
+        with pytest.raises(DomainError):
+            uncross_preimage(Permutation.identity(2), 0, ModelParams(p=INFINITY, W=1, n=5))
+
     def test_band_w2_identity_t1(self):
         params = ModelParams(p=INFINITY, W=2, n=3)
         pre = uncross_preimage(Permutation.identity(3), 1, params)
