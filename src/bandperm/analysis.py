@@ -28,8 +28,12 @@ MIN_SURVIVORS = 10
 # Contiguous chain blocks of the jackknife standard error on mean_diam.
 JACKKNIFE_BLOCKS = 20
 
-# Start and bisection tolerance of largest_propagating_c0's search.
+# Start, most doublings of the upper bracket, and bisection tolerance of
+# largest_propagating_c0's search.  At c0 = 4 * 2^64 the decay f(1) is
+# subnormal at every W <= 400,000, which counts as a failure, so the
+# doubling ends before its cap.
 C0_SEARCH_START = 4.0
+C0_SEARCH_DOUBLINGS = 64
 C0_SEARCH_TOL = 1e-3
 
 # Largest alpha * length of a block of the recurrence's geometric running
@@ -380,26 +384,39 @@ def recurrence_check(
 def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
     """Largest decay coefficient (up to C0_SEARCH_TOL) that the recurrence sustains.
 
-    Geometric descent from C0_SEARCH_START brackets the boundary, then
-    bisection narrows it; the returned value is always verified to
-    propagate.  c0 = 0 always propagates (the weights telescope), so the
-    search cannot come back empty.
+    A bracket [lower, upper] with lower propagating and upper failing is
+    found from C0_SEARCH_START: by doubling while the start propagates (at
+    most C0_SEARCH_DOUBLINGS times), else by geometric descent.  Bisection
+    then narrows it; the returned value is always verified to propagate.
+    A check that compares no k (f(1) already subnormal) counts as a
+    failure, so it ends the doubling.  c0 = 0 always propagates (the
+    weights telescope), so the search cannot come back empty.
     """
-    hi = C0_SEARCH_START
-    if recurrence_check(p, W, C0, hi, k_max).propagated:
-        return hi
-    upper = hi
-    lower = hi
-    for _ in range(200):
-        lower *= 0.7
-        if recurrence_check(p, W, C0, lower, k_max).propagated:
-            break
-        upper = lower
+
+    def propagates(c0: float) -> bool:
+        result = recurrence_check(p, W, C0, c0, k_max)
+        return result.propagated and result.last_compared_k is not None
+
+    lower = upper = C0_SEARCH_START
+    if propagates(upper):
+        for _ in range(C0_SEARCH_DOUBLINGS):
+            upper = 2.0 * lower
+            if not propagates(upper):
+                break
+            lower = upper
+        else:
+            return lower
     else:
-        return 0.0
+        for _ in range(200):
+            lower *= 0.7
+            if propagates(lower):
+                break
+            upper = lower
+        else:
+            return 0.0
     while upper - lower > C0_SEARCH_TOL:
         mid = 0.5 * (upper + lower)
-        if recurrence_check(p, W, C0, mid, k_max).propagated:
+        if propagates(mid):
             lower = mid
         else:
             upper = mid

@@ -187,17 +187,19 @@ def _orbit_table(table: np.ndarray, x: int) -> np.ndarray:
 
     Rows are images shifted to 0..m-1 (point i of [-n, n] in column i + n),
     and x is a shifted point.  The result is point-major: its row k is
-    pi^k(x) in every member, so each pointer jump is one contiguous gather.
-    The walk stops once every member has come back to x, so the last row
-    is x in the member with the longest cycle.
+    pi^k(x) in every member, so each pointer jump is one contiguous gather,
+    from the table read as one flat array at each row's offset plus its
+    current point.  The walk stops once every member has come back to x, so
+    the last row is x in the member with the longest cycle.
     """
     count, m = table.shape
-    rows = np.arange(count)
+    flat = np.ascontiguousarray(table).ravel()
+    row_base = np.arange(0, count * m, m)
     out = np.empty((m + 1, count), dtype=table.dtype)
     out[0] = x
     closed = np.zeros(count, dtype=bool)
     for k in range(1, m + 1):  # a cycle has at most m points
-        out[k] = table[rows, out[k - 1]]
+        out[k] = flat[row_base + out[k - 1]]
         closed |= out[k] == x
         if closed.all():
             break

@@ -20,6 +20,20 @@ energy change of one image swap, :func:`core.swap_cost` on the
 :func:`core.displacement_costs` table of its (p, W), and never a difference
 or comparison of two full energies, which cancel to nothing at large p.
 
+The kernel does only the work that can change an answer.  Each skip rests
+on a fact, not a heuristic, so every certificate is the one the full work
+would give.  The crossing search (:func:`_crossings`) sees only the rows
+whose 0-cycle exceeds the threshold, so thresholds at or above n, where no
+orbit crosses, cost nothing; given that, each crossing is one mask.  The
+preimage search (:func:`_preimages`) tests band membership on the
+candidate pairs before it builds any candidate, reads the round trip off
+the candidates' crossing sources, and orders them by two of their columns
+rather than all of them.  Rows are found in the member table by int64 keys,
+their displacement digits in base 2W + 1 (:func:`_locate`); a row outside
+the band is no member and is never encoded.  The finite-p pass finds the
+straddling pairs of each (chunk, t) once for every (p, W)
+(:func:`_ratio_bounds`).
+
 Composition-order convention: the transposition of the two crossing targets
 is applied after the permutation, which is the same as swapping the images
 at the two crossing sources.  This is the reading under which the mapped
@@ -145,18 +159,25 @@ def _crossings(walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
     """First up-crossing and last down-crossing of the orbit of 0 at t.
 
     Returns the (index, source, target) of the up-crossing, then of the
-    down-crossing, six arrays over the rows, with shifted points.  Values are
-    meaningful only in rows whose 0-cycle exceeds t (walk.top > t + n).
-    Requires t >= 0 so that the orbit starts at or below the threshold.
+    down-crossing, six arrays over the rows, with shifted points.
+    Precondition: the 0-cycle of every row exceeds t (walk.top > t + n);
+    callers select those rows first, so no row is searched for a crossing
+    it does not have.  Requires t >= 0 so that the orbit starts at or below
+    the threshold.
+
+    Each crossing is then one mask.  The orbit starts at 0 <= t and rises
+    above t within its first period, so the up-crossing is the first k with
+    pi^(k+1)(0) > t: every earlier point, and so pi^k(0), is <= t.  The
+    down-crossing is the last k < period with pi^k(0) > t: pi^(k+1)(0) is
+    then either a later point of the period, so <= t, or pi^period(0) = 0.
     """
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     here, nxt = walk.orbits[:-1], walk.orbits[1:]
-    steps = np.arange(len(here))[:, None] < walk.period
     ts = t + walk.n
-    below, lands_below = here <= ts, nxt <= ts
-    up = (below & ~lands_below & steps).argmax(0)
-    down = len(here) - 1 - (lands_below & ~below & steps)[::-1].argmax(0)
+    up = (nxt > ts).argmax(0)
+    steps = np.arange(len(here))[:, None] < walk.period
+    down = len(here) - 1 - ((here > ts) & steps)[::-1].argmax(0)
     rows = np.arange(here.shape[1])
     return up, here[up, rows], nxt[up, rows], down, here[down, rows], nxt[down, rows]
 
@@ -174,8 +195,7 @@ def _uncrossed(table: np.ndarray, walk: _Walk, t: int) -> tuple[np.ndarray, ...]
     0-cycle exceeds t, rows in table order.  Each row's images at columns
     a and b, its up- and down-crossing sources, are traded."""
     rows = np.flatnonzero(walk.top > t + walk.n)
-    _, up, _, _, down, _ = _crossings(walk, t)
-    a, b = up[rows], down[rows]
+    _, a, _, _, b, _ = _crossings(walk.take(rows), t)
     return rows, _swap(table[rows], a, b), a, b
 
 
@@ -192,6 +212,20 @@ def _preimages(
     crossing sources there.  A candidate swap is kept when uncrossing it
     returns its row.  candidates[i] belongs to row owner[i]; they are
     grouped by row in table order, each group in lexicographic order.
+
+    What it skips is decided by facts of the candidates, so it is exact.
+    At infinite p the moved images are tested on the (row, a, b) mask,
+    before any candidate is built, and the test that tau's out-of-band
+    positions lie in {a, b} runs only when some row has such a position; a
+    member table of S_W has none.  No candidate is uncrossed as a whole
+    row: a lies on its 0-cycle, which reaches tau(b) > t, so it crosses t,
+    and uncrossing it returns tau iff its crossing sources are a and b.  No
+    candidate is compared with another as a whole row either: candidate
+    (a, b) is tau with tau(b) > t at column a and tau(a) <= t at column
+    b > a, so of two candidates of one tau the one with the larger a is
+    larger at the smaller a and equal before it, and two with the same a
+    first differ at a, by tau(b).  Their lexicographic order is therefore
+    a descending, then tau(b) ascending, at every interval size.
     """
     count, m = taus.shape
     ts = t + m // 2
@@ -202,28 +236,32 @@ def _preimages(
         raise DomainError(
             f"max of the cycle of 0 exceeds {t}; tau is outside the map's image"
         )
-    on_cycle = np.zeros((count, m), dtype=bool)
-    on_cycle[np.arange(count), walk.orbits] = True
+    on_cycle = np.zeros(count * m, dtype=bool)
+    on_cycle[np.arange(0, count * m, m) + walk.orbits] = True
+    on_cycle = on_cycle.reshape(count, m)
     low = on_cycle[:, a_cols] & (taus[:, a_cols] <= ts)
-    owner, i, j = np.nonzero(low[:, :, None] & (taus[:, None, b_cols] > ts))
+    tb = taus[:, None, b_cols]
+    pairs = low[:, :, None] & (tb > ts)
+    if band is not None:
+        # the swap at (a, b) is in the band iff both moved images land
+        # within W of their new positions, which is tau(b) <= a + W and
+        # tau(a) >= b - W since tau(a) <= t < b and a <= t < tau(b), and
+        # tau's out-of-band positions lie in {a, b}; both limits are
+        # clipped to 0..m-1, the values tau takes, so they fit its dtype
+        pairs &= tb <= np.minimum(a_cols + band, m - 1).astype(taus.dtype)[:, None]
+        pairs &= taus[:, a_cols, None] >= np.maximum(b_cols - band, 0).astype(taus.dtype)
+    owner, i, j = np.nonzero(pairs)
     a, b = a_cols[i], b_cols[j]
     if band is not None:
-        # the swap at (a, b) is in the band iff tau's out-of-band positions
-        # lie in {a, b} and both moved images land within W of their new
-        # positions
         far = np.abs(taus - np.arange(m, dtype=taus.dtype)) > band
-        ta, tb = taus[owner, a], taus[owner, b]
-        keep = (
-            (far.sum(1)[owner] == far[owner, a].astype(int) + far[owner, b])
-            & (np.abs(tb - a) <= band)
-            & (np.abs(ta - b) <= band)
-        )
-        owner, a, b = owner[keep], a[keep], b[keep]
+        if far.any():
+            keep = far.sum(1)[owner] == far[owner, a].astype(int) + far[owner, b]
+            owner, a, b = owner[keep], a[keep], b[keep]
     candidates = _swap(taus[owner], a, b)
-    rows, back, _, _ = _uncrossed(candidates, _walk(candidates), t)
-    kept = rows[(back == taus[owner[rows]]).all(1)]
-    owner, candidates = owner[kept], candidates[kept]
-    order = np.lexsort([*candidates.T[::-1], owner])
+    _, up, _, _, down, _ = _crossings(_walk(candidates), t)
+    kept = (up == a) & (down == b)
+    owner, a, candidates = owner[kept], a[kept], candidates[kept]
+    order = np.lexsort((candidates[np.arange(len(a)), a], -a, owner))
     return owner[order], candidates[order]
 
 
@@ -232,10 +270,10 @@ def _crossing_pair(image: Image, t: int) -> tuple[Optional[tuple], Optional[tupl
     (index, source, target) triples, both None when the orbit never
     exceeds t; the kernel run on a one-row table."""
     walk = _walk(_table([image]))
-    up_k, up_s, up_t, down_k, down_s, down_t = (int(x[0]) for x in _crossings(walk, t))
     n = walk.n
-    if walk.top[0] <= t + n:
+    if walk.top[0] <= t + n:  # never at t < 0, where _crossings raises
         return None, None
+    up_k, up_s, up_t, down_k, down_s, down_t = (int(x[0]) for x in _crossings(walk, t))
     return (up_k, up_s - n, up_t - n), (down_k, down_s - n, down_t - n)
 
 
@@ -443,28 +481,58 @@ class VerificationCertificate:
 
 class _Members(NamedTuple):
     """Every admissible image as an int8 member table in lexicographic
-    order, its rows as bytes keys (sorted, since the values are
-    nonnegative) and the walk of each row's 0-cycle."""
+    order, the band W every member lies in (m - 1 at finite p, where every
+    permutation is a member), the rows' :func:`_row_keys` (strictly
+    increasing) and the walk of each row's 0-cycle."""
 
     table: np.ndarray
+    W: int
     keys: np.ndarray
     walk: _Walk
 
 
-def _keys(table: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(table).view(np.dtype((np.void, table.shape[1]))).ravel()
+def _row_keys(rows: np.ndarray, W: int) -> np.ndarray:
+    """Member-table rows, each displacement within W, as int64 keys.
+
+    A row's key is its displacement digits d + W, in 0..2W, read in base
+    2W + 1, most significant first.  So the keys order the rows
+    lexicographically: the first column where two rows differ holds their
+    first differing image, and the larger image has the larger displacement
+    there.
+    """
+    digits = rows - np.arange(rows.shape[1], dtype=rows.dtype) + W
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in range(digits.shape[1]):
+        keys *= 2 * W + 1
+        keys += digits[:, col]
+    return keys
 
 
 def _members(params: ModelParams) -> _Members:
     table = _member_table(params)
-    return _Members(table, _keys(table), _walk(table))
+    m = params.interval_size
+    W = min(params.W, m - 1) if params.infinite_p else m - 1
+    # under exact.BAND_ENUMERATION_CAP the keys need at most 46 bits: the
+    # band table W = 1 at m = 29 (3^29 < 2^46); finite p, W = m - 1 at
+    # m <= 9, needs at most 37
+    assert (2 * W + 1) ** m < 1 << 46, f"member keys of m={m}, W={W} pass 46 bits"
+    return _Members(table, W, _row_keys(table, W), _walk(table))
 
 
 def _locate(members: _Members, rows: np.ndarray) -> np.ndarray:
-    """The table index of each row, -1 where it is not a member."""
-    wanted = _keys(rows)
+    """The table index of each row, -1 where it is not a member.
+
+    A row with a displacement past the table's band is no member, and gets
+    -1 before it is encoded: its digits would leave 0..2W, and its key could
+    equal a member's.  Every other row's key is exact and one-to-one, so
+    equal keys are equal rows.
+    """
+    inside = (np.abs(rows - np.arange(rows.shape[1], dtype=rows.dtype)) <= members.W).all(1)
+    wanted = _row_keys(rows[inside], members.W)
     at = np.minimum(np.searchsorted(members.keys, wanted), len(members.keys) - 1)
-    return np.where(members.keys[at] == wanted, at, -1)
+    located = np.full(len(rows), -1)
+    located[inside] = np.where(members.keys[at] == wanted, at, -1)
+    return located
 
 
 # The uncrossing map at one threshold, inverted by brute force over the
@@ -492,12 +560,13 @@ def _swap_costs(fibres: Fibres, costs: np.ndarray) -> np.ndarray:
     return swap_cost(costs, a, images[i, a], b, images[i, b])
 
 
-def _fibre_order(images: np.ndarray, positions: np.ndarray) -> list[int]:
+def _fibre_order(image_ids: np.ndarray, positions: np.ndarray) -> list[int]:
     """Ascending positions into the images of a map, regrouped the way a
     dict of fibres lists its members: by the first appearance of their
-    image among all of them, then in order."""
-    distinct, first = np.unique(images, return_index=True)
-    group = first[np.searchsorted(distinct, images[positions])]
+    image among all of them, then in order.  image_ids holds one int per
+    image of the map, equal for equal images."""
+    distinct, first = np.unique(image_ids, return_index=True)
+    group = first[np.searchsorted(distinct, image_ids[positions])]
     return positions[np.lexsort((positions, group))].tolist()
 
 
@@ -520,7 +589,10 @@ def _check_images(
         return
     tops = np.full(len(rows), -1)
     tops[bad] = _walk(images[bad]).top - n
-    for i in _fibre_order(_keys(images), bad):
+    # whether an image is bad depends on the image alone, so the first
+    # appearance of a bad image among all images is one of the bad ones
+    _, image_id = np.unique(images[bad], axis=0, return_inverse=True)
+    for i in bad[_fibre_order(image_id.ravel(), np.arange(len(bad)))]:
         cert.violations.append(
             {
                 "check": check,
@@ -549,7 +621,7 @@ def _check_preimages(
     """
     check = "preimage_sets_full" if band is None else "preimage_sets_band"
     label = {} if band is None else {"W": band}
-    table, _, walk = members
+    table, walk = members.table, members.walk
     rows, _, at, _, _ = fibres
     ts = t + walk.n
     kept = (at >= 0) & (walk.top[at] <= ts)
@@ -636,7 +708,10 @@ def _full_pass(
     every admissible (tau, a, b, t)) and ratio_sum (each fibre's summed
     weight ratio) at each (p, W).  Monotonicity does not depend on the
     scale W, so it reads the W = 1 terms |d|^p.  Full energies are summed
-    only for the records of its violations.
+    only for the records of its violations.  The straddling pairs of
+    ratio_bound do not depend on (p, W) either: one pass finds them for
+    every (p, W) (:func:`_ratio_bounds`), and each (p, W) then reports in
+    the order of the loops here.
     """
     members = _members(ModelParams(p=1.0, W=1, n=n))
     table = members.table
@@ -645,6 +720,8 @@ def _full_pass(
     maps = [(t, _fibres(members, t)) for t in t_values]
     for t, fibres in maps:
         _check_preimages(cert, members, t, None, fibres)
+    grid = [ModelParams(p=p, W=W, n=n) for p in p_values for W in w_values]
+    bounds = dict(zip(grid, _ratio_bounds(cert, members, maps, grid)))
     for p in p_values:
         unit = displacement_costs(ModelParams(p=p, W=1, n=n))  # d^p
         for t, fibres in maps:
@@ -663,34 +740,8 @@ def _full_pass(
                     }
                 )
         for W in w_values:
-            _ratio_checks(cert, members, maps, ModelParams(p=p, W=W, n=n))
-
-
-def _ratio_checks(
-    cert: VerificationCertificate,
-    members: _Members,
-    maps: list[tuple[int, Fibres]],
-    params: ModelParams,
-) -> None:
-    """Both weight-ratio checks at one (p, W), for every tau and every t.
-
-    ratio_bound: the inequality of :func:`crossing_ratio_check` for every
-    straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
-    of tau's fibre relative to tau sum to at most
-    RATIO_SUM_K * W^2 * exp(-(|t - max C_tau(0)| / W)^p).  Witnesses are
-    the first maxima, and violations are listed, in the (tau, t, a, b)
-    order of a loop over the members that checks both at each (tau, t).
-    """
-    costs = np.array(displacement_costs(params))
-    best, found = _ratio_bounds(cert, members, maps, costs, params)
-    if best is not None and best[0] > cert.max_ratio_quotient:
-        cert.max_ratio_quotient, _, cert.max_ratio_witness = best
-    best, found_sums = _ratio_sums(cert, members, maps, costs, params)
-    if best is not None and best[0] > cert.max_ratio_sum_quotient:
-        cert.max_ratio_sum_quotient, _, cert.max_ratio_sum_witness = best
-    found.extend(found_sums)
-    found.sort(key=lambda entry: entry[0])
-    cert.violations.extend(record for _, record in found)
+            params = ModelParams(p=p, W=W, n=n)
+            _ratio_checks(cert, members, maps, params, bounds[params])
 
 
 # The first maximum of a quotient so far, (quotient, tau row, record), and
@@ -700,6 +751,35 @@ Best = Optional[tuple[float, int, dict]]
 Found = list[tuple[tuple[int, int, int, int], dict]]
 
 
+def _ratio_checks(
+    cert: VerificationCertificate,
+    members: _Members,
+    maps: list[tuple[int, Fibres]],
+    params: ModelParams,
+    bounds: tuple[Best, Found],
+) -> None:
+    """Both weight-ratio checks at one (p, W), for every tau and every t.
+
+    ratio_bound, whose outcome at this (p, W) :func:`_ratio_bounds` hands
+    in as bounds: the inequality of :func:`crossing_ratio_check` for every
+    straddling pair (a, b).  ratio_sum: when max C_tau(0) <= t, the weights
+    of tau's fibre relative to tau sum to at most
+    RATIO_SUM_K * W^2 * exp(-(|t - max C_tau(0)| / W)^p).  Witnesses are
+    the first maxima, and violations are listed, in the (tau, t, a, b)
+    order of a loop over the members that checks both at each (tau, t).
+    """
+    best, found = bounds
+    if best is not None and best[0] > cert.max_ratio_quotient:
+        cert.max_ratio_quotient, _, cert.max_ratio_witness = best
+    costs = np.array(displacement_costs(params))
+    best, found_sums = _ratio_sums(cert, members, maps, costs, params)
+    if best is not None and best[0] > cert.max_ratio_sum_quotient:
+        cert.max_ratio_sum_quotient, _, cert.max_ratio_sum_witness = best
+    found.extend(found_sums)
+    found.sort(key=lambda entry: entry[0])
+    cert.violations.extend(record for _, record in found)
+
+
 def _first_max(best: Best, quotient: float, tau: int) -> bool:
     """Whether quotient, found at row tau, replaces best as the first
     maximum: it is larger, or equal at an earlier row.  The t of one row
@@ -707,11 +787,19 @@ def _first_max(best: Best, quotient: float, tau: int) -> bool:
     return best is None or quotient > best[0] or (quotient == best[0] and tau < best[1])
 
 
-def _ratio_bounds(cert, members, maps, costs, params) -> tuple[Best, Found]:
-    """ratio_bound over the table, _CHUNK rows at a time."""
-    table, _, walk = members
-    n, p, W = walk.n, params.p, params.W
-    best, found = None, []
+def _ratio_bounds(cert, members, maps, grid) -> list[tuple[Best, Found]]:
+    """ratio_bound at every (p, W) of grid, in grid order.
+
+    The straddling pairs (r, a, b) of a chunk of _CHUNK rows at one t, and
+    their images, do not depend on (p, W), so they are found and gathered
+    once and every (p, W) reads them.  Each (p, W) keeps its own best and
+    found, and sees the (chunk, t) in the order of a pass at that (p, W)
+    alone.  Only one (chunk, t)'s pairs are held at a time.
+    """
+    table, n = members.table, members.walk.n
+    costs = [np.array(displacement_costs(params)) for params in grid]
+    best: list[Best] = [None] * len(grid)
+    found: list[Found] = [[] for _ in grid]
     cols = np.arange(table.shape[1])
     for lo in range(0, len(table), _CHUNK):
         block = table[lo : lo + _CHUNK]
@@ -720,33 +808,33 @@ def _ratio_bounds(cert, members, maps, costs, params) -> tuple[Best, Found]:
             low = (cols <= ts) & (block <= ts)
             high = (cols > ts) & (block > ts)
             r, a, b = np.nonzero(low[:, :, None] & high[:, None, :])
-            cert._bump("ratio_bound", len(r))
+            cert._bump("ratio_bound", len(r) * len(grid))
             if not len(r):
                 continue
-            log_ratio, log_bound, satisfied = _ratio_logs(
-                a, block[r, a], b, block[r, b], costs
-            )
-            quotient = _exp(np.minimum(log_ratio - log_bound, 700.0))
+            ta, tb = block[r, a], block[r, b]
+            for g, params in enumerate(grid):
+                log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, costs[g])
+                quotient = _exp(np.minimum(log_ratio - log_bound, 700.0))
 
-            def record(j: int) -> dict:
-                return {
-                    "p": p,
-                    "W": W,
-                    "t": t,
-                    "tau": _image(block[r[j]]),
-                    "a": int(a[j]) - n,
-                    "b": int(b[j]) - n,
-                    "ratio": math.exp(log_ratio[j]),
-                    "bound": math.exp(log_bound[j]),
-                }
+                def record(j: int) -> dict:
+                    return {
+                        "p": params.p,
+                        "W": params.W,
+                        "t": t,
+                        "tau": _image(block[r[j]]),
+                        "a": int(a[j]) - n,
+                        "b": int(b[j]) - n,
+                        "ratio": math.exp(log_ratio[j]),
+                        "bound": math.exp(log_bound[j]),
+                    }
 
-            i = int(quotient.argmax())
-            if _first_max(best, quotient[i], lo + r[i]):
-                best = (float(quotient[i]), lo + int(r[i]), record(i))
-            for j in np.flatnonzero(~satisfied).tolist():
-                key = (lo + int(r[j]), k, 0, j)
-                found.append((key, {"check": "ratio_bound", **record(j)}))
-    return best, found
+                i = int(quotient.argmax())
+                if _first_max(best[g], quotient[i], lo + r[i]):
+                    best[g] = (float(quotient[i]), lo + int(r[i]), record(i))
+                for j in np.flatnonzero(~satisfied).tolist():
+                    key = (lo + int(r[j]), k, 0, j)
+                    found[g].append((key, {"check": "ratio_bound", **record(j)}))
+    return list(zip(best, found))
 
 
 def _ratio_sums(cert, members, maps, costs, params) -> tuple[Best, Found]:
@@ -755,7 +843,7 @@ def _ratio_sums(cert, members, maps, costs, params) -> tuple[Best, Found]:
     from tau (:func:`_swap_costs`), never a difference of two full energies,
     which both grow like (2n / W)^p.  Each fibre's sum adds its terms in
     enumeration order (np.add.at is unbuffered)."""
-    table, _, walk = members
+    table, walk = members.table, members.walk
     n, p, W = walk.n, params.p, params.W
     best, found = None, []
     top = walk.top - n

@@ -224,6 +224,29 @@ class TestRecurrence:
         assert recurrence_check(1.0, 1, 1.0, star, 50).propagated
         assert not recurrence_check(1.0, 1, 1.0, star * 1.05, 50).propagated
 
+    @pytest.mark.parametrize("w", [6, 7, 8])
+    def test_search_passes_its_start_value(self, w):
+        # with a one-step constant W in place of W^2 (C0 = 1/W), c0* passes
+        # C0_SEARCH_START = 4 from W = 6 on; a search that stopped at its
+        # start returned exactly 4.0 here, though 8.0 fails
+        k_max = 50 * w**3
+        star = largest_propagating_c0(1.0, w, 1 / w, k_max)
+        assert star > analysis.C0_SEARCH_START
+        assert recurrence_check(1.0, w, 1 / w, star, k_max).propagated
+        above = star + 2 * analysis.C0_SEARCH_TOL
+        assert not recurrence_check(1.0, w, 1 / w, above, k_max).propagated
+
+    def test_search_growth_stops_where_nothing_is_compared(self):
+        # at C0 = 1e-300 the one-step factor is ~1e-300 and every c0
+        # propagates until f(1) = 2 exp(-c0) leaves the normal floats near
+        # c0 = 709.09; a check that compares no k is no propagation
+        star = largest_propagating_c0(1.0, 1, 1e-300, 50)
+        got = recurrence_check(1.0, 1, 1e-300, star, 50)
+        assert got.propagated and got.last_compared_k == 0
+        above = recurrence_check(1.0, 1, 1e-300, star + 2 * analysis.C0_SEARCH_TOL, 50)
+        assert above.last_compared_k is None
+        assert 709.0 < star < 709.1
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_other_exponents(self, p):
         star = largest_propagating_c0(p, 2, 1.0, 400)

@@ -8,6 +8,7 @@ import math
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +676,37 @@ def command_keys(data) -> tuple[str, st.SearchStrategy]:
     return command, st.sampled_from(keys + ["bogus"])
 
 
+# A size entry in -2..3, drawn from 1..3 on one branch, so about three in
+# four are valid.
+_SIZE = st.integers(1, 3) | st.integers(-2, 3)
+
+
+def size_config(data) -> tuple[str, dict]:
+    """A command and a config file holding its size keys, drawn from _SIZE:
+    W and n, each entry of W_list and n_list, or a sweep's job W and n.
+    Every other key keeps its valid default."""
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    if command == "sweep" and data.draw(st.booleans(), label="jobs"):
+        job = st.fixed_dictionaries({"W": _SIZE, "n": _SIZE})
+        return command, {"jobs": data.draw(st.lists(job, min_size=1, max_size=2))}
+    values = {}
+    for opt in cli.COMMANDS[command].options:
+        if opt.key in ("W", "n"):
+            values[opt.key] = data.draw(_SIZE, label=opt.key)
+        elif opt.key in ("W_list", "n_list"):
+            values[opt.key] = data.draw(st.lists(_SIZE, min_size=1, max_size=2), label=opt.key)
+    return command, values
+
+
+def resolved_sizes(values: dict) -> list[int]:
+    """Every bandwidth and half-length in a config's values: W, n, the
+    entries of W_list and n_list, and each sweep job's W and n."""
+    sizes = [values[k] for k in ("W", "n") if k in values]
+    sizes += values.get("W_list", []) + values.get("n_list", [])
+    sizes += [job[k] for job in values.get("jobs", []) for k in ("W", "n")]
+    return sizes
+
+
 def strict_manifest(config) -> int:
     json.dumps(config.manifest_dict(), allow_nan=False)  # no bare NaN or Infinity
     return cli.EXIT_OK
@@ -696,11 +728,30 @@ class TestParserProperties:
         assert isinstance(config, cli.RunConfig)
         strict_manifest(config)
         # every bandwidth and half-length that reaches a command body is >= 1
-        values = config.values
-        sizes = [values[k] for k in ("W", "n") if k in values]
-        sizes += values.get("W_list", []) + values.get("n_list", [])
-        sizes += [job[k] for job in values.get("jobs", []) for k in ("W", "n")]
-        assert all(size >= 1 for size in sizes)
+        assert all(size >= 1 for size in resolved_sizes(config.values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_size_keys_fail_closed(self, data):
+        # only the size keys vary, inside an otherwise valid config, so
+        # about half the draws are accepted and reach the >= 1 assertion
+        command, given_values = size_config(data)
+        seen = []
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            cfg_file = Path(tmp) / "cfg.json"
+            cfg_file.write_text(json.dumps(given_values))
+            mp.setattr(cli, "run", lambda config: seen.append(config) or cli.EXIT_OK)
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--config", str(cfg_file)])
+        if min(resolved_sizes(given_values)) < 1:
+            assert code == cli.EXIT_CONFIG and not seen
+            (line,) = out.getvalue().splitlines()
+            assert json.loads(line)["error"] == "configuration"
+        else:
+            assert (code, out.getvalue()) == (cli.EXIT_OK, "")
+            (config,) = seen
+            assert min(resolved_sizes(config.values)) >= 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

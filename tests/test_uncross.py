@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from bandperm import (
     uncross_preimage,
 )
 from bandperm.core import image_max_displacement, orbit, swapped
+from bandperm.exact import _band_table
 
 import uncross_reference as reference
 
@@ -394,6 +397,16 @@ class TestAgainstPerImageReference:
         checks = {v["check"] for v in got["violations"]}
         assert checks == {"energy_monotonicity", "ratio_sum"}
 
+    def test_ratio_bound_violations_equal(self, monkeypatch):
+        # a guard of -0.5 makes every swap whose ratio passes half its bound
+        # a ratio_bound violation, and ratio_sum reads the same guard
+        monkeypatch.setattr(uncross_module, "RATIO_GUARD", -0.5)
+        args = (3, (1, 2), (1.0, 2.0))
+        got = run_verification(*args).to_json_dict()
+        assert got == reference.run_verification(*args).to_json_dict()
+        checks = Counter(v["check"] for v in got["violations"])
+        assert checks == {"ratio_bound": 9120, "ratio_sum": 254}
+
     def test_preimage_violations_equal(self, monkeypatch):
         # both sides lose the lexicographically first preimage of every tau
         kernel = uncross_module._preimages
@@ -436,3 +449,93 @@ class TestAgainstPerImageReference:
                 assert (rec.up.index, rec.up.source, rec.up.target) == up
                 assert (rec.down.index, rec.down.source, rec.down.target) == down
                 assert uncross(pi, t).image == reference.uncross_image(img, t)
+
+
+class TestKernelPreconditions:
+    """What the batched kernel skips, and the facts that make it exact."""
+
+    def test_crossings_get_no_row_at_thresholds_past_n(self, monkeypatch):
+        # no 0-cycle on [-3, 3] exceeds t >= 3, so the forward map and the
+        # preimage search there never reach the crossing search
+        rows_by_t = Counter()
+        kernel = uncross_module._crossings
+
+        def counted(walk, t):
+            rows_by_t[t] += walk.orbits.shape[1]
+            return kernel(walk, t)
+
+        monkeypatch.setattr(uncross_module, "_crossings", counted)
+        cert = run_verification(
+            3, (1, 2), (1.0, INFINITY), lam_values=range(0, 5), t_values=range(0, 7)
+        )
+        assert cert.ok
+        assert all(rows_by_t[t] > 0 for t in range(0, 3))
+        assert all(rows_by_t[t] == 0 for t in range(3, 9))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(p=INFINITY, W=1, n=6),
+            ModelParams(p=INFINITY, W=2, n=5),
+            ModelParams(p=INFINITY, W=9, n=3),  # wider than the interval
+            ModelParams(p=1.0, W=1, n=3),
+            ModelParams(p=2.0, W=3, n=4),  # every permutation of 9 points
+        ],
+    )
+    def test_member_keys_strictly_increasing(self, params):
+        members = uncross_module._members(params)
+        assert len(members.keys) == len(members.table)
+        assert (np.diff(members.keys) > 0).all()
+
+    def test_widest_keys_under_the_cap(self):
+        # S_1 on 29 points, F(30) = 832,040 members: the most key bits any
+        # table under the enumeration cap needs, just under 46
+        table = _band_table(14, 1)
+        keys = uncross_module._row_keys(table, 1)
+        assert (np.diff(keys) > 0).all()
+        assert keys[-1] < 1 << 46
+
+    @pytest.mark.parametrize("n, W", [(3, 1), (3, 2), (4, 2)])
+    def test_rows_leaving_the_band_locate_to_minus_one(self, n, W):
+        members = uncross_module._members(ModelParams(p=INFINITY, W=W, n=n))
+        table, m = members.table, 2 * n + 1
+        aliased = 0
+        for a, b in itertools.combinations(range(m), 2):
+            rows = table.copy()
+            rows[:, [a, b]] = rows[:, [b, a]]
+            at = uncross_module._locate(members, rows)
+            outside = (np.abs(rows - np.arange(m)) > W).any(1)
+            assert (at[outside] == -1).all()
+            assert (table[at[~outside]] == rows[~outside]).all()
+            # the digits of a row outside the band leave 0..2W, and its
+            # key, were it encoded, could equal a member's
+            keys = uncross_module._row_keys(rows[outside], W)
+            aliased += np.isin(keys, members.keys).sum()
+        assert aliased > 0
+
+    def test_preimage_on_a_large_interval_matches_reference(self):
+        # 121 points, int8 rows: the preimages are ordered by the
+        # (a descending, tau(b) ascending) rule alone, at infinite p with
+        # W = 2 and with a band of 100, whose limits a + W and b - W leave
+        # int8, and at finite p; tau in S_2, and tau with a displacement of
+        # 5 far from the threshold
+        rng = random.Random(20)
+        n = 60
+        bands = (2, 100, None)  # None: finite p
+        sizes = Counter()
+        for k in range(8):
+            image = list(range(-n, n + 1))
+            for i in range(-n + rng.randint(0, 2), n - 1, 3):
+                j = i + rng.randint(0, 2)
+                image[i + n], image[j + n] = image[j + n], image[i + n]
+            if k % 4 == 3:
+                image[-50 + n], image[-45 + n] = image[-45 + n], image[-50 + n]
+            tau = Permutation(tuple(image))
+            top = max(orbit(tau.image, 0))
+            for t in sorted({top, top + 1, top + 3, n - 1}):
+                for band in bands:
+                    params = ModelParams(p=1.0 if band is None else INFINITY, W=band or 1, n=n)
+                    got = [q.image for q in uncross_preimage(tau, t, params)]
+                    assert got == reference.preimage_images(tau.image, t, band)
+                    sizes[band] += len(got)
+        assert 0 < sizes[2] < sizes[100] <= sizes[None]
