@@ -44,7 +44,7 @@ class DegenerateSwapError(ValueError):
 
 class UnsupportedExponentError(ValueError):
     """The operation needs a finite displacement exponent; the uncrossing
-    checks also need its powers (2n)^p to be finite floats."""
+    checks also need 2(2n)^p to be a finite float."""
 
 
 @dataclass(frozen=True)

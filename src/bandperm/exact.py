@@ -41,9 +41,9 @@ from .core import ModelParams, Permutation, _orbit_table, displacement_costs
 # Most members any enumeration holds: |S_W| at infinite p, and (2n+1)! at
 # finite p, where every permutation is a member, so at most 9 points there
 # (9! = 362,880 <= cap < 11!).  At 9!, on a 2-vCPU Xeon VM, the block pass
-# of the tail curve and partition value takes about 0.05 s, and
-# exact_distribution and exact_expectation, which build one Permutation per
-# image, 1 to 2 s.
+# of the tail curve and partition value and the member table of
+# exact_distribution each take about 0.1 s; exact_expectation and
+# ExactDistribution.as_dict, which build one Permutation per image, 1 to 2 s.
 BAND_ENUMERATION_CAP = 2_000_000
 
 # Largest C(k, floor(k/2)), k = min(2W, m), that count_band_permutations
@@ -72,26 +72,32 @@ class CapacityError(RuntimeError):
     """The requested instance is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == of two arrays has no truth value
 class ExactDistribution:
     """The exact Gibbs distribution on an enumerable instance.
 
-    entries lists every admissible permutation with its probability; for
-    infinite p these are exactly the members of S_W, each with probability
-    1/|S_W|, and partition_value is |S_W|.  For finite p entries cover all
-    (2n+1)! permutations and partition_value is the sum of Gibbs weights.
+    table holds every admissible image as an int8 row shifted to 0..2n, in
+    lexicographic order, and weights the unnormalized Gibbs weight of each
+    row; partition_value is their sum.  For infinite p the rows are exactly
+    the members of S_W, each of weight 1.0, and partition_value is |S_W|.
+    For finite p they are all (2n+1)! permutations.
     """
 
     params: ModelParams
-    entries: tuple[tuple[Permutation, float], ...]
+    table: np.ndarray
+    weights: np.ndarray
     partition_value: float
 
     @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.table)
 
     def as_dict(self) -> dict[Permutation, float]:
-        return dict(self.entries)
+        """Each admissible permutation with its probability, weight /
+        partition_value."""
+        probabilities = (self.weights / self.partition_value).tolist()
+        pairs = zip(_rows(self.table, self.params.n), probabilities)
+        return {Permutation(img): prob for img, prob in pairs}
 
 
 def count_band_permutations(m: int, W: int) -> int:
@@ -338,11 +344,6 @@ def _member_table(params: ModelParams) -> np.ndarray:
     return np.concatenate(list(_blocks(params)))
 
 
-def enumerate_permutations(params: ModelParams) -> Iterator[Permutation]:
-    """:func:`enumerate_images`, each image wrapped in a Permutation."""
-    return (Permutation(img) for img in enumerate_images(params))
-
-
 def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
     """The permutations of range(m), m >= 3, as int8 rows in blocks.
 
@@ -407,26 +408,13 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in values.tolist()])[inverse]
 
 
-def _weighted(params: ModelParams) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(image, unnormalized Gibbs weight) for every admissible image,
-    flattened from :func:`_weight_blocks`."""
-    return (
-        pair
-        for block, weights in _weight_blocks(params)
-        for pair in zip(_rows(block, params.n), map(float, weights))
-    )
-
-
 def exact_distribution(params: ModelParams) -> ExactDistribution:
-    """Materialize the exact Gibbs distribution for an enumerable instance.
-
-    A first pass sums the weights into z, so the second builds the entries
-    without a list of (image, weight) pairs beside them.
-    """
-    weights = (w.tolist() for _, w in _weight_blocks(params))
-    z = math.fsum(itertools.chain.from_iterable(weights))
-    entries = tuple((Permutation(img), w / z) for img, w in _weighted(params))
-    return ExactDistribution(params, entries, z)
+    """Materialize the exact Gibbs distribution for an enumerable instance:
+    the blocks of :func:`_weight_blocks` joined into one member table and
+    one weight array.  math.fsum rounds the partition value correctly."""
+    tables, weights = zip(*_weight_blocks(params))
+    table, weights = np.concatenate(tables), np.concatenate(weights)
+    return ExactDistribution(params, table, weights, math.fsum(weights))
 
 
 def exact_tail_and_partition(
@@ -478,25 +466,6 @@ def exact_tail_and_partition(
     return curve, partition_value, support_size
 
 
-def exact_tail_curve(
-    params: ModelParams, j: int, lam_grid: Sequence[int]
-) -> list[tuple[int, float]]:
-    """P(diam of the cycle of j >= lam) for each lam; see exact_tail_and_partition."""
-    return exact_tail_and_partition(params, j, lam_grid)[0]
-
-
-def exact_partition(params: ModelParams) -> tuple[float, int]:
-    """(partition value, support size) without materializing the entries:
-    :func:`exact_tail_and_partition` with no tail points.  At infinite p
-    both are |S_W|, from the diameter DP and under its bound."""
-    return exact_tail_and_partition(params, 0, ())[1:]
-
-
-def exact_tail(params: ModelParams, j: int, lam: int) -> float:
-    """P(diam of the cycle of j >= lam) under the exact distribution."""
-    return exact_tail_curve(params, j, [lam])[0][1]
-
-
 def exact_expectation(params: ModelParams, observable) -> float:
     """Expectation of observable(pi) under the exact distribution.
 
@@ -506,10 +475,12 @@ def exact_expectation(params: ModelParams, observable) -> float:
     """
     terms = array("d")
 
-    def weights() -> Iterator[float]:
-        for img, w in _weighted(params):
-            terms.append(w * observable(Permutation(img)))
-            yield w
+    def weights() -> Iterator[list[float]]:
+        for block, block_weights in _weight_blocks(params):
+            ws = block_weights.tolist()
+            pairs = zip(_rows(block, params.n), ws)
+            terms.extend(w * observable(Permutation(img)) for img, w in pairs)
+            yield ws
 
-    z = math.fsum(weights())
+    z = math.fsum(itertools.chain.from_iterable(weights()))
     return math.fsum(terms) / z

@@ -13,12 +13,14 @@ shifted to 0..2n (point i in column i + n).  One batched kernel follows the
 orbit of 0 through every row by pointer jumps (:func:`_walk`) and finds its
 crossings (:func:`_crossings`); the forward map is then one row swap per
 row, and :func:`_preimages` inverts it over the candidate swaps of every
-row at once.  The public functions run the same kernel on a one-row table,
-so the exhaustive certificate of :func:`run_verification`, which runs it on
-the whole enumeration, certifies them.  Every finite-p check reads the
-energy change of one image swap, :func:`core.swap_cost` on the
-:func:`core.displacement_costs` table of its (p, W), and never a difference
-or comparison of two full energies, which cancel to nothing at large p.
+row at once.  The three per-image functions, :func:`crossing_record`,
+:func:`uncross` and :func:`uncross_preimage`, run the same kernel on a
+one-row table, so the exhaustive certificate of :func:`run_verification`,
+which runs it on the whole enumeration, certifies them.  Every finite-p
+check reads the energy change of one image swap, :func:`core.swap_cost` on
+the :func:`core.displacement_costs` table of its (p, W), and never a
+difference or comparison of two full energies, which cancel to nothing at
+large p.
 
 The kernel does only the work that can change an answer.  Each skip rests
 on a fact, not a heuristic, so every certificate is the one the full work
@@ -57,7 +59,6 @@ from .core import (
     _orbit_table,
     displacement_costs,
     displacement_sum,
-    reflect,
     swap_cost,
 )
 from .exact import _exp, _member_table
@@ -265,41 +266,24 @@ def _preimages(
     return owner[order], candidates[order]
 
 
-def _crossing_pair(image: Image, t: int) -> tuple[Optional[tuple], Optional[tuple]]:
-    """First up-crossing and last down-crossing of an image tuple at t as
-    (index, source, target) triples, both None when the orbit never
-    exceeds t; the kernel run on a one-row table."""
-    walk = _walk(_table([image]))
+def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
+    """Both crossings of the orbit of 0 at threshold t, or None when the
+    orbit never exceeds t; the kernel run on a one-row table.
+
+    The up-crossing is the least j >= 0 with pi^j(0) <= t < pi^(j+1)(0); the
+    down-crossing is the greatest j in [0, period) with
+    pi^(j+1)(0) <= t < pi^j(0), where period is the length of the cycle of
+    0, so the search covers exactly one traversal and pi^period(0) = 0
+    closes it.  Requires t >= 0 so that the orbit starts below.
+    """
+    walk = _walk(_table([pi.image]))
     n = walk.n
     if walk.top[0] <= t + n:  # never at t < 0, where _crossings raises
-        return None, None
-    up_k, up_s, up_t, down_k, down_s, down_t = (int(x[0]) for x in _crossings(walk, t))
-    return (up_k, up_s - n, up_t - n), (down_k, down_s - n, down_t - n)
-
-
-def first_upcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
-    """Least j >= 0 with pi^j(0) <= t < pi^(j+1)(0), or None if the orbit
-    never exceeds t.  Requires t >= 0 so that the orbit starts below."""
-    up, _ = _crossing_pair(pi.image, t)
-    return None if up is None else Crossing(*up)
-
-
-def last_downcrossing(pi: Permutation, t: int) -> Optional[Crossing]:
-    """Greatest j in [0, period) with pi^(j+1)(0) <= t < pi^j(0), or None.
-
-    period is the length of the cycle of 0, so the search covers exactly one
-    traversal and pi^period(0) = 0 closes it.
-    """
-    _, down = _crossing_pair(pi.image, t)
-    return None if down is None else Crossing(*down)
-
-
-def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
-    """Both crossings at threshold t, or None when the orbit stays below."""
-    up, down = _crossing_pair(pi.image, t)
-    if up is None:
         return None
-    return CrossingRecord(t, Crossing(*up), Crossing(*down))
+    up_k, up_s, up_t, down_k, down_s, down_t = (int(x[0]) for x in _crossings(walk, t))
+    return CrossingRecord(
+        t, Crossing(up_k, up_s - n, up_t - n), Crossing(down_k, down_s - n, down_t - n)
+    )
 
 
 def uncross(pi: Permutation, t: int) -> Permutation:
@@ -317,15 +301,6 @@ def uncross(pi: Permutation, t: int) -> Permutation:
             f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
         )
     return Permutation(tuple(_image(rho[0])))
-
-
-def uncross_min(pi: Permutation, t: int) -> Permutation:
-    """Mirror of :func:`uncross` acting on the minimum of the cycle of 0.
-
-    Implemented by conjugating with the reflection i -> -i; the result has
-    min C(0) >= -t.
-    """
-    return reflect(uncross(reflect(pi), t))
 
 
 def uncross_preimage(
@@ -371,20 +346,22 @@ class RatioCheck:
 
 
 def check_power(n: int, p: float) -> None:
-    """Raise UnsupportedExponentError if (2n)^p passes the float maximum at finite p.
+    """Raise UnsupportedExponentError if 2(2n)^p passes the float maximum at finite p.
 
-    The finite-p checks on [-n, n] take four-term differences of the terms
-    (d / W)^p and d^p, d <= 2n; these are then finite at every W >= 1, where
-    one inf term would make the difference inf - inf = nan.  Both
-    :func:`crossing_ratio_check` and :func:`run_verification` call it.  The
-    oracle and the chain need no such check: an inf term there is an inf
-    energy, of weight 0.
+    The finite-p checks on [-n, n] read :func:`core.swap_cost`, which adds
+    two of the terms (d / W)^p or d^p, d <= 2n, and subtracts two others.
+    Under this bound that sum is finite at every W >= 1; past it, an inf
+    term would make the difference inf - inf = nan, or the sum of two
+    finite terms would overflow to inf.  Both :func:`crossing_ratio_check`
+    and :func:`run_verification` call it.  The oracle and the chain need no
+    such check: an inf term there is an inf energy, of weight 0.
     """
     try:
-        float(2 * n) ** p
+        finite = math.isfinite(2 * float(2 * n) ** p)
     except OverflowError:
-        if math.isfinite(p):
-            raise UnsupportedExponentError(f"(2n)^p is not a finite float at n={n}, p={p}")
+        finite = False
+    if not finite and math.isfinite(p):
+        raise UnsupportedExponentError(f"2(2n)^p is not a finite float at n={n}, p={p}")
 
 
 def crossing_ratio_check(
@@ -893,7 +870,7 @@ def run_verification(
 
     Band checks run for every W; finite-p checks run for every finite p in
     p_values (and need their (2n+1)! members within the enumeration cap,
-    so 2n+1 <= 9, and (2n)^p a finite float: :func:`check_power`).
+    so 2n+1 <= 9, and 2(2n)^p a finite float: :func:`check_power`).
     """
     w_values = tuple(sorted(set(w_values)))
     p_values = tuple(sorted(set(p_values)))

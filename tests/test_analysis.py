@@ -18,9 +18,9 @@ from bandperm import (
     UnfittableError,
     band_structure_stat,
     cycle_of,
-    enumerate_permutations,
+    enumerate_images,
     estimate_tail_curve,
-    exact_tail,
+    exact_tail_and_partition,
     fit_exponential_decay,
     largest_propagating_c0,
     preimage_size_stats,
@@ -129,7 +129,7 @@ class TestFits:
 
 class TestPreimageSizeStats:
     def test_w1_sizes_at_most_one(self):
-        taus = list(enumerate_permutations(BAND_W1))
+        taus = [Permutation(img) for img in enumerate_images(BAND_W1)]
         stats = preimage_size_stats(BAND_W1, 1, taus)
         assert stats.max_size <= 1
         assert stats.count == sum(
@@ -140,7 +140,7 @@ class TestPreimageSizeStats:
         # independent route: apply the forward map to every band permutation
         # and histogram the fiber sizes (zero fibers included)
         t = 1
-        members = list(enumerate_permutations(BAND_W2))
+        members = [Permutation(img) for img in enumerate_images(BAND_W2)]
         fibers = {}
         for pi in members:
             if cycle_of(pi, 0).max > t:
@@ -336,7 +336,7 @@ class TestEstimatorAgainstOracle:
         # oracle-sized band instance, many independent seeded chains
         params = BAND_W2
         grid = list(range(0, 5))
-        oracle = {lam: exact_tail(params, 0, lam) for lam in grid}
+        oracle = dict(exact_tail_and_partition(params, 0, grid)[0])
         points_total = 0
         points_ok = 0
         for seed in range(100):

@@ -625,10 +625,11 @@ class TestFailClosed:
         assert payload["message"].startswith("p_list:")
 
     def test_power_check_boundary(self, tmp_path):
-        # 8^341 = 2^1023 is the largest finite power of 8; 8^342 overflows
-        parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "341"})
+        # a swap cost adds two terms 8^p: 2 * 8^340 = 2^1021 is finite, and
+        # 2 * 8^341 = 2^1024 overflows
+        parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "340"})
         with pytest.raises(ConfigurationError, match="^p_list:"):
-            parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "342"})
+            parse_config("uncross-verify", {}, {"n": "4", "W_list": "1", "p_list": "341"})
         # the certificates read (d / W)^p and d^p with d <= 2n, so a band
         # wider than 2n is no reason to refuse a p: 1000^200 overflows, 6^200 not
         argv = ["uncross-verify", "--n", "3", "--W-list", "1000", "--p-list", "200"]

@@ -16,11 +16,10 @@ from bandperm import (
     count_band_permutations,
     cycle_of,
     energy,
-    enumerate_permutations,
+    enumerate_images,
     exact_distribution,
     exact_expectation,
-    exact_tail,
-    exact_tail_curve,
+    exact_tail_and_partition,
 )
 from bandperm.core import orbit
 from bandperm.exact import (
@@ -28,11 +27,7 @@ from bandperm.exact import (
     _band_counts,
     _band_table,
     _permutation_blocks,
-    _weighted,
     band_diameter_counts,
-    enumerate_images,
-    exact_partition,
-    exact_tail_and_partition,
 )
 
 
@@ -76,27 +71,27 @@ def brute_force_band_count(m: int, W: int) -> int:
 
 class TestEnumeration:
     def test_band_w1_n1(self):
-        perms = list(enumerate_permutations(ModelParams(p=INFINITY, W=1, n=1)))
-        assert [pi.image for pi in perms] == [
+        images = list(enumerate_images(ModelParams(p=INFINITY, W=1, n=1)))
+        assert images == [
             (-1, 0, 1),   # identity
             (-1, 1, 0),   # swap of 0, 1
             (0, -1, 1),   # swap of -1, 0
         ]
 
     def test_band_w1_n2_count(self):
-        perms = list(enumerate_permutations(ModelParams(p=INFINITY, W=1, n=2)))
-        assert len(perms) == 8
+        images = list(enumerate_images(ModelParams(p=INFINITY, W=1, n=2)))
+        assert len(images) == 8
 
     def test_full_n1(self):
-        perms = list(enumerate_permutations(ModelParams(p=1.0, W=1, n=1)))
-        assert len(perms) == 6
+        images = list(enumerate_images(ModelParams(p=1.0, W=1, n=1)))
+        assert len(images) == 6
 
     def test_lexicographic_and_unique(self):
         for params in (
             ModelParams(p=1.0, W=1, n=2),
             ModelParams(p=INFINITY, W=2, n=3),
         ):
-            images = [pi.image for pi in enumerate_permutations(params)]
+            images = list(enumerate_images(params))
             assert images == sorted(images)
             assert len(set(images)) == len(images)
 
@@ -104,7 +99,7 @@ class TestEnumeration:
         # generator output == brute-force filter of all permutations
         for m, W in ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3)):
             n = m // 2
-            got = [pi.image for pi in enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n))]
+            got = list(enumerate_images(ModelParams(p=INFINITY, W=W, n=n)))
             expected = sorted(
                 img
                 for img in itertools.permutations(range(-n, n + 1))
@@ -125,11 +120,11 @@ class TestEnumeration:
     def test_capacity_error_finite_p(self):
         # 11! permutations pass the one enumeration cap, which admits 9!
         with pytest.raises(CapacityError, match=str(BAND_ENUMERATION_CAP)):
-            enumerate_permutations(ModelParams(p=1.0, W=1, n=5))
+            enumerate_images(ModelParams(p=1.0, W=1, n=5))
 
     def test_capacity_error_band(self):
         with pytest.raises(CapacityError, match="cap"):
-            enumerate_permutations(ModelParams(p=INFINITY, W=3, n=30))
+            enumerate_images(ModelParams(p=INFINITY, W=3, n=30))
 
 
 class TestBandCounts:
@@ -145,7 +140,7 @@ class TestBandCounts:
         for m, W in ((5, 1), (7, 2), (9, 2), (7, 3), (11, 2)):
             n = m // 2
             generated = sum(
-                1 for _ in enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n))
+                1 for _ in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))
             )
             assert count_band_permutations(m, W) == generated
 
@@ -202,21 +197,23 @@ class TestBandCounts:
 
     def test_largest_band_instances_under_the_cap(self):
         # 2n+1 = 29 is the largest interval where S_1 fits under the cap
-        assert exact_partition(ModelParams(p=INFINITY, W=1, n=14)) == (832040.0, 832040)
+        params = ModelParams(p=INFINITY, W=1, n=14)
+        assert exact_tail_and_partition(params, 0, ())[1:] == (832040.0, 832040)
         assert count_band_permutations(31, 1) > BAND_ENUMERATION_CAP
 
     @pytest.mark.parametrize(
         "n, W", [(15, 1), (14, 13), (14, 27), (100_000, 3), (10**30, 10**20)]
     )
     def test_capacity_check_is_bounded(self, n, W):
-        # exact_partition is bound by the diameter DP's state cap, not by
-        # |S_W|: |S_1| = F(32) on 31 points is past the enumeration cap
+        # the p = infinity partition value is bound by the diameter DP's
+        # state cap, not by |S_W|: |S_1| = F(32) on 31 points is past the
+        # enumeration cap
         params = ModelParams(p=INFINITY, W=W, n=n)
         if (n, W) == (15, 1):
-            assert exact_partition(params) == (2_178_309.0, 2_178_309)
+            assert exact_tail_and_partition(params, 0, ())[1:] == (2_178_309.0, 2_178_309)
         else:
             with pytest.raises(CapacityError, match="cap"):
-                exact_partition(params)
+                exact_tail_and_partition(params, 0, ())
 
 
 class TestExactDistribution:
@@ -224,7 +221,7 @@ class TestExactDistribution:
         dist = exact_distribution(ModelParams(p=INFINITY, W=1, n=1))
         assert dist.support_size == 3
         assert dist.partition_value == 3.0
-        for _, prob in dist.entries:
+        for prob in dist.as_dict().values():
             assert prob == pytest.approx(1 / 3, abs=1e-15)
 
     def test_p1_identity_probability(self):
@@ -247,15 +244,29 @@ class TestExactDistribution:
     )
     def test_probabilities_sum_to_one(self, params):
         dist = exact_distribution(params)
-        assert math.fsum(pr for _, pr in dist.entries) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(dist.as_dict().values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_partition_value_finite_p(self):
         params = ModelParams(p=2.0, W=1, n=1)
         dist = exact_distribution(params)
         expected = math.fsum(
-            math.exp(-energy(pi, params)) for pi in enumerate_permutations(params)
+            math.exp(-energy(Permutation(img), params)) for img in enumerate_images(params)
         )
         assert dist.partition_value == pytest.approx(expected, rel=1e-12)
+
+    def test_traced_peak_holds_the_table_and_weights(self):
+        # at 9! the int8 table and the float64 weights take 5.9 MiB; the
+        # bound leaves room for joining the blocks into them, not for a
+        # Python object per row
+        params = ModelParams(p=1.0, W=2, n=4)
+        tracemalloc.start()
+        try:
+            dist = exact_distribution(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.support_size == math.factorial(9)
+        assert peak < 16 * 2**20
 
     def test_tv_to_uniform_band_nonincreasing_in_p(self):
         # The hard-cap model is a separate convention, not the literal
@@ -276,58 +287,61 @@ class TestExactDistribution:
 class TestExactTail:
     def test_lambda_zero_is_one(self):
         for params in (ModelParams(p=1.0, W=1, n=1), ModelParams(p=INFINITY, W=2, n=2)):
-            assert exact_tail(params, 0, 0) == 1.0
+            assert exact_tail_and_partition(params, 0, [0])[0] == [(0, 1.0)]
 
     def test_band_n1_values(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
-        assert exact_tail(params, 0, 1) == pytest.approx(2 / 3, abs=1e-12)
-        assert exact_tail(params, 1, 1) == pytest.approx(1 / 3, abs=1e-12)
-        assert exact_tail(params, 0, 2) == 0.0
+        tail = dict(exact_tail_and_partition(params, 0, [1, 2])[0])
+        assert tail[1] == pytest.approx(2 / 3, abs=1e-12)
+        assert dict(exact_tail_and_partition(params, 1, [1])[0])[1] == pytest.approx(
+            1 / 3, abs=1e-12
+        )
+        assert tail[2] == 0.0
 
     def test_monotone_in_lambda(self):
         params = ModelParams(p=1.0, W=1, n=2)
-        curve = exact_tail_curve(params, 0, list(range(0, 6)))
+        curve = exact_tail_and_partition(params, 0, list(range(0, 6)))[0]
         values = [v for _, v in curve]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert curve[-1][1] == 0.0  # lambda > 2n is impossible
 
     def test_reflection_symmetry_in_j(self):
         for params in (ModelParams(p=INFINITY, W=2, n=2), ModelParams(p=1.5, W=1, n=2)):
+            grid = list(range(0, 2 * params.n + 1))
             for j in range(0, params.n + 1):
-                for lam in range(0, 2 * params.n + 1):
-                    assert exact_tail(params, j, lam) == pytest.approx(
-                        exact_tail(params, -j, lam), abs=1e-12
-                    )
+                left = exact_tail_and_partition(params, j, grid)[0]
+                right = exact_tail_and_partition(params, -j, grid)[0]
+                for (_, a), (_, b) in zip(left, right):
+                    assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_direct_summation(self):
         # independent route: sum probabilities from the materialized
         # distribution instead of the streaming pass
         params = ModelParams(p=1.0, W=1, n=2)
-        dist = exact_distribution(params)
+        dist = exact_distribution(params).as_dict()
+        tail = dict(exact_tail_and_partition(params, 0, [1, 2, 3])[0])
         for lam in (1, 2, 3):
             direct = sum(
-                pr for pi, pr in dist.entries if cycle_of(pi, 0).diam >= lam
+                pr for pi, pr in dist.items() if cycle_of(pi, 0).diam >= lam
             )
-            assert exact_tail(params, 0, lam) == pytest.approx(direct, abs=1e-12)
+            assert tail[lam] == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         params = ModelParams(p=1.0, W=1, n=1)
         with pytest.raises(ValueError):
-            exact_tail(params, 5, 0)
+            exact_tail_and_partition(params, 5, [0])
         with pytest.raises(ValueError):
-            exact_tail(params, 0, -1)
+            exact_tail_and_partition(params, 0, [-1])
 
 
 class TestExactPartition:
     def test_matches_materialized_distribution(self):
-        from bandperm.exact import exact_partition
-
         for params in (
             ModelParams(p=1.0, W=1, n=1),
             ModelParams(p=2.5, W=2, n=2),
             ModelParams(p=INFINITY, W=2, n=3),
         ):
-            z, size = exact_partition(params)
+            z, size = exact_tail_and_partition(params, 0, ())[1:]
             dist = exact_distribution(params)
             assert z == pytest.approx(dist.partition_value, rel=1e-12)
             assert size == dist.support_size
@@ -336,10 +350,10 @@ class TestExactPartition:
     def test_int_p_gives_the_float_p_values(self, p):
         # an int p made Python-int powers, an object array that the float
         # displacement sums could not take
-        from bandperm.exact import exact_partition
-
         int_params, float_params = ModelParams(p=p, W=1, n=4), ModelParams(p=float(p), W=1, n=4)
-        assert exact_partition(int_params) == exact_partition(float_params)
+        assert exact_tail_and_partition(int_params, 0, ())[1:] == exact_tail_and_partition(
+            float_params, 0, ()
+        )[1:]
         pi = Permutation((4, -3, -2, -1, 0, 1, 2, 3, -4))
         assert energy(pi, int_params) == energy(pi, float_params)
 
@@ -348,9 +362,16 @@ class TestExactPartition:
         # past the float maximum, but its energy is 2; at W=1 the sums past
         # the maximum are energies above 745, whose weight is 0.0
         swap = (4, -3, -2, -1, 0, 1, 2, 3, -4)
-        weights = [w for img, w in _weighted(ModelParams(p=341.0, W=8, n=4)) if img == swap]
+        weights = [w for img, w in weighted(ModelParams(p=341.0, W=8, n=4)) if img == swap]
         assert weights == [math.exp(-2.0)]
-        assert exact_partition(ModelParams(p=341.0, W=1, n=4))[0] == 2.518563039229159
+        assert exact_tail_and_partition(ModelParams(p=341.0, W=1, n=4), 0, ())[1] == (
+            2.518563039229159
+        )
+
+
+def weighted(params):
+    """(image, weight) for every row of exact_distribution, in order."""
+    return zip(enumerate_images(params), exact_distribution(params).weights.tolist())
 
 
 def direct_energy(image, p, W):
@@ -389,7 +410,7 @@ class TestOnePassOracle:
     def test_table_weights_match_direct_powers(self, p):
         for W in (1, 2, 3):
             params = ModelParams(p=p, W=W, n=3)
-            for img, w in _weighted(params):
+            for img, w in weighted(params):
                 assert w == math.exp(-direct_energy(img, p, W))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.7, 341.0])
@@ -400,7 +421,7 @@ class TestOnePassOracle:
         for W in (1, 2, 3, 8):
             for n in (1, 2, 3):
                 params = ModelParams(p=p, W=W, n=n)
-                for img, w in _weighted(params):
+                for img, w in weighted(params):
                     assert w == math.exp(-energy(Permutation(img), params))
 
     @pytest.mark.parametrize(
@@ -418,8 +439,8 @@ class TestOnePassOracle:
         for j in (0, params.n, -1):
             got = exact_tail_and_partition(params, j, grid)
             assert got == two_pass_reference(params, j, grid)
-        assert exact_tail_curve(params, -1, grid) == got[0]
-        assert exact_partition(params) == got[1:]
+        assert [exact_tail_and_partition(params, -1, [lam])[0][0] for lam in grid] == got[0]
+        assert exact_tail_and_partition(params, 0, ())[1:] == got[1:]
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_finite_p_matches_two_passes_at_the_cap(self, p):
@@ -455,7 +476,7 @@ class TestOnePassOracle:
             got = exact_tail_and_partition(params, 0, grid)
             assert got == two_pass_reference(params, 0, grid)
             count = count_band_permutations(2 * n + 1, W)
-            assert got[1:] == (float(count), count) == exact_partition(params)
+            assert got[1:] == (float(count), count) == exact_tail_and_partition(params, 0, ())[1:]
 
 
 def band_walk_counts(n, W):
@@ -549,7 +570,7 @@ class TestBandDiameterDP:
         assert len(admitted) == 38
         for n, W in admitted:
             count = count_band_permutations(2 * n + 1, W)
-            got = exact_partition(ModelParams(p=INFINITY, W=W, n=n))
+            got = exact_tail_and_partition(ModelParams(p=INFINITY, W=W, n=n), 0, ())[1:]
             assert got == (float(count), count), (n, W)
 
 
@@ -557,7 +578,7 @@ class TestExactExpectation:
     def test_matches_distribution_sum(self):
         for params in (ModelParams(p=1.0, W=1, n=1), ModelParams(p=INFINITY, W=1, n=2)):
             dist = exact_distribution(params)
-            direct = sum(pr * abs(pi(0)) for pi, pr in dist.entries)
+            direct = sum(pr * abs(pi(0)) for pi, pr in dist.as_dict().items())
             streamed = exact_expectation(params, lambda pi: abs(pi(0)))
             assert streamed == pytest.approx(direct, rel=1e-12)
 

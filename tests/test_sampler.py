@@ -15,7 +15,7 @@ from bandperm import (
     SamplerConfig,
     cycle_of,
     energy,
-    enumerate_permutations,
+    enumerate_images,
     exact_distribution,
     in_support,
     metropolis_acceptance,
@@ -247,7 +247,7 @@ class TestDetailedBalance:
         # flow balance P(x) q acc(x->y) == P(y) q acc(y->x) for every pair
         # of states one image-swap apart, with both sides from raw energies
         params = ModelParams(p=p, W=1, n=1)
-        states = list(enumerate_permutations(ModelParams(p=1.0, W=1, n=1)))
+        states = [Permutation(img) for img in enumerate_images(ModelParams(p=1.0, W=1, n=1))]
         for x in states:
             for a in range(-1, 2):
                 for b in range(a + 1, 2):
@@ -287,7 +287,7 @@ class TestDetailedBalance:
         # stationary after every step of the scan; the sweep K_{-n} ... K_n
         # is primitive, so the scan converges to that measure
         params = ModelParams(p=p, W=W, n=n)
-        states = list(enumerate_permutations(params))
+        states = [Permutation(img) for img in enumerate_images(params)]
         gibbs = {pi: math.exp(-energy(pi, params)) for pi in states}
         kernels = []
         for a in range(-n, n + 1):
@@ -312,7 +312,7 @@ class TestDetailedBalance:
         # is proposed R/V >= 1 times as often as in m steps of the offset
         # rule, with V = min(W, 2n)
         m, R, V = 2 * n + 1, min(2 * W, 2 * n), min(W, 2 * n)
-        members = list(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
+        members = [Permutation(img) for img in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))]
         per_sweep = {pi: Counter() for pi in members}
         kernels = []
         for a in range(-n, n + 1):
@@ -401,7 +401,7 @@ class TestDetailedBalance:
 
 def band_component_size(n, W, pairs):
     """Members of S_W reachable from the identity by in-band swaps of pairs."""
-    members = set(enumerate_permutations(ModelParams(p=INFINITY, W=W, n=n)))
+    members = {Permutation(img) for img in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))}
     start = Permutation.identity(n)
     seen = {start}
     queue = deque([start])

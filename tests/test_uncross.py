@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,15 +22,12 @@ from bandperm import (
     crossing_record,
     cycle_of,
     energy,
-    enumerate_permutations,
-    first_upcrossing,
+    enumerate_images,
     in_support,
-    last_downcrossing,
     reflect,
     run_verification,
     swap_images,
     uncross,
-    uncross_min,
     uncross_preimage,
 )
 from bandperm.core import image_max_displacement, orbit, swapped
@@ -64,26 +62,26 @@ THREE_CYCLE_LOW = Permutation.from_mapping(3, {0: 1, 1: 3, 3: 0})  # orbit 0,1,3
 
 class TestCrossings:
     def test_identity_has_none(self):
-        assert first_upcrossing(Permutation.identity(2), 0) is None
-        assert last_downcrossing(Permutation.identity(2), 3) is None
+        assert crossing_record(Permutation.identity(2), 0) is None
+        assert crossing_record(Permutation.identity(2), 3) is None
 
     def test_up_immediately(self):
-        up = first_upcrossing(THREE_CYCLE_UP, 2)
+        up = crossing_record(THREE_CYCLE_UP, 2).up
         assert (up.index, up.source, up.target) == (0, 0, 3)
 
     def test_up_after_one_step(self):
-        up = first_upcrossing(THREE_CYCLE_LOW, 2)
+        up = crossing_record(THREE_CYCLE_LOW, 2).up
         assert (up.index, up.source, up.target) == (1, 1, 3)
 
     def test_down_hand_traced(self):
-        down = last_downcrossing(THREE_CYCLE_UP, 2)
+        down = crossing_record(THREE_CYCLE_UP, 2).down
         assert (down.index, down.source, down.target) == (1, 3, 1)
-        down = last_downcrossing(THREE_CYCLE_LOW, 2)
+        down = crossing_record(THREE_CYCLE_LOW, 2).down
         assert (down.index, down.source, down.target) == (2, 3, 0)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            first_upcrossing(Permutation.identity(1), -1)
+            crossing_record(Permutation.identity(1), -1)
 
     @given(st.permutations(list(range(-3, 4))), st.integers(0, 3))
     def test_both_exist_iff_orbit_exceeds(self, img, t):
@@ -151,7 +149,8 @@ class TestUncross:
         # source-swap reading is the right one
         params = ModelParams(p=INFINITY, W=2, n=3)
         bad = 0
-        for pi in enumerate_permutations(params):
+        for img in enumerate_images(params):
+            pi = Permutation(img)
             for t in range(0, 3):
                 rec = crossing_record(pi, t)
                 if rec is None:
@@ -163,9 +162,8 @@ class TestUncross:
 
 
 class TestUncrossMin:
-    def test_conjugation_identity(self):
-        pi = Permutation.from_mapping(3, {0: -3, -3: -1, -1: 0})
-        assert reflect(uncross_min(pi, 2)) == uncross(reflect(pi), 2)
+    """The uncrossing map conjugated by the reflection i -> -i acts on the
+    minimum of the cycle of 0."""
 
     def test_clears_minimum_excursion(self):
         for img in itertools.permutations(range(-3, 4)):
@@ -173,7 +171,7 @@ class TestUncrossMin:
             for t in range(0, 3):
                 if cycle_of(pi, 0).min >= -t:
                     continue
-                rho = uncross_min(pi, t)
+                rho = reflect(uncross(reflect(pi), t))
                 assert cycle_of(rho, 0).min >= -t
 
 
@@ -206,7 +204,7 @@ class TestPreimage:
     def test_band_matches_brute_force_inversion(self, W):
         # forward map over all of S_W, fibers grouped, then compared
         params = ModelParams(p=INFINITY, W=W, n=3)
-        members = list(enumerate_permutations(params))
+        members = [Permutation(img) for img in enumerate_images(params)]
         for t in range(0, 4):
             fibers = {}
             for pi in members:
@@ -237,7 +235,7 @@ class TestPreimage:
 
     def test_full_support_matches_brute_force_inversion(self):
         params = ModelParams(p=2.0, W=1, n=2)
-        everyone = list(enumerate_permutations(params))
+        everyone = [Permutation(img) for img in enumerate_images(params)]
         for t in range(0, 2):
             fibers = {}
             for pi in everyone:
@@ -322,6 +320,20 @@ class TestVerificationSuite:
         tau = Permutation.from_mapping(3, {0: -3, -3: 0})
         with pytest.raises(UnsupportedExponentError, match=r"\(2n\)\^p"):
             crossing_ratio_check(tau, 0, 3, 0, ModelParams(p=2000.0, W=1, n=3))
+
+    def test_power_bound_holds_a_sum_of_two_terms(self):
+        # a swap cost adds two terms up to (2n)^p before it subtracts: at
+        # n=4, 2 * 8^340 = 2^1021 is finite and 2 * 8^341 = 2^1024 is not
+        tau = Permutation.identity(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = run_verification(4, (1,), (340.0,))
+            crossing_ratio_check(tau, -4, 4, 0, ModelParams(p=340.0, W=1, n=4))
+        assert cert.ok, f"violations: {cert.violations[:3]}"
+        with pytest.raises(UnsupportedExponentError, match=r"\(2n\)\^p"):
+            run_verification(4, (1,), (341.0,))
+        with pytest.raises(UnsupportedExponentError, match=r"\(2n\)\^p"):
+            crossing_ratio_check(tau, -4, 4, 0, ModelParams(p=341.0, W=1, n=4))
 
     def test_ratio_sum_bound_over_exhaustive_range(self):
         # the frozen K = 1.0 must hold across the full exhaustive range;
