@@ -330,10 +330,10 @@ def _recurrence_sides(
     below it.  The left side is f(k+1).
     """
     ks = np.arange(k_max + 1, dtype=float)
-    f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
-    # a power past the float range is inf, which gives g exactly: exp(-inf)
-    # = 0.0 = exp(-x) for every x above about 745
+    # a product or power past the float range is inf, which gives f and g
+    # exactly: exp(-inf) = 0.0 = exp(-x) for every x above about 745
     with np.errstate(over="ignore"):
+        f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
         g = np.exp(-((ks / W) ** p))
     ones = f[:k_max] == 1.0
     k1 = k_max if ones.all() else int(np.argmin(ones))  # f(0) = 1, so k1 >= 1
@@ -362,6 +362,7 @@ def recurrence_check(
     float: below that the relative guard is void and one subnormal ulp would
     decide.  Returns the first failing k when propagation breaks, and the
     last compared k either way: f decreases, so every k up to it is compared.
+    A check that compares no k (f(1) already subnormal) does not propagate.
     """
     if math.isinf(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
@@ -377,7 +378,7 @@ def recurrence_check(
     bad = (rhs > target * (1.0 + 1e-9)) & normal
     last = int(np.count_nonzero(normal)) - 1 if normal[0] else None
     if not bad.any():
-        return RecurrenceResult(True, None, c, last)
+        return RecurrenceResult(last is not None, None, c, last)
     return RecurrenceResult(False, int(np.argmax(bad)), c, last)
 
 
@@ -388,14 +389,13 @@ def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
     found from C0_SEARCH_START: by doubling while the start propagates (at
     most C0_SEARCH_DOUBLINGS times), else by geometric descent.  Bisection
     then narrows it; the returned value is always verified to propagate.
-    A check that compares no k (f(1) already subnormal) counts as a
-    failure, so it ends the doubling.  c0 = 0 always propagates (the
-    weights telescope), so the search cannot come back empty.
+    A check that compares no k (f(1) already subnormal) does not propagate,
+    so it ends the doubling.  c0 = 0 always propagates (the weights
+    telescope), so the search cannot come back empty.
     """
 
     def propagates(c0: float) -> bool:
-        result = recurrence_check(p, W, C0, c0, k_max)
-        return result.propagated and result.last_compared_k is not None
+        return recurrence_check(p, W, C0, c0, k_max).propagated
 
     lower = upper = C0_SEARCH_START
     if propagates(upper):

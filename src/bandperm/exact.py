@@ -8,13 +8,15 @@ member count: at infinite p the band support S_W, built as one int8 table
 a column at a time, which reaches much larger intervals; at finite p all
 (2n+1)! permutations, which are S_W at W = 2n, in numpy blocks, one block
 per leading pair of values.  Rows are in lexicographic order in both.  The
-image generator, the member tables of the uncrossing certificates
-(:func:`_member_table`) and the Gibbs weights (:func:`_weight_blocks`) all
-read those blocks.  Finite-p energies sum the terms of
-:func:`core.displacement_costs`, the table :func:`core.energy` and the
-chain read.  Energies and weights are computed a column at a time with the
-float order of the per-permutation formulas, so every value is
-bit-identical to them; the cycles of j are walked by
+member tables of the uncrossing certificates (:func:`_member_table`) and
+the Gibbs weights (:func:`_weight_blocks`) read those blocks.
+:func:`exact_distribution` joins the weighted blocks into the one
+enumerated product this module hands out, a member table with its weights;
+an expectation is a weighted sum over a column of that table.  Finite-p
+energies sum the terms of :func:`core.displacement_costs`, the table
+:func:`core.energy` and the chain read.  Energies and weights are computed
+a column at a time with the float order of the per-permutation formulas,
+so every value is bit-identical to them; the cycles of j are walked by
 :func:`core._orbit_table`, the walk the uncrossing certificates read.  The
 p = infinity tail curve and partition value need no enumeration: a marked
 connectivity transfer DP over the positions counts the members of S_W by
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -42,8 +43,9 @@ from .core import ModelParams, Permutation, _orbit_table, displacement_costs
 # finite p, where every permutation is a member, so at most 9 points there
 # (9! = 362,880 <= cap < 11!).  At 9!, on a 2-vCPU Xeon VM, the block pass
 # of the tail curve and partition value and the member table of
-# exact_distribution each take about 0.1 s; exact_expectation and
-# ExactDistribution.as_dict, which build one Permutation per image, 1 to 2 s.
+# exact_distribution each take about 0.1 s, and an expectation over one
+# weighted column of that table 0.02 s; ExactDistribution.as_dict, which
+# builds one Permutation per row, takes 1.2 to 1.8 s.
 BAND_ENUMERATION_CAP = 2_000_000
 
 # Largest C(k, floor(k/2)), k = min(2W, m), that count_band_permutations
@@ -59,9 +61,6 @@ PROFILE_MASK_CAP = 2_000_000
 # product peaks at 401 * 2,989 = 1,198,589; the DP creates 538,700 states,
 # in about 7 s on a 2-vCPU Xeon VM.
 DIAMETER_STATE_CAP = 2_000_000
-
-# Rows of a member table converted to image tuples at a time.
-_ROWS = 1 << 16
 
 # Smallest interval size whose band support exceeds the cap at every W:
 # S_1 is a subset of S_W and |S_1| = F(2n+2) = 2,178,309 at 2n+1 = 31.
@@ -80,7 +79,9 @@ class ExactDistribution:
     lexicographic order, and weights the unnormalized Gibbs weight of each
     row; partition_value is their sum.  For infinite p the rows are exactly
     the members of S_W, each of weight 1.0, and partition_value is |S_W|.
-    For finite p they are all (2n+1)! permutations.
+    For finite p they are all (2n+1)! permutations.  The expectation of an
+    observable of pi(i) is math.fsum((weights * obs).tolist()) /
+    partition_value, with obs computed from the column table[:, i + n].
     """
 
     params: ModelParams
@@ -96,8 +97,8 @@ class ExactDistribution:
         """Each admissible permutation with its probability, weight /
         partition_value."""
         probabilities = (self.weights / self.partition_value).tolist()
-        pairs = zip(_rows(self.table, self.params.n), probabilities)
-        return {Permutation(img): prob for img, prob in pairs}
+        images = (self.table - self.params.n).tolist()
+        return {Permutation(img): prob for img, prob in zip(images, probabilities)}
 
 
 def count_band_permutations(m: int, W: int) -> int:
@@ -319,26 +320,6 @@ def _blocks(params: ModelParams) -> Iterator[np.ndarray]:
     return _permutation_blocks(m)
 
 
-def enumerate_images(params: ModelParams) -> Iterator[tuple[int, ...]]:
-    """Every admissible image tuple exactly once, in lexicographic order.
-
-    Finite p: all (2n+1)! permutations (full Gibbs support).  Infinite p:
-    exactly the members of S_W.  Raises CapacityError, naming the cap, when
-    the instance is too large; the check runs on the call, before iteration.
-    """
-    return (img for block in _blocks(params) for img in _rows(block, params.n))
-
-
-def _rows(table: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
-    """The rows of a member table as image tuples on [-n, n], in order.
-
-    Rows are converted _ROWS at a time, so the Python tuples of a large
-    table never exist all at once.
-    """
-    for start in range(0, len(table), _ROWS):
-        yield from map(tuple, (table[start : start + _ROWS] - n).tolist())
-
-
 def _member_table(params: ModelParams) -> np.ndarray:
     """The blocks of :func:`_blocks` as one table; the capacity check runs first."""
     return np.concatenate(list(_blocks(params)))
@@ -465,22 +446,3 @@ def exact_tail_and_partition(
     ]
     return curve, partition_value, support_size
 
-
-def exact_expectation(params: ModelParams, observable) -> float:
-    """Expectation of observable(pi) under the exact distribution.
-
-    Streams the weights once into math.fsum for the normaliser and keeps
-    only the weighted observable terms, in a float64 array, so it works at
-    the full capacity of the enumerator.
-    """
-    terms = array("d")
-
-    def weights() -> Iterator[list[float]]:
-        for block, block_weights in _weight_blocks(params):
-            ws = block_weights.tolist()
-            pairs = zip(_rows(block, params.n), ws)
-            terms.extend(w * observable(Permutation(img)) for img, w in pairs)
-            yield ws
-
-    z = math.fsum(itertools.chain.from_iterable(weights()))
-    return math.fsum(terms) / z

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 
-from bandperm import Permutation
+from bandperm import ModelParams, Permutation, exact_distribution
 
 
 def interval_permutations(max_n: int = 3):
@@ -20,3 +20,10 @@ def orbit_by_iteration(pi: Permutation, j: int) -> set[int]:
         seen.append(x)
         x = pi(x)
     return set(seen)
+
+
+def table_images(params: ModelParams) -> list[tuple[int, ...]]:
+    """The rows of exact_distribution(params).table as image tuples on
+    [-n, n], in the table's lexicographic order."""
+    table = exact_distribution(params).table
+    return [tuple(row) for row in (table - params.n).tolist()]

@@ -18,7 +18,6 @@ from bandperm import (
     UnfittableError,
     band_structure_stat,
     cycle_of,
-    enumerate_images,
     estimate_tail_curve,
     exact_tail_and_partition,
     fit_exponential_decay,
@@ -31,6 +30,7 @@ from bandperm import (
     uncross_preimage,
 )
 from uncross_reference import preimage_images
+from conftest import table_images
 
 BAND_W1 = ModelParams(p=INFINITY, W=1, n=3)
 BAND_W2 = ModelParams(p=INFINITY, W=2, n=3)
@@ -129,7 +129,7 @@ class TestFits:
 
 class TestPreimageSizeStats:
     def test_w1_sizes_at_most_one(self):
-        taus = [Permutation(img) for img in enumerate_images(BAND_W1)]
+        taus = [Permutation(img) for img in table_images(BAND_W1)]
         stats = preimage_size_stats(BAND_W1, 1, taus)
         assert stats.max_size <= 1
         assert stats.count == sum(
@@ -140,7 +140,7 @@ class TestPreimageSizeStats:
         # independent route: apply the forward map to every band permutation
         # and histogram the fiber sizes (zero fibers included)
         t = 1
-        members = [Permutation(img) for img in enumerate_images(BAND_W2)]
+        members = [Permutation(img) for img in table_images(BAND_W2)]
         fibers = {}
         for pi in members:
             if cycle_of(pi, 0).max > t:
@@ -244,7 +244,7 @@ class TestRecurrence:
         got = recurrence_check(1.0, 1, 1e-300, star, 50)
         assert got.propagated and got.last_compared_k == 0
         above = recurrence_check(1.0, 1, 1e-300, star + 2 * analysis.C0_SEARCH_TOL, 50)
-        assert above.last_compared_k is None
+        assert above.last_compared_k is None and not above.propagated
         assert 709.0 < star < 709.1
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

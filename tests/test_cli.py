@@ -487,12 +487,14 @@ class TestFailClosed:
         assert list(tmp_path.iterdir()) == []
 
     def test_large_finite_p_runs_without_warnings(self, tmp_path):
-        # a displacement sum or a power (k/W)^p past the float range is inf,
-        # and its weight exp(-inf) = 0.0 is the correctly rounded one; the
-        # values are those the runs gave while they still warned
+        # a displacement sum, a power (k/W)^p or a product c0 k past the
+        # float range is inf, and its weight exp(-inf) = 0.0 is the correctly
+        # rounded one; the values are those the runs gave while they still
+        # warned, and a check that compares no k does not propagate
         for argv in (
             ["exact", "--p", "341", "--W", "1", "--n", "4"],
             ["recurrence", "--p", "1000", "--W-list", "1:2"],
+            ["recurrence", "--p", "1", "--W-list", "2", "--c0", "1e308"],
         ):
             res = run_silently(argv, tmp_path)
             assert (res.returncode, res.stderr) == (0, "")
@@ -502,6 +504,9 @@ class TestFailClosed:
         assert (tmp_path / "recurrence_p1000.csv").read_text().splitlines()[1:] == [
             "1,0.4855647343749998,True,None",
             "2,0.7499373437499999,True,None",
+        ]
+        assert (tmp_path / "recurrence_p1.csv").read_text().splitlines()[1:] == [
+            "2,1e+308,False,None",
         ]
 
     def test_exact_weighs_an_overflowing_unscaled_sum(self, tmp_path):

@@ -16,9 +16,7 @@ from bandperm import (
     count_band_permutations,
     cycle_of,
     energy,
-    enumerate_images,
     exact_distribution,
-    exact_expectation,
     exact_tail_and_partition,
 )
 from bandperm.core import orbit
@@ -29,6 +27,7 @@ from bandperm.exact import (
     _permutation_blocks,
     band_diameter_counts,
 )
+from conftest import table_images
 
 
 def band_images(n: int, W: int):
@@ -71,7 +70,7 @@ def brute_force_band_count(m: int, W: int) -> int:
 
 class TestEnumeration:
     def test_band_w1_n1(self):
-        images = list(enumerate_images(ModelParams(p=INFINITY, W=1, n=1)))
+        images = table_images(ModelParams(p=INFINITY, W=1, n=1))
         assert images == [
             (-1, 0, 1),   # identity
             (-1, 1, 0),   # swap of 0, 1
@@ -79,11 +78,11 @@ class TestEnumeration:
         ]
 
     def test_band_w1_n2_count(self):
-        images = list(enumerate_images(ModelParams(p=INFINITY, W=1, n=2)))
+        images = table_images(ModelParams(p=INFINITY, W=1, n=2))
         assert len(images) == 8
 
     def test_full_n1(self):
-        images = list(enumerate_images(ModelParams(p=1.0, W=1, n=1)))
+        images = table_images(ModelParams(p=1.0, W=1, n=1))
         assert len(images) == 6
 
     def test_lexicographic_and_unique(self):
@@ -91,15 +90,15 @@ class TestEnumeration:
             ModelParams(p=1.0, W=1, n=2),
             ModelParams(p=INFINITY, W=2, n=3),
         ):
-            images = list(enumerate_images(params))
+            images = table_images(params)
             assert images == sorted(images)
             assert len(set(images)) == len(images)
 
     def test_band_members_are_exactly_the_band(self):
-        # generator output == brute-force filter of all permutations
+        # table rows == brute-force filter of all permutations
         for m, W in ((5, 1), (5, 2), (7, 1), (7, 2), (7, 3)):
             n = m // 2
-            got = list(enumerate_images(ModelParams(p=INFINITY, W=W, n=n)))
+            got = table_images(ModelParams(p=INFINITY, W=W, n=n))
             expected = sorted(
                 img
                 for img in itertools.permutations(range(-n, n + 1))
@@ -120,11 +119,11 @@ class TestEnumeration:
     def test_capacity_error_finite_p(self):
         # 11! permutations pass the one enumeration cap, which admits 9!
         with pytest.raises(CapacityError, match=str(BAND_ENUMERATION_CAP)):
-            enumerate_images(ModelParams(p=1.0, W=1, n=5))
+            exact_distribution(ModelParams(p=1.0, W=1, n=5))
 
     def test_capacity_error_band(self):
         with pytest.raises(CapacityError, match="cap"):
-            enumerate_images(ModelParams(p=INFINITY, W=3, n=30))
+            exact_distribution(ModelParams(p=INFINITY, W=3, n=30))
 
 
 class TestBandCounts:
@@ -139,9 +138,7 @@ class TestBandCounts:
     def test_dp_matches_generator(self):
         for m, W in ((5, 1), (7, 2), (9, 2), (7, 3), (11, 2)):
             n = m // 2
-            generated = sum(
-                1 for _ in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))
-            )
+            generated = len(table_images(ModelParams(p=INFINITY, W=W, n=n)))
             assert count_band_permutations(m, W) == generated
 
     def test_dp_matches_brute_force(self):
@@ -250,7 +247,7 @@ class TestExactDistribution:
         params = ModelParams(p=2.0, W=1, n=1)
         dist = exact_distribution(params)
         expected = math.fsum(
-            math.exp(-energy(Permutation(img), params)) for img in enumerate_images(params)
+            math.exp(-energy(Permutation(img), params)) for img in table_images(params)
         )
         assert dist.partition_value == pytest.approx(expected, rel=1e-12)
 
@@ -371,7 +368,7 @@ class TestExactPartition:
 
 def weighted(params):
     """(image, weight) for every row of exact_distribution, in order."""
-    return zip(enumerate_images(params), exact_distribution(params).weights.tolist())
+    return zip(table_images(params), exact_distribution(params).weights.tolist())
 
 
 def direct_energy(image, p, W):
@@ -388,14 +385,14 @@ def two_pass_reference(params, j, lam_grid):
     j's cycle, the other lists every weight and sums the list with fsum."""
     n = params.n
     if params.infinite_p:
-        weights = [1.0 for _ in enumerate_images(params)]
+        weights = [1.0 for _ in table_images(params)]
     else:
         weights = [
             math.exp(-direct_energy(img, params.p, params.W))
-            for img in enumerate_images(params)
+            for img in table_images(params)
         ]
     mass = [0.0] * (2 * n + 1)
-    for img, w in zip(enumerate_images(params), weights):
+    for img, w in zip(table_images(params), weights):
         members = orbit(img, j)
         mass[max(members) - min(members)] += w
     suffix = [0.0] * (2 * n + 2)
@@ -575,12 +572,15 @@ class TestBandDiameterDP:
 
 
 class TestExactExpectation:
+    # an expectation is a weighted column of the table: the fsum of the
+    # products weight * observable over the partition value
     def test_matches_distribution_sum(self):
         for params in (ModelParams(p=1.0, W=1, n=1), ModelParams(p=INFINITY, W=1, n=2)):
             dist = exact_distribution(params)
             direct = sum(pr * abs(pi(0)) for pi, pr in dist.as_dict().items())
-            streamed = exact_expectation(params, lambda pi: abs(pi(0)))
-            assert streamed == pytest.approx(direct, rel=1e-12)
+            disp0 = np.abs(dist.table[:, params.n] - params.n)
+            column = math.fsum((dist.weights * disp0).tolist()) / dist.partition_value
+            assert column == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, INFINITY])
     def test_matches_two_list_formula(self, p):
@@ -588,7 +588,7 @@ class TestExactExpectation:
         # of terms, with each weight computed from its own image
         params = ModelParams(p=p, W=2, n=3)
         z_terms, num_terms = [], []
-        for img in enumerate_images(params):
+        for img in table_images(params):
             if params.infinite_p:
                 w = 1.0
             else:
@@ -596,4 +596,6 @@ class TestExactExpectation:
             z_terms.append(w)
             num_terms.append(w * abs(Permutation(img)(0)))
         expected = math.fsum(num_terms) / math.fsum(z_terms)
-        assert exact_expectation(params, lambda pi: abs(pi(0))) == expected
+        dist = exact_distribution(params)
+        disp0 = np.abs(dist.table[:, params.n] - params.n)
+        assert math.fsum((dist.weights * disp0).tolist()) / dist.partition_value == expected

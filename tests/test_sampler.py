@@ -15,7 +15,6 @@ from bandperm import (
     SamplerConfig,
     cycle_of,
     energy,
-    enumerate_images,
     exact_distribution,
     in_support,
     metropolis_acceptance,
@@ -26,6 +25,7 @@ from bandperm import (
 )
 from bandperm import sampler
 from bandperm.sampler import random_band_image
+from conftest import table_images
 
 
 def empirical_distribution(params, config):
@@ -247,7 +247,7 @@ class TestDetailedBalance:
         # flow balance P(x) q acc(x->y) == P(y) q acc(y->x) for every pair
         # of states one image-swap apart, with both sides from raw energies
         params = ModelParams(p=p, W=1, n=1)
-        states = [Permutation(img) for img in enumerate_images(ModelParams(p=1.0, W=1, n=1))]
+        states = [Permutation(img) for img in table_images(ModelParams(p=1.0, W=1, n=1))]
         for x in states:
             for a in range(-1, 2):
                 for b in range(a + 1, 2):
@@ -287,7 +287,7 @@ class TestDetailedBalance:
         # stationary after every step of the scan; the sweep K_{-n} ... K_n
         # is primitive, so the scan converges to that measure
         params = ModelParams(p=p, W=W, n=n)
-        states = [Permutation(img) for img in enumerate_images(params)]
+        states = [Permutation(img) for img in table_images(params)]
         gibbs = {pi: math.exp(-energy(pi, params)) for pi in states}
         kernels = []
         for a in range(-n, n + 1):
@@ -312,7 +312,7 @@ class TestDetailedBalance:
         # is proposed R/V >= 1 times as often as in m steps of the offset
         # rule, with V = min(W, 2n)
         m, R, V = 2 * n + 1, min(2 * W, 2 * n), min(W, 2 * n)
-        members = [Permutation(img) for img in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))]
+        members = [Permutation(img) for img in table_images(ModelParams(p=INFINITY, W=W, n=n))]
         per_sweep = {pi: Counter() for pi in members}
         kernels = []
         for a in range(-n, n + 1):
@@ -401,7 +401,7 @@ class TestDetailedBalance:
 
 def band_component_size(n, W, pairs):
     """Members of S_W reachable from the identity by in-band swaps of pairs."""
-    members = {Permutation(img) for img in enumerate_images(ModelParams(p=INFINITY, W=W, n=n))}
+    members = {Permutation(img) for img in table_images(ModelParams(p=INFINITY, W=W, n=n))}
     start = Permutation.identity(n)
     seen = {start}
     queue = deque([start])
@@ -541,10 +541,11 @@ class TestObservables:
         assert frac == pytest.approx(2 / 3, abs=0.01)
 
     def test_mean_displacement_matches_oracle(self):
-        from bandperm import exact_expectation
-
+        # E|pi(0)| read off the exact table's column of position 0
         params = ModelParams(p=1.0, W=1, n=1)
-        oracle = exact_expectation(params, lambda pi: abs(pi(0)))
+        dist = exact_distribution(params)
+        disp0 = np.abs(dist.table[:, params.n] - params.n)
+        oracle = math.fsum((dist.weights * disp0).tolist()) / dist.partition_value
         cfg = SamplerConfig(seed=29, steps=400_000, burn_in=5_000, thinning=10)
         disps = []
         sample_cycle_observables(params, cfg, 0, lambda r: disps.append(r.displacement0))

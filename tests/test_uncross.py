@@ -22,7 +22,6 @@ from bandperm import (
     crossing_record,
     cycle_of,
     energy,
-    enumerate_images,
     in_support,
     reflect,
     run_verification,
@@ -32,6 +31,7 @@ from bandperm import (
 )
 from bandperm.core import image_max_displacement, orbit, swapped
 from bandperm.exact import _band_table
+from conftest import table_images
 
 import uncross_reference as reference
 
@@ -149,7 +149,7 @@ class TestUncross:
         # source-swap reading is the right one
         params = ModelParams(p=INFINITY, W=2, n=3)
         bad = 0
-        for img in enumerate_images(params):
+        for img in table_images(params):
             pi = Permutation(img)
             for t in range(0, 3):
                 rec = crossing_record(pi, t)
@@ -204,7 +204,7 @@ class TestPreimage:
     def test_band_matches_brute_force_inversion(self, W):
         # forward map over all of S_W, fibers grouped, then compared
         params = ModelParams(p=INFINITY, W=W, n=3)
-        members = [Permutation(img) for img in enumerate_images(params)]
+        members = [Permutation(img) for img in table_images(params)]
         for t in range(0, 4):
             fibers = {}
             for pi in members:
@@ -235,7 +235,7 @@ class TestPreimage:
 
     def test_full_support_matches_brute_force_inversion(self):
         params = ModelParams(p=2.0, W=1, n=2)
-        everyone = [Permutation(img) for img in enumerate_images(params)]
+        everyone = [Permutation(img) for img in table_images(params)]
         for t in range(0, 2):
             fibers = {}
             for pi in everyone:

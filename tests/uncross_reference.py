@@ -12,6 +12,7 @@ changes both.
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -22,7 +23,6 @@ from bandperm.core import (
     orbit,
     swapped,
 )
-from bandperm.exact import enumerate_images
 from bandperm.uncross import NoCrossingError, VerificationCertificate
 
 # the module, not the function of the same name that the package exports
@@ -146,7 +146,15 @@ Members = tuple[list[Image], list[int]]
 
 
 def _members(params: ModelParams) -> Members:
-    images = list(enumerate_images(params))
+    """The members by brute force over every permutation of [-n, n], kept
+    when in S_W at p = infinity; itertools.permutations of the sorted
+    points lists them in lexicographic order."""
+    n, W = params.n, params.W
+    images = [
+        img
+        for img in itertools.permutations(range(-n, n + 1))
+        if not params.infinite_p or image_max_displacement(img) <= W
+    ]
     return images, [max(orbit(img, 0)) for img in images]
 
 
