@@ -11,8 +11,8 @@ each preimage term at finite p.
 Everything runs on member tables: numpy arrays with one image per row,
 shifted to 0..2n (point i in column i + n).  One batched kernel follows the
 orbit of 0 through every row by pointer jumps (:func:`_walk`) and finds its
-crossings (:func:`_crossings`); the forward map is then one row swap per
-row, and :func:`_preimages` inverts it over the candidate swaps of every
+crossings (:func:`_crossings`); the forward map is then one swap (row, a, b)
+per row, and :func:`_preimages` inverts it over the candidate swaps of every
 row at once.  The three per-image functions, :func:`crossing_record`,
 :func:`uncross` and :func:`uncross_preimage`, run the same kernel on a
 one-row table, so the exhaustive certificate of :func:`run_verification`,
@@ -28,11 +28,18 @@ would give.  The crossing search (:func:`_crossings`) sees only the rows
 whose 0-cycle exceeds the threshold, so thresholds at or above n, where no
 orbit crosses, cost nothing; given that, each crossing is one mask.  The
 preimage search (:func:`_preimages`) tests band membership on the
-candidate pairs before it builds any candidate, reads the round trip off
-the candidates' crossing sources, and orders them by two of their columns
-rather than all of them.  Rows are found in the member table by int64 keys,
-their displacement digits in base 2W + 1 (:func:`_locate`); a row outside
-the band is no member and is never encoded.  The finite-p pass finds the
+candidate pairs and orders them by two columns of tau, and never builds or
+uncrosses a candidate, by fact (a): a candidate that passes its mask
+always round-trips.  tau's 0-cycle stays at or below t and b > t lies off
+it, so the swap at (a, b) merges b's cycle in as
+0 -> ... -> a -> tau(b) -> ... -> b -> tau(a) -> ... -> 0, whose first
+up-crossing source is a and last down-crossing source is b.  Rows are found
+in the member table by int64 keys, their displacement digits in base
+2W + 1 (:func:`_row_keys`), and by fact (b) a swapped row is found without
+being built (:func:`_locate_swaps`): a member with its images at a and b
+traded differs from it in those two digits only, and lies in the band iff
+|pi(b) - a| <= W and |pi(a) - b| <= W.  So rows are built only where one
+is returned or recorded in a violation.  The finite-p pass finds the
 straddling pairs of each (chunk, t) once for every (p, W)
 (:func:`_ratio_bounds`).
 
@@ -60,6 +67,7 @@ from .core import (
     displacement_costs,
     displacement_sum,
     swap_cost,
+    swapped,
 )
 from .exact import _exp, _member_table
 
@@ -191,42 +199,48 @@ def _swap(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table
 
 
-def _uncrossed(table: np.ndarray, walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
-    """The uncrossing map at t: (rows, images, a, b) for the rows whose
-    0-cycle exceeds t, rows in table order.  Each row's images at columns
-    a and b, its up- and down-crossing sources, are traded."""
+def _uncrossed(walk: _Walk, t: int) -> tuple[np.ndarray, ...]:
+    """The uncrossing map at t: (rows, a, b) for the rows whose 0-cycle
+    exceeds t, rows in table order.  Row rows[i] maps to itself with its
+    images at columns a[i] and b[i], its up- and down-crossing sources,
+    traded.  a and b are in the table's dtype, int8 for a member table,
+    which holds a difference of two columns but overflows in key or index
+    arithmetic: :func:`_locate_swaps` takes those in int64."""
     rows = np.flatnonzero(walk.top > t + walk.n)
-    _, a, _, _, b, _ = _crossings(walk.take(rows), t)
-    return rows, _swap(table[rows], a, b), a, b
+    # chunks of at most _CHUNK rows bound the crossing search's temporaries
+    parts = np.array_split(rows, len(rows) // _CHUNK + 1)
+    found = [_crossings(walk.take(part), t) for part in parts]
+    a, b = (np.concatenate([crossings[k] for crossings in found]) for k in (1, 4))
+    return rows, a, b
 
 
 def _preimages(
     taus: np.ndarray, walk: _Walk, t: int, band: Optional[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, candidates): the preimage of every row of a member table at t.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, a, b): the preimage of every row of a member table at t, as
+    swaps: row owner[i] with its images at columns a[i] and b[i] traded.
 
     Every row must have max C(0) <= t (the map's image never exceeds the
     threshold), else DomainError.  band is W at infinite p and None at
     finite p.  Candidate source pairs (a, b) have a on the cycle of 0 with
     a, tau(a) <= t and b, tau(b) > t; at infinite p both are pinned to
     W-windows around the threshold because band membership forces the
-    crossing sources there.  A candidate swap is kept when uncrossing it
-    returns its row.  candidates[i] belongs to row owner[i]; they are
-    grouped by row in table order, each group in lexicographic order.
+    crossing sources there.  The swaps are grouped by row in table order,
+    each group in the lexicographic order of the swapped rows.
 
     What it skips is decided by facts of the candidates, so it is exact.
     At infinite p the moved images are tested on the (row, a, b) mask,
-    before any candidate is built, and the test that tau's out-of-band
-    positions lie in {a, b} runs only when some row has such a position; a
-    member table of S_W has none.  No candidate is uncrossed as a whole
-    row: a lies on its 0-cycle, which reaches tau(b) > t, so it crosses t,
-    and uncrossing it returns tau iff its crossing sources are a and b.  No
-    candidate is compared with another as a whole row either: candidate
-    (a, b) is tau with tau(b) > t at column a and tau(a) <= t at column
-    b > a, so of two candidates of one tau the one with the larger a is
-    larger at the smaller a and equal before it, and two with the same a
-    first differ at a, by tau(b).  Their lexicographic order is therefore
-    a descending, then tau(b) ascending, at every interval size.
+    and the test that tau's out-of-band positions lie in {a, b} runs only
+    when some row has such a position; a member table of S_W has none.
+    Every candidate is kept, since it round-trips (fact (a) of the module
+    docstring): its first up-crossing source is a and its last
+    down-crossing source is b, so uncrossing it returns tau.  No candidate
+    is built to be ordered either: candidate (a, b) is tau with
+    tau(b) > t at column a and tau(a) <= t at column b > a, so of two
+    candidates of one tau the one with the larger a is larger at the
+    smaller a and equal before it, and two with the same a first differ
+    at a, by tau(b).  Their lexicographic order is therefore a descending,
+    then tau(b) ascending, at every interval size.
     """
     count, m = taus.shape
     ts = t + m // 2
@@ -258,12 +272,8 @@ def _preimages(
         if far.any():
             keep = far.sum(1)[owner] == far[owner, a].astype(int) + far[owner, b]
             owner, a, b = owner[keep], a[keep], b[keep]
-    candidates = _swap(taus[owner], a, b)
-    _, up, _, _, down, _ = _crossings(_walk(candidates), t)
-    kept = (up == a) & (down == b)
-    owner, a, candidates = owner[kept], a[kept], candidates[kept]
-    order = np.lexsort((candidates[np.arange(len(a)), a], -a, owner))
-    return owner[order], candidates[order]
+    order = np.lexsort((taus[owner, b], -a, owner))
+    return owner[order], a[order], b[order]
 
 
 def crossing_record(pi: Permutation, t: int) -> Optional[CrossingRecord]:
@@ -295,12 +305,12 @@ def uncross(pi: Permutation, t: int) -> Permutation:
     max C_rho(0) > t - 2W.
     """
     table = _table([pi.image])
-    rows, rho, _, _ = _uncrossed(table, _walk(table), t)
+    rows, a, b = _uncrossed(_walk(table), t)
     if not len(rows):
         raise NoCrossingError(
             f"orbit of 0 never exceeds {t}; permutation is outside the map's domain"
         )
-    return Permutation(tuple(_image(rho[0])))
+    return Permutation(tuple(_image(_swap(table, a, b)[0])))
 
 
 def uncross_preimage(
@@ -309,8 +319,8 @@ def uncross_preimage(
     """All permutations the uncrossing map sends to tau at threshold t.
 
     Requires max C_tau(0) <= t (the map's image never exceeds the
-    threshold).  Candidates are image swaps of tau at the admissible source
-    pairs, kept when the round trip through :func:`uncross` returns tau; at
+    threshold).  The preimages are the image swaps of tau at the admissible
+    source pairs, each of which :func:`uncross` sends back to tau; at
     infinite p the preimage is additionally restricted to S_W, which caps
     its size at W^2.  Results are sorted by image tuple.  params must be
     for tau's interval.
@@ -318,8 +328,8 @@ def uncross_preimage(
     params.check_interval(tau)
     band = params.W if params.infinite_p else None
     table = _table([tau.image])
-    _, found = _preimages(table, _walk(table), t, band)
-    return [Permutation(tuple(_image(row))) for row in found]
+    owner, a, b = _preimages(table, _walk(table), t, band)
+    return [Permutation(tuple(_image(row))) for row in _swap(table[owner], a, b)]
 
 
 def _preimage_sizes(images: Sequence[Image], t: int, W: int) -> np.ndarray:
@@ -329,7 +339,7 @@ def _preimage_sizes(images: Sequence[Image], t: int, W: int) -> np.ndarray:
     table = _table(images)
     walk = _walk(table)
     admissible = np.flatnonzero(walk.top <= t + walk.n)
-    owner, _ = _preimages(table[admissible], walk.take(admissible), t, W)
+    owner, _, _ = _preimages(table[admissible], walk.take(admissible), t, W)
     return np.bincount(owner, minlength=len(admissible))
 
 
@@ -460,7 +470,9 @@ class _Members(NamedTuple):
     """Every admissible image as an int8 member table in lexicographic
     order, the band W every member lies in (m - 1 at finite p, where every
     permutation is a member), the rows' :func:`_row_keys` (strictly
-    increasing) and the walk of each row's 0-cycle."""
+    increasing, so a key locates its row, and a member's key locates it
+    with two images traded: :func:`_locate_swaps`) and the walk of each
+    row's 0-cycle."""
 
     table: np.ndarray
     W: int
@@ -496,45 +508,46 @@ def _members(params: ModelParams) -> _Members:
     return _Members(table, W, _row_keys(table, W), _walk(table))
 
 
-def _locate(members: _Members, rows: np.ndarray) -> np.ndarray:
-    """The table index of each row, -1 where it is not a member.
+def _locate_swaps(members: _Members, rows, a, b) -> np.ndarray:
+    """The table index of member rows[i] with its images at columns a[i]
+    and b[i] traded, -1 where that row is not a member.
 
-    A row with a displacement past the table's band is no member, and gets
-    -1 before it is encoded: its digits would leave 0..2W, and its key could
-    equal a member's.  Every other row's key is exact and one-to-one, so
-    equal keys are equal rows.
+    The trade moves pi(b) to column a and pi(a) to column b and leaves every
+    other key digit as it is, so the key moves by
+    (pi(b) - pi(a)) * ((2W + 1)^(m-1-a) - (2W + 1)^(m-1-b)), and no row is
+    built.  The traded row lies in the band iff |pi(b) - a| <= W and
+    |pi(a) - b| <= W.  A row outside it is no member and gets -1 whatever
+    its key: its digits leave 0..2W, and its key could equal a member's.
+    Every other key is exact and one-to-one, so equal keys are equal rows.
+    a and b may be int8: every sum and product here is taken in int64.
     """
-    inside = (np.abs(rows - np.arange(rows.shape[1], dtype=rows.dtype)) <= members.W).all(1)
-    wanted = _row_keys(rows[inside], members.W)
-    at = np.minimum(np.searchsorted(members.keys, wanted), len(members.keys) - 1)
-    located = np.full(len(rows), -1)
-    located[inside] = np.where(members.keys[at] == wanted, at, -1)
-    return located
+    table, W, keys = members.table, members.W, members.keys
+    place = (2 * W + 1) ** np.arange(table.shape[1] - 1, -1, -1, dtype=np.int64)
+    pa, pb = table[rows, a].astype(np.int64), table[rows, b].astype(np.int64)
+    wanted = keys[rows] + (pb - pa) * (place[a] - place[b])
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    inside = (np.abs(pb - a) <= W) & (np.abs(pa - b) <= W)
+    return np.where(inside & (keys[at] == wanted), at, -1)
 
 
 # The uncrossing map at one threshold, inverted by brute force over the
-# members: (rows, images, at, a, b), where row rows[i] maps to images[i] by
-# the swap at columns a[i] and b[i], and at[i] is the table row of
-# images[i] (-1 when it is not a member).
-Fibres = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# members: (rows, at, a, b), where member rows[i] maps to member at[i] (-1
+# when its image is no member) by the trade of its images at columns a[i]
+# and b[i].  No image row is built.
+Fibres = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _fibres(members: _Members, t: int) -> Fibres:
-    parts = []
-    for lo in range(0, len(members.table), _CHUNK):  # bounds the kernel's temporaries
-        block = slice(lo, lo + _CHUNK)
-        rows, *rest = _uncrossed(members.table[block], members.walk.take(block), t)
-        parts.append((lo + rows, *rest))
-    rows, images, a, b = (np.concatenate(x) for x in zip(*parts))
-    return rows, images, _locate(members, images), a, b
+    rows, a, b = _uncrossed(members.walk, t)
+    return rows, _locate_swaps(members, rows, a, b), a, b
 
 
-def _swap_costs(fibres: Fibres, costs: np.ndarray) -> np.ndarray:
+def _swap_costs(table: np.ndarray, fibres: Fibres, costs: np.ndarray) -> np.ndarray:
     """E(pi) - E(tau) for every member pi of the fibres, tau its image: the
-    :func:`core.swap_cost` of the swap that takes tau back to pi."""
-    _, images, _, a, b = fibres
-    i = np.arange(len(images))
-    return swap_cost(costs, a, images[i, a], b, images[i, b])
+    :func:`core.swap_cost` of the swap that takes tau, which holds pi(b) at
+    a and pi(a) at b, back to pi."""
+    rows, _, a, b = fibres
+    return swap_cost(costs, a, table[rows, b], b, table[rows, a])
 
 
 def _fibre_order(image_ids: np.ndarray, positions: np.ndarray) -> list[int]:
@@ -557,25 +570,25 @@ def _check_images(
     label: dict,
 ) -> None:
     """Every image of the map stays in S_W with max C(0) in (t - 2W, t]."""
-    rows, images, at, _, _ = fibres
+    rows, at, a, b = fibres
     n = members.walk.n
     cert._bump(check, len(rows))
     top = members.walk.top[at] - n  # at = -1 reads a wrong row; masked below
     bad = np.flatnonzero((at < 0) | (top <= t - 2 * W) | (top > t))
     if not len(bad):
         return
-    tops = np.full(len(rows), -1)
-    tops[bad] = _walk(images[bad]).top - n
+    images = _swap(members.table[rows[bad]], a[bad], b[bad])
+    tops = _walk(images).top - n
     # whether an image is bad depends on the image alone, so the first
     # appearance of a bad image among all images is one of the bad ones
-    _, image_id = np.unique(images[bad], axis=0, return_inverse=True)
-    for i in bad[_fibre_order(image_id.ravel(), np.arange(len(bad)))]:
+    _, image_id = np.unique(images, axis=0, return_inverse=True)
+    for i in _fibre_order(image_id.ravel(), np.arange(len(bad))):
         cert.violations.append(
             {
                 "check": check,
                 "W": W,
                 **label,
-                "pi": _image(members.table[rows[i]]),
+                "pi": _image(members.table[rows[bad[i]]]),
                 "rho": _image(images[i]),
                 "max_c0": int(tops[i]),
             }
@@ -593,13 +606,13 @@ def _check_preimages(
     max C(0) <= t; at infinite p (band = W) fibres also stay within W^2.
 
     Both sides are (tau, member) pairs of table rows: the fibres grouped by
-    image, and the kernel's preimages located in the table; a tau is wrong
-    where the two pair sets differ.
+    image, and the kernel's preimage swaps located in the table; a tau is
+    wrong where the two pair sets differ.
     """
     check = "preimage_sets_full" if band is None else "preimage_sets_band"
     label = {} if band is None else {"W": band}
     table, walk = members.table, members.walk
-    rows, _, at, _, _ = fibres
+    rows, at, _, _ = fibres
     ts = t + walk.n
     kept = (at >= 0) & (walk.top[at] <= ts)
     order = np.argsort(at[kept], kind="stable")
@@ -609,8 +622,8 @@ def _check_preimages(
     span = len(table) + 1  # a (tau, member + 1) pair as one int64
     for lo in range(0, len(taus), _CHUNK):
         chunk = taus[lo : lo + _CHUNK]
-        local, found = _preimages(table[chunk], walk.take(chunk), t, band)
-        owner, got = chunk[local], _locate(members, found)
+        local, a, b = _preimages(table[chunk], walk.take(chunk), t, band)
+        owner = chunk[local]
         start, stop = np.searchsorted(fibre_tau, (chunk[0], chunk[-1] + 1))
         expected_tau, expected = fibre_tau[start:stop], fibre_pi[start:stop]
         sizes = np.bincount(local, minlength=len(chunk))
@@ -620,11 +633,13 @@ def _check_preimages(
             cert.max_preimage_witness = {
                 "W": band, "t": t, "tau": _image(table[chunk[i]]), "size": int(sizes[i])
             }
-        pairs = expected_tau * span + expected + 1, owner * span + got + 1
+        got = owner * span + _locate_swaps(members, owner, a, b) + 1
+        pairs = expected_tau * span + expected + 1, got
         wrong = np.array([], dtype=int) if np.array_equal(*pairs) else np.setxor1d(*pairs) // span
         if band is not None:
             wrong = np.concatenate([wrong, chunk[sizes > band * band]])
         for tau in np.unique(wrong).tolist():
+            mine = owner == tau
             cert.violations.append(
                 {
                     "check": check,
@@ -632,7 +647,7 @@ def _check_preimages(
                     "t": t,
                     "tau": _image(table[tau]),
                     "expected": [_image(table[q]) for q in expected[expected_tau == tau]],
-                    "got": [_image(q) for q in found[owner == tau]],
+                    "got": [_image(q) for q in _swap(table[owner[mine]], a[mine], b[mine])],
                 }
             )
 
@@ -651,21 +666,25 @@ def _band_pass(
     intervals may admit no instances, and the count records how many were
     exercised.  uncross_contract: the same guarantees at each t.
     preimage_sets_band: at each t, uncross_preimage equals the forward
-    map's fibres and never exceeds W^2 members.  One threshold's fibres are
-    held at a time.
+    map's fibres and never exceeds W^2 members.  Each distinct threshold's
+    fibres are built once, and held only from their first visit to their
+    last.
     """
     members = _members(ModelParams(p=INFINITY, W=W, n=n))
     for check in ("one_step_membership", "uncross_contract", "preimage_sets_band"):
         cert.counts.setdefault(check, 0)
-    for lam in lam_values:
-        t = lam + 2 * W
-        _check_images(
-            cert, members, _fibres(members, t), W, t, "one_step_membership", {"lam": lam}
-        )
-    for t in t_values:
-        fibres = _fibres(members, t)
-        _check_images(cert, members, fibres, W, t, "uncross_contract", {"t": t})
-        _check_preimages(cert, members, t, W, fibres)
+    jobs = [(lam + 2 * W, "one_step_membership", {"lam": lam}) for lam in lam_values]
+    jobs += [(t, "uncross_contract", {"t": t}) for t in t_values]
+    pending = [t for t, _, _ in jobs]
+    held: dict[int, Fibres] = {}  # fibres of a threshold visited again later
+    for t, check, label in jobs:
+        pending.remove(t)
+        fibres = held.pop(t) if t in held else _fibres(members, t)
+        if t in pending:
+            held[t] = fibres
+        _check_images(cert, members, fibres, W, t, check, label)
+        if check == "uncross_contract":
+            _check_preimages(cert, members, t, W, fibres)
 
 
 def _full_pass(
@@ -702,18 +721,19 @@ def _full_pass(
     for p in p_values:
         unit = displacement_costs(ModelParams(p=p, W=1, n=n))  # d^p
         for t, fibres in maps:
-            rows, images, at, _, _ = fibres
+            rows, at, a, b = fibres
             cert._bump("energy_monotonicity", len(rows))
-            bad = np.flatnonzero(_swap_costs(fibres, np.array(unit)) < -1e-9)
+            bad = np.flatnonzero(_swap_costs(table, fibres, np.array(unit)) < -1e-9)
             for i in _fibre_order(at, bad):
+                pi = _image(table[rows[i]])
                 cert.violations.append(
                     {
                         "check": "energy_monotonicity",
                         "p": p,
                         "t": t,
-                        "pi": _image(table[rows[i]]),
-                        "energy_before": displacement_sum(_image(table[rows[i]]), unit),
-                        "energy_after": displacement_sum(_image(images[i]), unit),
+                        "pi": pi,
+                        "energy_before": displacement_sum(pi, unit),
+                        "energy_after": displacement_sum(swapped(pi, a[i] - n, b[i] - n), unit),
                     }
                 )
         for W in w_values:
@@ -825,14 +845,14 @@ def _ratio_sums(cert, members, maps, costs, params) -> tuple[Best, Found]:
     best, found = None, []
     top = walk.top - n
     for k, (t, fibres) in enumerate(maps):
-        at = fibres[2]
+        at = fibres[1]
         size = np.bincount(at, minlength=len(table))
         checked = np.flatnonzero((size > 0) & (top <= t))
         cert._bump("ratio_sum", len(checked))
         if not len(checked):
             continue
         total = np.zeros(len(table))
-        np.add.at(total, at, _exp(-_swap_costs(fibres, costs)))
+        np.add.at(total, at, _exp(-_swap_costs(table, fibres, costs)))
         limit = np.zeros(n + 1)
         for x in np.unique(top[checked]).tolist():
             limit[x] = RATIO_SUM_K * W * W * math.exp(-costs[t - x])

@@ -571,31 +571,47 @@ class TestBandDiameterDP:
             assert got == (float(count), count), (n, W)
 
 
+def observables(pi):
+    """|pi(0)| and pi(1) - pi(0) of an image on [-n, n], or of each row of
+    an array of them.
+
+    The value negation v -> -v maps a lexicographic member table onto
+    itself reversed and leaves |pi(0)| as it is, but negates pi(1) - pi(0):
+    only the second tells a weight attached to a row from one attached to
+    its negation.
+    """
+    n = pi.shape[-1] // 2
+    return np.abs(pi[..., n]), pi[..., n + 1] - pi[..., n]
+
+
 class TestExactExpectation:
     # an expectation is a weighted column of the table: the fsum of the
     # products weight * observable over the partition value
     def test_matches_distribution_sum(self):
         for params in (ModelParams(p=1.0, W=1, n=1), ModelParams(p=INFINITY, W=1, n=2)):
             dist = exact_distribution(params)
-            direct = sum(pr * abs(pi(0)) for pi, pr in dist.as_dict().items())
-            disp0 = np.abs(dist.table[:, params.n] - params.n)
-            column = math.fsum((dist.weights * disp0).tolist()) / dist.partition_value
-            assert column == pytest.approx(direct, rel=1e-12)
+            pairs = dist.as_dict().items()
+            columns = observables(dist.table.astype(int) - params.n)
+            for k, column in enumerate(columns):
+                direct = sum(pr * int(observables(np.array(pi.image))[k]) for pi, pr in pairs)
+                got = math.fsum((dist.weights * column).tolist()) / dist.partition_value
+                assert got == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, INFINITY])
     def test_matches_two_list_formula(self, p):
-        # the normaliser and the numerator each summed by fsum over one list
-        # of terms, with each weight computed from its own image
+        # the normaliser and each numerator summed by fsum over one list of
+        # terms, with each weight computed from its own image
         params = ModelParams(p=p, W=2, n=3)
-        z_terms, num_terms = [], []
+        z_terms, num_terms = [], [[], []]
         for img in table_images(params):
             if params.infinite_p:
                 w = 1.0
             else:
                 w = math.exp(-direct_energy(img, p, 2))
             z_terms.append(w)
-            num_terms.append(w * abs(Permutation(img)(0)))
-        expected = math.fsum(num_terms) / math.fsum(z_terms)
+            for terms, value in zip(num_terms, observables(np.array(img))):
+                terms.append(w * int(value))
         dist = exact_distribution(params)
-        disp0 = np.abs(dist.table[:, params.n] - params.n)
-        assert math.fsum((dist.weights * disp0).tolist()) / dist.partition_value == expected
+        for terms, column in zip(num_terms, observables(dist.table.astype(int) - params.n)):
+            expected = math.fsum(terms) / math.fsum(z_terms)
+            assert math.fsum((dist.weights * column).tolist()) / dist.partition_value == expected

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +89,42 @@ def test_wrappers_over_a_kept_name_are_gone(module, name):
     # each was a second name for a fact a kept name states
     assert not hasattr(bandperm, name)
     assert not hasattr(importlib.import_module(f"bandperm.{module}"), name)
+
+
+def private_names_read_nowhere() -> list[str]:
+    """Module-level private names of the package (functions, classes and
+    constants) that no code in the package reads outside their own
+    definition."""
+    package = Path(bandperm.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = {}  # name -> (module, first line, last line) of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = (module, node.lineno, node.end_lineno)
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            home, first, last = defined.get(name, (None, 0, 0))
+            if module != home or not first <= node.lineno <= last:
+                read.add(name)
+    return sorted(set(defined) - read)
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a helper that only tests still call is dead code: delete it
+    assert private_names_read_nowhere() == []

@@ -400,7 +400,9 @@ class TestAgainstPerImageReference:
         table_costs = uncross_module._swap_costs
         image_cost = reference.member_cost
         monkeypatch.setattr(
-            uncross_module, "_swap_costs", lambda fibres, costs: -table_costs(fibres, costs)
+            uncross_module,
+            "_swap_costs",
+            lambda table, fibres, costs: -table_costs(table, fibres, costs),
         )
         monkeypatch.setattr(reference, "member_cost", lambda *args: -image_cost(*args))
         args = (3, (1, 2), (1.5, 2.0))
@@ -424,10 +426,10 @@ class TestAgainstPerImageReference:
         kernel = uncross_module._preimages
 
         def short(taus, walk, t, band):
-            owner, found = kernel(taus, walk, t, band)
+            owner, a, b = kernel(taus, walk, t, band)
             first = np.ones(len(owner), dtype=bool)
             first[1:] = owner[1:] != owner[:-1]
-            return owner[~first], found[~first]
+            return owner[~first], a[~first], b[~first]
 
         per_image = reference.preimage_images
         monkeypatch.setattr(uncross_module, "_preimages", short)
@@ -509,13 +511,18 @@ class TestKernelPreconditions:
 
     @pytest.mark.parametrize("n, W", [(3, 1), (3, 2), (4, 2)])
     def test_rows_leaving_the_band_locate_to_minus_one(self, n, W):
+        # every member with the images at columns a and b traded, located
+        # by key arithmetic alone, and built here by a column swap
         members = uncross_module._members(ModelParams(p=INFINITY, W=W, n=n))
         table, m = members.table, 2 * n + 1
+        every = np.arange(len(table))
         aliased = 0
         for a, b in itertools.combinations(range(m), 2):
             rows = table.copy()
             rows[:, [a, b]] = rows[:, [b, a]]
-            at = uncross_module._locate(members, rows)
+            # int8 columns, as the crossing search returns them
+            cols = (np.full(len(table), c, dtype=table.dtype) for c in (a, b))
+            at = uncross_module._locate_swaps(members, every, *cols)
             outside = (np.abs(rows - np.arange(m)) > W).any(1)
             assert (at[outside] == -1).all()
             assert (table[at[~outside]] == rows[~outside]).all()
@@ -524,6 +531,51 @@ class TestKernelPreconditions:
             keys = uncross_module._row_keys(rows[outside], W)
             aliased += np.isin(keys, members.keys).sum()
         assert aliased > 0
+
+    def test_every_admissible_candidate_round_trips(self):
+        # the fact that lets the preimage search keep its candidates
+        # without uncrossing them: tau's 0-cycle stays <= t and b > t lies
+        # off it, so the swap at (a, b) merges b's cycle in between a and
+        # tau(a), and its crossing sources are a and b.  Every image of 7
+        # points, in S_W or not; the kernel returns exactly the candidates
+        # of these conditions, each of which is checked to round-trip
+        images = list(itertools.permutations(range(-3, 4)))
+        table = uncross_module._table(images)
+        walk = uncross_module._walk(table)
+        checked = Counter()
+        for t in range(0, 4):
+            candidates = []
+            for k, img in enumerate(images):
+                cycle = orbit(img, 0)
+                if max(cycle) > t:
+                    continue
+                for a in cycle:
+                    for b in range(t + 1, 4):
+                        if img[a + 3] <= t < img[b + 3]:
+                            pi = swap_images(Permutation(img), a, b)
+                            rec = crossing_record(pi, t)
+                            assert (rec.up.source, rec.down.source) == (a, b)
+                            assert uncross(pi, t).image == img
+                            candidates.append((k, a, b))
+            admissible = np.flatnonzero(walk.top <= t + 3)
+            for band in (1, 2, 3, None):  # None: finite p
+                owner, a, b = uncross_module._preimages(
+                    table[admissible], walk.take(admissible), t, band
+                )
+                got = set(zip(admissible[owner].tolist(), (a - 3).tolist(), (b - 3).tolist()))
+                expected = {
+                    (k, a, b)
+                    for k, a, b in candidates
+                    if band is None
+                    or (
+                        t - band < a
+                        and b <= t + band
+                        and image_max_displacement(swapped(images[k], a, b)) <= band
+                    )
+                }
+                assert got == expected
+                checked[band] += len(got)
+        assert 0 < checked[1] < checked[2] < checked[3] < checked[None]
 
     def test_preimage_on_a_large_interval_matches_reference(self):
         # 121 points, int8 rows: the preimages are ordered by the
