@@ -14,7 +14,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -287,17 +287,43 @@ class RecurrenceResult:
     last_compared_k: Optional[int]  # None when f(1) is already subnormal
 
 
-def _geometric_sums(h: np.ndarray, alpha: float) -> np.ndarray:
+class _Kernel(NamedTuple):
+    """The parts of the recurrence that do not depend on c0, for one
+    (p, W, k_max): ks = 0..k_max, g(k) = exp(-(k/W)^p), h(t) = g(t) - g(t+1)
+    for t < k_max, and cuts[m], one past the last nonzero term of h[:m]
+    (0 when there is none)."""
+
+    W: int
+    k_max: int
+    ks: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    cuts: np.ndarray
+
+
+def _kernel(p: float, W: int, k_max: int) -> _Kernel:
+    """Build the c0-independent kernel once; every check of a search reads it."""
+    ks = np.arange(k_max + 1, dtype=float)
+    # a power past the float range is inf, which gives g exactly:
+    # exp(-inf) = 0.0 = exp(-x) for every x above about 745
+    with np.errstate(over="ignore"):
+        g = np.exp(-((ks / W) ** p))
+    h = g[:k_max] - g[1:]
+    # a running index of the last nonzero term, so any prefix's cut is O(1)
+    last = np.maximum.accumulate(np.where(h != 0.0, np.arange(1, k_max + 1), 0))
+    return _Kernel(W, k_max, ks, g, h, np.concatenate(([0], last)))
+
+
+def _geometric_sums(h: np.ndarray, alpha: float, cut: int) -> np.ndarray:
     """U(t) = sum_{s<=t} e^{-alpha (t-s)} h(s), so U(t) = e^{-alpha} U(t-1) + h(t).
 
-    Within a block starting at b, U(b+r) = e^{-alpha r} (e^{-alpha} U(b-1) +
-    sum_{s<=r} e^{alpha s} h(b+s)), one cumsum of nonnegative terms; blocks
-    are short enough that e^{alpha r} stays finite.  Past the kernel's last
-    nonzero term (it decays to exact float zeros) U only decays
-    geometrically.
+    cut is one past the last nonzero term of h (:class:`_Kernel`'s cuts of
+    this prefix).  Within a block starting at b, U(b+r) = e^{-alpha r}
+    (e^{-alpha} U(b-1) + sum_{s<=r} e^{alpha s} h(b+s)), one cumsum of
+    nonnegative terms; blocks are short enough that e^{alpha r} stays
+    finite.  Past the cut (the kernel decays to exact float zeros) U only
+    decays geometrically.
     """
-    nonzero = np.nonzero(h)[0]
-    cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
     # one block, unless e^{alpha r} could overflow within it
     span = cut if alpha * cut <= _BLOCK_EXPONENT else int(_BLOCK_EXPONENT / alpha)
     step = max(1, span)
@@ -314,7 +340,7 @@ def _geometric_sums(h: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _recurrence_sides(
-    p: float, W: int, factor: float, c0: float, k_max: int
+    kernel: _Kernel, factor: float, c0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the recurrence with f substituted, for k = 0..k_max-1.
 
@@ -322,27 +348,51 @@ def _recurrence_sides(
     g(k) = exp(-(k/W)^p) and h(t) = g(t) - g(t+1), in closed form: f is 1
     for j < K1 and 2 e^{-alpha j} from K1 on (alpha = c0 / W^3), so the
     first part of the sum telescopes, g(k+1) cancels, and what is left is
-    g(k - min(k, K1-1)) + f(K1) U(k - K1) with the geometric running sum U
-    of :func:`_geometric_sums`.  That costs O(k_max), where the direct
+    g(0) = 1 for k < K1 and g(k - K1 + 1) + f(K1) U(k - K1) from K1 on,
+    with the geometric running sum U of :func:`_geometric_sums` over the
+    prefix h[:k_max - K1].  g, h and the prefix's cut come from the kernel
+    (:func:`_kernel`), built once per (p, W, k_max), so one c0 costs
+    O(k_max) with no power and no exp of the kernel.  The direct
     convolution costs O(k_max * cut) with the kernel cut at its underflow
     point.  FFT convolution is not usable either way: its absolute noise
     floor (~1e-13) swamps the tail values being compared, which reach far
     below it.  The left side is f(k+1).
     """
-    ks = np.arange(k_max + 1, dtype=float)
-    # a product or power past the float range is inf, which gives f and g
-    # exactly: exp(-inf) = 0.0 = exp(-x) for every x above about 745
+    W, k_max, g = kernel.W, kernel.k_max, kernel.g
+    # a product past the float range is inf, and exp(-inf) = 0.0 is f exactly
     with np.errstate(over="ignore"):
-        f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
-        g = np.exp(-((ks / W) ** p))
+        f = np.minimum(1.0, 2.0 * np.exp(-c0 * kernel.ks / W**3))
     ones = f[:k_max] == 1.0
     k1 = k_max if ones.all() else int(np.argmin(ones))  # f(0) = 1, so k1 >= 1
-    k = np.arange(k_max)
-    rhs = g[k - np.minimum(k, k1 - 1)]
+    rhs = np.empty(k_max)
+    rhs[:k1] = 1.0
     if k1 < k_max:
-        h = g[: k_max - k1] - g[1 : k_max - k1 + 1]
-        rhs[k1:] += f[k1] * _geometric_sums(h, c0 / W**3)
+        rest = k_max - k1
+        rhs[k1:] = g[1 : rest + 1]
+        rhs[k1:] += f[k1] * _geometric_sums(kernel.h[:rest], c0 / W**3, int(kernel.cuts[rest]))
     return factor * rhs, f[1:]
+
+
+def _check_arguments(p: float, W: int, C0: float, k_max: int) -> None:
+    if math.isinf(p) or p < 1:
+        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    if W < 1 or k_max < 1:
+        raise ValueError("W and k_max must be positive")
+    if not 0 < C0 < math.inf:
+        raise ValueError(f"C0 must be positive and finite, got {C0!r}")
+
+
+def _propagation(kernel: _Kernel, C0: float, c0: float) -> RecurrenceResult:
+    """recurrence_check at one c0 on a kernel built for its (p, W, k_max)."""
+    W = kernel.W
+    c = 1.0 / (C0 + W**-2)
+    rhs, target = _recurrence_sides(kernel, 1.0 - c / W**2, c0)
+    normal = target >= sys.float_info.min
+    bad = (rhs > target * (1.0 + 1e-9)) & normal
+    last = int(np.count_nonzero(normal)) - 1 if normal[0] else None
+    if not bad.any():
+        return RecurrenceResult(last is not None, None, c, last)
+    return RecurrenceResult(False, int(np.argmax(bad)), c, last)
 
 
 def recurrence_check(
@@ -364,22 +414,10 @@ def recurrence_check(
     last compared k either way: f decreases, so every k up to it is compared.
     A check that compares no k (f(1) already subnormal) does not propagate.
     """
-    if math.isinf(p) or p < 1:
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
-    if W < 1 or k_max < 1:
-        raise ValueError("W and k_max must be positive")
-    if not 0 < C0 < math.inf:
-        raise ValueError(f"C0 must be positive and finite, got {C0!r}")
+    _check_arguments(p, W, C0, k_max)
     if not 0 <= c0 < math.inf:
         raise ValueError(f"c0 must be nonnegative and finite, got {c0!r}")
-    c = 1.0 / (C0 + W**-2)
-    rhs, target = _recurrence_sides(p, W, 1.0 - c / W**2, c0, k_max)
-    normal = target >= sys.float_info.min
-    bad = (rhs > target * (1.0 + 1e-9)) & normal
-    last = int(np.count_nonzero(normal)) - 1 if normal[0] else None
-    if not bad.any():
-        return RecurrenceResult(last is not None, None, c, last)
-    return RecurrenceResult(False, int(np.argmax(bad)), c, last)
+    return _propagation(_kernel(p, W, k_max), C0, c0)
 
 
 def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
@@ -391,11 +429,16 @@ def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
     then narrows it; the returned value is always verified to propagate.
     A check that compares no k (f(1) already subnormal) does not propagate,
     so it ends the doubling.  c0 = 0 always propagates (the weights
-    telescope), so the search cannot come back empty.
+    telescope), so the search cannot come back empty.  The arguments are
+    checked as :func:`recurrence_check` checks them, and one kernel
+    (:func:`_kernel`) serves every step, so each c0 tried costs O(k_max)
+    with no power and no exp of the kernel.
     """
+    _check_arguments(p, W, C0, k_max)
+    kernel = _kernel(p, W, k_max)
 
     def propagates(c0: float) -> bool:
-        return recurrence_check(p, W, C0, c0, k_max).propagated
+        return _propagation(kernel, C0, c0).propagated
 
     lower = upper = C0_SEARCH_START
     if propagates(upper):

@@ -52,6 +52,7 @@ mechanically that the opposite reading does not have that property.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -784,6 +785,27 @@ def _first_max(best: Best, quotient: float, tau: int) -> bool:
     return best is None or quotient > best[0] or (quotient == best[0] and tau < best[1])
 
 
+def _first_exp_max(x: np.ndarray) -> tuple[int, float]:
+    """(i, math.exp(x[i])) for the first i where math.exp(x) is largest:
+    the argmax of exact._exp(x) without exponentiating every entry.
+
+    math.exp is within an ulp, so when the largest value is a normal float
+    an entry more than 1e-9 below the largest x rounds strictly below it;
+    only the distinct values above that are exponentiated.  A subnormal or
+    zero largest value has ties far below it, so then every one is.
+    """
+    top = float(x.max())
+    if math.exp(top) < sys.float_info.min:
+        near = np.arange(len(x))
+    else:
+        near = np.flatnonzero(x >= top - 1e-9)
+    values, first = np.unique(x[near], return_index=True)
+    exps = [math.exp(v) for v in values.tolist()]
+    best = max(exps)
+    j = min(k for k, e in zip(first.tolist(), exps) if e == best)
+    return int(near[j]), best
+
+
 def _ratio_bounds(cert, members, maps, grid) -> list[tuple[Best, Found]]:
     """ratio_bound at every (p, W) of grid, in grid order.
 
@@ -811,7 +833,7 @@ def _ratio_bounds(cert, members, maps, grid) -> list[tuple[Best, Found]]:
             ta, tb = block[r, a], block[r, b]
             for g, params in enumerate(grid):
                 log_ratio, log_bound, satisfied = _ratio_logs(a, ta, b, tb, costs[g])
-                quotient = _exp(np.minimum(log_ratio - log_bound, 700.0))
+                i, quotient = _first_exp_max(np.minimum(log_ratio - log_bound, 700.0))
 
                 def record(j: int) -> dict:
                     return {
@@ -825,9 +847,8 @@ def _ratio_bounds(cert, members, maps, grid) -> list[tuple[Best, Found]]:
                         "bound": math.exp(log_bound[j]),
                     }
 
-                i = int(quotient.argmax())
-                if _first_max(best[g], quotient[i], lo + r[i]):
-                    best[g] = (float(quotient[i]), lo + int(r[i]), record(i))
+                if _first_max(best[g], quotient, lo + r[i]):
+                    best[g] = (quotient, lo + int(r[i]), record(i))
                 for j in np.flatnonzero(~satisfied).tolist():
                     key = (lo + int(r[j]), k, 0, j)
                     found[g].append((key, {"check": "ratio_bound", **record(j)}))

@@ -29,6 +29,7 @@ from bandperm import (
     uncross,
     uncross_preimage,
 )
+from bandperm.cli import RECURRENCE_K_MAX_CAP
 from uncross_reference import preimage_images
 from conftest import table_images
 
@@ -260,6 +261,70 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_check(1.0, 1, 1.0, -0.1, 10)
 
+    @pytest.mark.parametrize(
+        "p, W, C0, k_max",
+        [
+            (INFINITY, 2, 1.0, 100),
+            (0.5, 2, 1.0, 100),
+            (1.0, 0, 1.0, 100),
+            (1.0, 2, 1.0, 0),
+            (1.0, 2, 0.0, 100),
+            (1.0, 2, math.nan, 100),
+            (1.0, 2, math.inf, 100),
+        ],
+    )
+    def test_search_rejects_what_the_check_rejects(self, p, W, C0, k_max, monkeypatch):
+        with pytest.raises(ValueError) as want:
+            recurrence_check(p, W, C0, 0.1, k_max)
+
+        def forbidden(*args):
+            raise AssertionError("kernel built before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "_kernel", forbidden)
+        with pytest.raises(ValueError) as got:
+            largest_propagating_c0(p, W, C0, k_max)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("p, W, C0", [(1.0, 1, 1.0), (1.0, 4, 1.0), (2.0, 3, 0.5), (1.0, 6, 1 / 6)])
+    def test_search_builds_one_kernel(self, p, W, C0, monkeypatch):
+        calls = Counter()
+        build, check = analysis._kernel, analysis._propagation
+
+        def counted_build(*args):
+            calls["kernel"] += 1
+            return build(*args)
+
+        def counted_check(*args):
+            calls["check"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(analysis, "_kernel", counted_build)
+        monkeypatch.setattr(analysis, "_propagation", counted_check)
+        largest_propagating_c0(p, W, C0, 50 * W**3)
+        assert calls["kernel"] == 1
+        # the doubling or descent and the bisection to C0_SEARCH_TOL
+        assert calls["check"] > 10
+
+
+def recurrence_sides_per_c0(p, W, factor, c0, k_max):
+    """The closed form as it ran before the kernel was shared: g, h and the
+    kernel cut rebuilt for every c0, and the right side for k < K1 gathered
+    as g[k - min(k, K1 - 1)]."""
+    ks = np.arange(k_max + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        f = np.minimum(1.0, 2.0 * np.exp(-c0 * ks / W**3))
+        g = np.exp(-((ks / W) ** p))
+    ones = f[:k_max] == 1.0
+    k1 = k_max if ones.all() else int(np.argmin(ones))
+    k = np.arange(k_max)
+    rhs = g[k - np.minimum(k, k1 - 1)]
+    if k1 < k_max:
+        h = g[: k_max - k1] - g[1 : k_max - k1 + 1]
+        nonzero = np.nonzero(h)[0]
+        cut = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        rhs[k1:] += f[k1] * analysis._geometric_sums(h, c0 / W**3, cut)
+    return factor * rhs, f[1:], k1, cut if k1 < k_max else None
+
 
 def direct_recurrence_sides(p, W, C0, c0, k_max):
     """Reference for the recurrence's closed form: the direct O(k_max * cut)
@@ -298,8 +363,9 @@ class TestRecurrenceClosedForm:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_matches_direct_convolution(self, p, W, k_max):
         factor = 1.0 - 1.0 / (1.0 + W**-2) / W**2
+        kernel = analysis._kernel(p, W, k_max)
         for c0 in self.C0_GRID:
-            rhs, target = analysis._recurrence_sides(p, W, factor, c0, k_max)
+            rhs, target = analysis._recurrence_sides(kernel, factor, c0)
             ref_rhs, ref_target = direct_recurrence_sides(p, W, 1.0, c0, k_max)
             assert np.array_equal(target, ref_target)
             # relative agreement in the normal range; below it both forms
@@ -314,10 +380,19 @@ class TestRecurrenceClosedForm:
                 want.last_compared_k,
             ), f"c0={c0}"
 
+    @staticmethod
+    def search_over_reference(monkeypatch, p):
+        # the search's per-c0 check, replaced by the direct convolution,
+        # which reads nothing of the kernel but its (W, k_max)
+        def direct(kernel, C0, c0):
+            return direct_recurrence_check(p, kernel.W, C0, c0, kernel.k_max)
+
+        monkeypatch.setattr(analysis, "_propagation", direct)
+
     def test_largest_c0_matches_search_over_reference(self, monkeypatch):
         ks = [50 * w**3 for w in range(1, 9)]
         stars = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
-        monkeypatch.setattr(analysis, "recurrence_check", direct_recurrence_check)
+        self.search_over_reference(monkeypatch, 1.0)
         ref = [largest_propagating_c0(1.0, w, 1.0, k) for w, k in zip(range(1, 9), ks)]
         assert stars == ref
 
@@ -326,9 +401,53 @@ class TestRecurrenceClosedForm:
         # decisions reach k where f(k+1) is subnormal, which must not count
         ks = [2000 * w**3 for w in range(1, 4)]
         stars = [largest_propagating_c0(1.0, w, 0.3, k) for w, k in zip(range(1, 4), ks)]
-        monkeypatch.setattr(analysis, "recurrence_check", direct_recurrence_check)
+        self.search_over_reference(monkeypatch, 1.0)
         ref = [largest_propagating_c0(1.0, w, 0.3, k) for w, k in zip(range(1, 4), ks)]
         assert stars == ref
+
+
+class TestSharedKernel:
+    """The sides read off one kernel equal, bit for bit, the per-c0 form
+    that rebuilt g, h and the cut for every c0."""
+
+    C0_GRID = (0.0, 0.01, 0.3, 1.0, 4.0, 50.0, 700.0, 1e4)
+
+    @pytest.mark.parametrize(
+        "W, k_max",
+        [
+            (W, factor * W**3)
+            for W in (1, 2, 3, 5, 8)
+            for factor in (50, 2000)
+            if factor * W**3 <= RECURRENCE_K_MAX_CAP
+        ],
+    )
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 50.0, 1000.0])
+    def test_sides_equal_the_per_c0_form(self, p, W, k_max):
+        # c0 = W^3 ln 2 / (k_max - j - 1/2) puts K1 at k_max - j, so the
+        # geometric sum runs over a prefix of h only j long: at large p,
+        # h starts with zeros and such a prefix's cut is 0
+        near_end = [W**3 * math.log(2) / (k_max - j - 0.5) for j in (1, 2, 3, W - 1, W, W + 1)]
+        factor = 1.0 - 1.0 / (1.0 + W**-2) / W**2
+        kernel = analysis._kernel(p, W, k_max)
+        k1s, cuts = set(), set()
+        for c0 in self.C0_GRID + tuple(near_end):
+            rhs, target = analysis._recurrence_sides(kernel, factor, c0)
+            want_rhs, want_target, k1, cut = recurrence_sides_per_c0(p, W, factor, c0, k_max)
+            assert np.array_equal(rhs, want_rhs), f"c0={c0}"
+            assert np.array_equal(target, want_target), f"c0={c0}"
+            k1s.add(k1)
+            cuts.add((k_max - k1, cut))
+        assert {1, k_max} <= k1s  # c0 = 1e4 and c0 = 0
+        if p == 1000.0 and W > 1:
+            # h(t) = 0 for t < W - 1, so the prefixes up to W - 1 long cut at 0
+            assert (1, 0) in cuts and (W - 1, 0) in cuts and (W, W) in cuts
+
+    def test_cuts_are_the_prefix_cuts(self):
+        for p, W in [(1.0, 2), (3.0, 3), (50.0, 5), (1000.0, 8)]:
+            kernel = analysis._kernel(p, W, 50 * W**3)
+            for m in range(kernel.k_max + 1):
+                nonzero = np.nonzero(kernel.h[:m])[0]
+                assert kernel.cuts[m] == (int(nonzero[-1]) + 1 if len(nonzero) else 0)
 
 
 class TestEstimatorAgainstOracle:

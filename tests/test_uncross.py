@@ -30,7 +30,7 @@ from bandperm import (
     uncross_preimage,
 )
 from bandperm.core import image_max_displacement, orbit, swapped
-from bandperm.exact import _band_table
+from bandperm.exact import _band_table, _exp
 from conftest import table_images
 
 import uncross_reference as reference
@@ -500,6 +500,33 @@ class TestKernelPreconditions:
         members = uncross_module._members(params)
         assert len(members.keys) == len(members.table)
         assert (np.diff(members.keys) > 0).all()
+
+    def test_first_exp_max_is_the_argmax_of_every_exp(self):
+        # the first maximum of exact._exp(x), the quotients ratio_bound used
+        # to exponentiate in full: ties at the 700 clip, values an ulp or a
+        # few apart, maxima whose exp is subnormal or zero
+        rng = np.random.default_rng(7)
+        top = 700.0
+        cases = [
+            np.array([0.0]),
+            np.array([top, 1.0, top, top]),
+            np.array([-3.0, -1.0, -1.0 + 1e-17, np.nextafter(-1.0, 0.0), -1.0]),
+            np.array([-745.0, -744.5, -745.2, -744.5, -800.0]),
+            np.array([-800.0, -900.0, -750.0, -760.0]),
+            np.array([-708.4, np.nextafter(-708.4, 0.0), -708.39]),
+            # distinct values whose exp rounds to one float
+            np.array([-1.0, 1e-20, 2e-20, 1e-17, -1e-17]),
+            np.array([0.3, 0.5, 0.5 + 2**-53, np.nextafter(0.5 + 2**-53, 1.0)]),
+        ]
+        for _ in range(200):
+            base = rng.choice([-740.0, -20.0, 0.0, 0.5, 3.0, top])
+            spread = rng.choice([0.0, 1e-17, 1e-15, 1e-12, 1e-9, 1.0])
+            x = base + spread * rng.integers(-3, 1, size=rng.integers(1, 60))
+            cases.append(np.minimum(x, top))
+        for x in cases:
+            quotient = _exp(x)
+            i = int(quotient.argmax())
+            assert uncross_module._first_exp_max(x) == (i, quotient[i]), x
 
     def test_widest_keys_under_the_cap(self):
         # S_1 on 29 points, F(30) = 832,040 members: the most key bits any
