@@ -435,7 +435,22 @@ def largest_propagating_c0(p: float, W: int, C0: float, k_max: int) -> float:
     with no power and no exp of the kernel.
     """
     _check_arguments(p, W, C0, k_max)
+    return _largest_c0(_kernel(p, W, k_max), C0)
+
+
+def _largest_propagating(
+    p: float, W: int, C0: float, k_max: int
+) -> tuple[float, RecurrenceResult]:
+    """(largest_propagating_c0, recurrence_check at that c0), both on the
+    one kernel the search builds."""
+    _check_arguments(p, W, C0, k_max)
     kernel = _kernel(p, W, k_max)
+    c0 = _largest_c0(kernel, C0)
+    return c0, _propagation(kernel, C0, c0)
+
+
+def _largest_c0(kernel: _Kernel, C0: float) -> float:
+    """The search of :func:`largest_propagating_c0` on a built kernel."""
 
     def propagates(c0: float) -> bool:
         return _propagation(kernel, C0, c0).propagated

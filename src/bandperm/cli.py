@@ -44,8 +44,8 @@ from .analysis import (
     UnfittableError,
     estimate_tail_curve,
     fit_exponential_decay,
-    largest_propagating_c0,
     recurrence_check,
+    _largest_propagating,
 )
 from .uncross import check_power, run_verification
 
@@ -639,8 +639,11 @@ def _cmd_recurrence(v: dict) -> Artifacts:
     }
     for W in v["W_list"]:
         k_max = v["k_max_factor"] * W**3
-        c0 = v["c0"] if "c0" in v else largest_propagating_c0(p, W, v["C0"], k_max)
-        result = recurrence_check(p, W, v["C0"], c0, k_max)
+        if "c0" in v:
+            c0 = v["c0"]
+            result = recurrence_check(p, W, v["C0"], c0, k_max)
+        else:
+            c0, result = _largest_propagating(p, W, v["C0"], k_max)
         rows.append((W, c0, result.propagated, result.first_failure_k))
         certificate["per_w"].append(
             {

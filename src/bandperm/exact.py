@@ -7,25 +7,29 @@ chooses what is enumerated and checks its size against one cap on the
 member count: at infinite p the band support S_W, built as one int8 table
 a column at a time, which reaches much larger intervals; at finite p all
 (2n+1)! permutations, which are S_W at W = 2n, in numpy blocks, one block
-per leading pair of values.  Rows are in lexicographic order in both.  The
-member tables of the uncrossing certificates (:func:`_member_table`) and
-the Gibbs weights (:func:`_weight_blocks`) read those blocks.
+per leading pair of values, each computed from one table of orders by
+rank arithmetic.  Rows are in lexicographic order in both.  The member
+tables of the uncrossing certificates (:func:`_member_table`) and the Gibbs
+weights (:func:`_weight_blocks`) read those blocks.
 :func:`exact_distribution` joins the weighted blocks into the one
 enumerated product this module hands out, a member table with its weights;
 an expectation is a weighted sum over a column of that table.  Finite-p
 energies sum the terms of :func:`core.displacement_costs`, the table
-:func:`core.energy` and the chain read.  Energies and weights are computed
-a column at a time with the float order of the per-permutation formulas,
-so every value is bit-identical to them; the cycles of j are walked by
-:func:`core._orbit_table`, the walk the uncrossing certificates read.  The
-p = infinity tail curve and partition value need no enumeration: a marked
-connectivity transfer DP over the positions counts the members of S_W by
-the diameter of the cycle of j (:func:`band_diameter_counts`), in time
-quadratic in 2n+1.  Its one bound is on the states it creates
-(DIAMETER_STATE_CAP), not on |S_W|.  One profile column step
-(:func:`_band_step`) serves both the count |S_W| and the band table: it
-lists the admissible values of a position from the profile masks of the
-partial rows.  The count's bound is on the masks at one position
+:func:`core.energy` and the chain read, gathered for each position from a
+row of that table's terms by value.  Energies and weights are computed a
+column at a time with the float order of the per-permutation formulas, so
+every value is bit-identical to them; the cycles of j are walked by
+:func:`core._orbit_table`, the walk the uncrossing certificates read.
+Partition values are correctly rounded sums of the weights, math.fsum's,
+from an exact integer accumulator over numpy arrays (:class:`_ExactSum`),
+which needs no Python float per weight.  The p = infinity tail curve and
+partition value need no enumeration: a marked connectivity transfer DP
+over the positions counts the members of S_W by the diameter of the cycle
+of j (:func:`band_diameter_counts`), in time quadratic in 2n+1.  Its one
+bound is on the states it creates (DIAMETER_STATE_CAP), not on |S_W|.  One
+profile column step (:func:`_band_step`) serves both the count |S_W| and
+the band table: it lists the admissible values of a position from the
+profile masks of the partial rows.  The count's bound is on the masks at one position
 (PROFILE_MASK_CAP).
 """
 from __future__ import annotations
@@ -41,11 +45,12 @@ from .core import ModelParams, Permutation, _orbit_table, displacement_costs
 
 # Most members any enumeration holds: |S_W| at infinite p, and (2n+1)! at
 # finite p, where every permutation is a member, so at most 9 points there
-# (9! = 362,880 <= cap < 11!).  At 9!, on a 2-vCPU Xeon VM, the block pass
-# of the tail curve and partition value and the member table of
-# exact_distribution each take about 0.1 s, and an expectation over one
-# weighted column of that table 0.02 s; ExactDistribution.as_dict, which
-# builds one Permutation per row, takes 1.2 to 1.8 s.
+# (9! = 362,880 <= cap < 11!).  At 9!, W = 2, on a 2-vCPU Xeon VM, the
+# block pass of the tail curve and partition value takes 0.03 s at p = 1
+# and 0.04 s at p = 1.5, the member table of exact_distribution 0.024 and
+# 0.031 s, and an expectation over one weighted column of that table
+# 0.014 s; ExactDistribution.as_dict, which builds one Permutation per row,
+# takes about 1.2 s.
 BAND_ENUMERATION_CAP = 2_000_000
 
 # Largest C(k, floor(k/2)), k = min(2W, m), that count_band_permutations
@@ -62,6 +67,17 @@ PROFILE_MASK_CAP = 2_000_000
 # in about 7 s on a 2-vCPU Xeon VM.
 DIAMETER_STATE_CAP = 2_000_000
 
+# np.frexp exponents of finite floats lie in -1073..1024; bin i of an
+# _ExactSum holds the floats of exponent i + _FREXP_MIN.
+_FREXP_MIN = -1073
+_FREXP_BINS = 1024 - _FREXP_MIN + 1
+
+# Most floats an _ExactSum sums in float64 bins before folding them into an
+# int: half-mantissas below 2^27 then sum to exact integers below 2^53.  It
+# splits its input into chunks, so its temporaries stay near 2.5 MiB.
+_EXACT_SUM_ROWS = 1 << 26
+_EXACT_SUM_CHUNK = 1 << 16
+
 # Smallest interval size whose band support exceeds the cap at every W:
 # S_1 is a subset of S_W and |S_1| = F(2n+2) = 2,178,309 at 2n+1 = 31.
 _BAND_OVER_CAP_SIZE = 31
@@ -77,7 +93,8 @@ class ExactDistribution:
 
     table holds every admissible image as an int8 row shifted to 0..2n, in
     lexicographic order, and weights the unnormalized Gibbs weight of each
-    row; partition_value is their sum.  For infinite p the rows are exactly
+    row; partition_value is their correctly rounded sum, math.fsum of the
+    weights (:class:`_ExactSum`).  For infinite p the rows are exactly
     the members of S_W, each of weight 1.0, and partition_value is |S_W|.
     For finite p they are all (2n+1)! permutations.  The expectation of an
     observable of pi(i) is math.fsum((weights * obs).tolist()) /
@@ -331,15 +348,21 @@ def _permutation_blocks(m: int) -> Iterator[np.ndarray]:
     One block per leading pair of values (a, b), pairs in lexicographic
     order: its (m-2)! rows are a, b and the other values in every order,
     lexicographic.  The blocks, concatenated, are itertools.permutations
-    row for row; blocks are built one at a time.
+    row for row; blocks are built one at a time.  Each order is a
+    permutation of the ranks 0..m-3 among the other values, and the value
+    of rank r is r, r + 1 from lo = min(a, b) on and r + 2 from hi - 1 on
+    (hi = max(a, b)): r + (r >= lo), then one more where that is >= hi.
     """
     tail = itertools.chain.from_iterable(itertools.permutations(range(m - 2)))
     orders = np.fromiter(tail, dtype=np.int8).reshape(-1, m - 2)
     for head in itertools.permutations(range(m), 2):
-        rest = np.array([v for v in range(m) if v not in head], dtype=np.int8)
+        lo, hi = sorted(head)
+        rest = orders + (orders >= lo)
+        rest += rest >= hi
         block = np.empty((len(orders), m), dtype=np.int8)
-        block[:, :2] = head
-        block[:, 2:] = rest[orders]
+        block[:, 0] = head[0]
+        block[:, 1] = head[1]
+        block[:, 2:] = rest
         yield block
 
 
@@ -348,34 +371,39 @@ def _weight_blocks(params: ModelParams) -> Iterator[tuple[np.ndarray, np.ndarray
 
     Every weight is 1.0 on S_W at p = infinity.  At finite p each energy
     adds the :func:`core.displacement_costs` column by column from position
-    -n up, the float order of :func:`core.energy`; math.exp (not np.exp,
-    which may differ from libm by an ulp) weighs each distinct energy once.
-    A sum past the float maximum is inf, and its weight exp(-inf) = 0.0 is
-    the correctly rounded one, since the energy is then above 745.  The
-    capacity check runs on the call, before iteration.
+    -n up, the float order of :func:`core.energy`, reading each term from a
+    row of costs per position (:func:`_displacement_sums`); math.exp (not
+    np.exp, which may differ from libm by an ulp) weighs each distinct
+    energy once.  A sum past the float maximum is inf, and its weight
+    exp(-inf) = 0.0 is the correctly rounded one, since the energy is then
+    above 745.  The capacity check runs on the call, before iteration.
     """
     blocks = _blocks(params)
     if params.infinite_p:
         return ((block, np.ones(len(block))) for block in blocks)
     costs = np.array(displacement_costs(params))
+    points = np.arange(params.interval_size)
+    column_costs = costs[np.abs(points - points[:, None])]
 
     def weigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):  # an overflowed sum weighs 0.0
-            return block, _exp(-_displacement_sums(block, costs))
+            return block, _exp(-_displacement_sums(block, column_costs))
 
     return map(weigh, blocks)
 
 
-def _displacement_sums(table: np.ndarray, costs: np.ndarray) -> np.ndarray:
+def _displacement_sums(table: np.ndarray, column_costs: np.ndarray) -> np.ndarray:
     """:func:`core.displacement_sum` of every row of a member table.
 
-    The terms are read from a :func:`core.displacement_costs` table and
-    added a column at a time from position -n up, the float order of the
-    per-image sum, so every value is bit-identical to it.
+    Row k of column_costs holds the :func:`core.displacement_costs` term
+    of each value v at position k, costs[|v - k|], so a column's terms are
+    one gather.  They are added a column at a time from position -n up,
+    the float order of the per-image sum, so every value is bit-identical
+    to it.
     """
     total = np.zeros(len(table))
-    for k in range(table.shape[1]):
-        total += costs[np.abs(table[:, k] - k)]
+    for k, costs in enumerate(column_costs):
+        total += costs.take(table[:, k])
     return total
 
 
@@ -389,13 +417,60 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in values.tolist()])[inverse]
 
 
+class _ExactSum:
+    """The correctly rounded sum of nonnegative finite floats, added an
+    array at a time: math.fsum of the same floats, in any order.
+
+    np.frexp writes each float as M * 2^(e - 53), with M its 53-bit integer
+    mantissa, which splits into a high part below 2^27 and a low part below
+    2^26; np.bincount sums each part by e in float64.  A bin then holds an
+    integer below rows * 2^27, exact while rows <= _EXACT_SUM_ROWS = 2^26,
+    and the bins are folded into one Python int before they could pass it.
+    :meth:`value` divides the int by a power of two, int / int, which
+    rounds correctly.
+    """
+
+    def __init__(self) -> None:
+        self._high = np.zeros(_FREXP_BINS)
+        self._low = np.zeros(_FREXP_BINS)
+        self._rows = 0  # floats in the bins
+        self._folded = 0  # the folded floats' sum of M * 2^(e - _FREXP_MIN)
+
+    def add(self, values: np.ndarray) -> None:
+        for start in range(0, len(values), _EXACT_SUM_CHUNK):
+            if self._rows > _EXACT_SUM_ROWS - _EXACT_SUM_CHUNK:
+                self._fold()
+            mantissa, exponent = np.frexp(values[start : start + _EXACT_SUM_CHUNK])
+            mantissa *= 2.0**27  # below 2^27, with 26 bits after the point
+            high = np.floor(mantissa)
+            mantissa -= high
+            mantissa *= 2.0**26
+            exponent -= _FREXP_MIN
+            self._high += np.bincount(exponent, weights=high, minlength=_FREXP_BINS)
+            self._low += np.bincount(exponent, weights=mantissa, minlength=_FREXP_BINS)
+            self._rows += len(high)
+
+    def _fold(self) -> None:
+        for i in np.flatnonzero(self._high + self._low).tolist():
+            self._folded += ((int(self._high[i]) << 26) + int(self._low[i])) << i
+        self._high[:] = self._low[:] = 0.0
+        self._rows = 0
+
+    def value(self) -> float:
+        self._fold()
+        return self._folded / (1 << (53 - _FREXP_MIN))
+
+
 def exact_distribution(params: ModelParams) -> ExactDistribution:
     """Materialize the exact Gibbs distribution for an enumerable instance:
     the blocks of :func:`_weight_blocks` joined into one member table and
-    one weight array.  math.fsum rounds the partition value correctly."""
+    one weight array.  The partition value is their correctly rounded sum
+    (:class:`_ExactSum`), math.fsum's."""
     tables, weights = zip(*_weight_blocks(params))
     table, weights = np.concatenate(tables), np.concatenate(weights)
-    return ExactDistribution(params, table, weights, math.fsum(weights))
+    partition = _ExactSum()
+    partition.add(weights)
+    return ExactDistribution(params, table, weights, partition.value())
 
 
 def exact_tail_and_partition(
@@ -408,9 +483,9 @@ def exact_tail_and_partition(
     integer suffix counts over |S_W|, divided with int / int, which rounds
     correctly.  At finite p one pass over :func:`_weight_blocks` walks the
     cycle of j in every row of a block at once (:func:`core._orbit_table`),
-    bins each weight by that cycle's diameter in enumeration order and
-    streams it into math.fsum, which rounds the partition value correctly
-    whatever the order.
+    bins each weight by that cycle's diameter in enumeration order and adds
+    the block's weights to an :class:`_ExactSum`, whose partition value is
+    the correctly rounded one, math.fsum's, whatever the order.
     """
     n = params.n
     if not -n <= j <= n:
@@ -427,15 +502,13 @@ def exact_tail_and_partition(
         support_size = math.factorial(params.interval_size)
         # weight mass grouped by cycle diameter (diameters are in 0..2n)
         by_diam = np.zeros(2 * n + 1)
-
-        def binned() -> Iterator[list[float]]:
-            for block, weights in blocks:
-                orbit = _orbit_table(block, j + n)
-                # unbuffered, in row order: the float sums of mass[d] += w
-                np.add.at(by_diam, orbit.max(0) - orbit.min(0), weights)
-                yield weights.tolist()
-
-        partition_value = math.fsum(itertools.chain.from_iterable(binned()))
+        partition = _ExactSum()
+        for block, weights in blocks:
+            orbit = _orbit_table(block, j + n)
+            # unbuffered, in row order: the float sums of mass[d] += w
+            np.add.at(by_diam, orbit.max(0) - orbit.min(0), weights)
+            partition.add(weights)
+        partition_value = partition.value()
         mass = by_diam.tolist()
     suffix = [0] * (2 * n + 2)
     for d in range(2 * n, -1, -1):

@@ -281,9 +281,10 @@ class TestRecurrence:
             raise AssertionError("kernel built before the arguments were checked")
 
         monkeypatch.setattr(analysis, "_kernel", forbidden)
-        with pytest.raises(ValueError) as got:
-            largest_propagating_c0(p, W, C0, k_max)
-        assert str(got.value) == str(want.value)
+        for search in (largest_propagating_c0, analysis._largest_propagating):
+            with pytest.raises(ValueError) as got:
+                search(p, W, C0, k_max)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("p, W, C0", [(1.0, 1, 1.0), (1.0, 4, 1.0), (2.0, 3, 0.5), (1.0, 6, 1 / 6)])
     def test_search_builds_one_kernel(self, p, W, C0, monkeypatch):
@@ -304,6 +305,22 @@ class TestRecurrence:
         assert calls["kernel"] == 1
         # the doubling or descent and the bisection to C0_SEARCH_TOL
         assert calls["check"] > 10
+
+    @pytest.mark.parametrize("p, W, C0", [(1.0, 1, 1.0), (1.0, 4, 1.0), (2.0, 3, 0.5), (1.0, 2, 0.3)])
+    def test_search_and_its_check_share_one_kernel(self, p, W, C0, monkeypatch):
+        k_max = 50 * W**3
+        star = largest_propagating_c0(p, W, C0, k_max)
+        want = (star, recurrence_check(p, W, C0, star, k_max))
+        builds = []
+        build = analysis._kernel
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(analysis, "_kernel", counted_build)
+        assert analysis._largest_propagating(p, W, C0, k_max) == want
+        assert builds == [(p, W, k_max)]
 
 
 def recurrence_sides_per_c0(p, W, factor, c0, k_max):

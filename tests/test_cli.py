@@ -419,7 +419,7 @@ class TestFailClosed:
             raise AssertionError("recurrence ran past its capacity check")
 
         monkeypatch.setattr(cli, "recurrence_check", forbidden)
-        monkeypatch.setattr(cli, "largest_propagating_c0", forbidden)
+        monkeypatch.setattr(cli, "_largest_propagating", forbidden)
         argv = ["recurrence", "--k-max-factor", "100000000", "--output-dir", str(tmp_path)]
         assert cli.main(argv) == 3
         (line,) = capsys.readouterr().out.splitlines()
@@ -946,6 +946,20 @@ class TestRecurrenceCommand:
         csv_lines = (tmp_path / "recurrence_p1.csv").read_text().splitlines()
         assert csv_lines[0] == "W,c0,propagated,first_failure_k"
         assert len(csv_lines) == 3
+
+    def test_one_kernel_per_W(self, tmp_path, monkeypatch):
+        # the search for c0 and the certificate's check at it share a kernel
+        analysis_module = importlib.import_module("bandperm.analysis")
+        built, build = [], analysis_module._kernel
+
+        def counted_build(p, W, k_max):
+            built.append(W)
+            return build(p, W, k_max)
+
+        monkeypatch.setattr(analysis_module, "_kernel", counted_build)
+        argv = ["recurrence", "--p", "1", "--W-list", "1:4", "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert built == [1, 2, 3, 4]
 
     def test_certificate_names_the_last_compared_k(self, tmp_path):
         # the searched c0 at C0 = 0.3 takes f(k+1) below the normal floats

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from bandperm import (
     INFINITY,
@@ -19,6 +21,7 @@ from bandperm import (
     exact_distribution,
     exact_tail_and_partition,
 )
+from bandperm import exact
 from bandperm.core import orbit
 from bandperm.exact import (
     BAND_ENUMERATION_CAP,
@@ -251,6 +254,19 @@ class TestExactDistribution:
         )
         assert dist.partition_value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(p=p, W=W, n=n)
+            for p in (1.0, 1.5, 341.0, INFINITY)
+            for W, n in ((1, 1), (2, 2), (3, 3), (2, 4))
+        ],
+        ids=str,
+    )
+    def test_partition_value_is_the_fsum_of_the_weights(self, params):
+        dist = exact_distribution(params)
+        assert dist.partition_value == math.fsum(dist.weights.tolist())
+
     def test_traced_peak_holds_the_table_and_weights(self):
         # at 9! the int8 table and the float64 weights take 5.9 MiB; the
         # bound leaves room for joining the blocks into them, not for a
@@ -366,6 +382,43 @@ class TestExactPartition:
         )
 
 
+# nonnegative finite floats, and ones that stress a correctly rounded sum
+special_floats = st.sampled_from([
+    0.0, 5e-324, 1e-310, sys.float_info.min - 5e-324, sys.float_info.min,
+    1.0, 1.0 + 2**-52, 2**-53, 3 * 2**-54, sys.float_info.max,
+])
+finite_floats = st.floats(min_value=0.0, allow_infinity=False) | special_floats
+# x then a run of its half ulp: sums on or next to a rounding tie
+ties = st.builds(lambda x, k: [x] + [math.ulp(x) / 2] * k, finite_floats, st.integers(1, 3))
+runs = st.builds(lambda x, k: [x] * k, finite_floats, st.integers(1, 3000))
+float_lists = st.lists(finite_floats, max_size=40) | ties | runs
+
+
+def sum_or_overflow(total):
+    """total(), or OverflowError when the sum passes the float maximum."""
+    try:
+        return total()
+    except OverflowError:
+        return OverflowError
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(float_lists, max_size=4), st.sampled_from([None, (3, 8)]))
+    def test_equals_fsum(self, parts, sizes):
+        # parts are added one call each; sizes, when given, shrink the chunk
+        # and the rows between folds, so the chunking and folding run too
+        with pytest.MonkeyPatch.context() as patch:
+            if sizes:
+                patch.setattr(exact, "_EXACT_SUM_CHUNK", sizes[0])
+                patch.setattr(exact, "_EXACT_SUM_ROWS", sizes[1])
+            total = exact._ExactSum()
+            for part in parts:
+                total.add(np.array(part, dtype=float))
+            got = sum_or_overflow(total.value)
+        assert got == sum_or_overflow(lambda: math.fsum(itertools.chain.from_iterable(parts)))
+
+
 def weighted(params):
     """(image, weight) for every row of exact_distribution, in order."""
     return zip(table_images(params), exact_distribution(params).weights.tolist())
@@ -439,31 +492,37 @@ class TestOnePassOracle:
         assert [exact_tail_and_partition(params, -1, [lam])[0][0] for lam in grid] == got[0]
         assert exact_tail_and_partition(params, 0, ())[1:] == got[1:]
 
-    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 341.0])
     def test_finite_p_matches_two_passes_at_the_cap(self, p):
+        # at p=341 every displacement above W costs past 745, and weighs 0.0
         params = ModelParams(p=p, W=2, n=4)  # 2n+1 = 9 points, 72 blocks
         grid = list(range(0, 11))
         assert exact_tail_and_partition(params, 0, grid) == two_pass_reference(
             params, 0, grid
         )
 
-    @pytest.mark.parametrize("m", range(3, 9))
+    @pytest.mark.parametrize("m", range(3, 10))
     def test_blocks_are_the_permutations_in_order(self, m):
         blocks = list(_permutation_blocks(m))
         assert len(blocks) == m * (m - 1)
-        rows = [tuple(row) for block in blocks for row in block.tolist()]
-        assert rows == list(itertools.permutations(range(m)))
+        rows = itertools.chain.from_iterable(itertools.permutations(range(m)))
+        expected = np.fromiter(rows, dtype=np.int8).reshape(-1, m)
+        table = np.concatenate(blocks)
+        assert table.dtype == np.int8
+        assert np.array_equal(table, expected)
 
     def test_traced_peak_holds_no_support_sized_array(self):
-        params = ModelParams(p=1.5, W=2, n=4)
-        tracemalloc.start()
-        try:
-            exact_tail_and_partition(params, 0, range(10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one float64 per permutation would alone be 2.8 MiB at 9! = 362880
-        assert peak < 2 * 2**20
+        # p=1 has a dozen distinct energies per block, p=1.5 about 1,500
+        for p in (1.0, 1.5):
+            params = ModelParams(p=p, W=2, n=4)
+            tracemalloc.start()
+            try:
+                exact_tail_and_partition(params, 0, range(10))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one float64 per permutation would alone be 2.8 MiB at 9! = 362880
+            assert peak < 2 * 2**20, p
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_band_matches_two_passes_and_count(self, n):
