@@ -7,7 +7,7 @@ orbit extraction, displacement energy, band-support membership and the
 image-swap move.  Each primitive is written once over a raw image tuple
 (``orbit``, ``displacement_sum``, ``image_max_displacement``, ``swapped``);
 the Permutation-level functions validate their arguments and delegate to
-it, the sampler calls ``orbit`` on its live state, and the tests' per-image
+it, the sampler calls ``orbit`` on retained states, and the tests' per-image
 reference calls them all.  The scaled energy terms (d / W)^p are written
 once too, as the ``displacement_costs`` table: ``energy``, the sampler, the
 exact oracle and the uncrossing certificates all read it.  The energy
@@ -15,7 +15,9 @@ change of one image swap is written once as ``swap_cost``, the four terms
 of that table the swap changes: the chain's acceptance probability and
 every finite-p certificate check read it.  The chain's hot loop in
 ``sampler._drive`` keeps an inline copy on purpose, since a call per
-proposal would slow the long finite-p chains.
+proposal would slow the long finite-p chains: the same four terms in the
+same order, read from a signed copy of the table indexed by image minus
+position index, so the energy difference is the same float.
 The exhaustive layers work on numpy tables of images, one image per row:
 ``_orbit_table`` is the one orbit walk over such a table, point-major, and
 both the finite-p oracle and the uncrossing certificates read it.

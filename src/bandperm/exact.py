@@ -467,7 +467,9 @@ def exact_distribution(params: ModelParams) -> ExactDistribution:
     one weight array.  The partition value is their correctly rounded sum
     (:class:`_ExactSum`), math.fsum's."""
     tables, weights = zip(*_weight_blocks(params))
-    table, weights = np.concatenate(tables), np.concatenate(weights)
+    table = np.concatenate(tables)
+    del tables  # so the table blocks are not held while the weights are joined
+    weights = np.concatenate(weights)
     partition = _ExactSum()
     partition.add(weights)
     return ExactDistribution(params, table, weights, partition.value())

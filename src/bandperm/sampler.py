@@ -12,13 +12,20 @@ burn-in, thinning and the acceptance rate.
   probability min(1, exp(-delta_energy)).  The energy difference is
   ``core.swap_cost``, the four terms of ``core.displacement_costs`` that the
   swap changes, so a step is O(1); the step loop writes that expression
-  inline rather than calling it.  The adjacent swaps alone connect all of
-  S_m, and every sweep proposes each of them, so the chain is irreducible.
+  inline rather than calling it, reading each term from one signed list,
+  signed[y - x] = costs[|y - x + n|] for an image y and a position index x,
+  so neither the abs nor the + n runs per proposal.  The terms and their
+  order are ``swap_cost``'s, so delta is the same float.  The adjacent swaps
+  alone connect all of S_m, and every sweep proposes each of them, so the
+  chain is irreducible.
 - At p = infinity, c = pi(a) and H = V = min(W, 2n).  Every point of
   [-n, n] lies within 2n of pi(a), so V < W leaves out only points outside
   the interval.  The swap puts pi(a) at b, within W by construction, so it
   is accepted iff |pi(b) - a| <= W, that is iff the result stays in the
-  band support S_W.
+  band support S_W.  The step loop folds that test into one chained
+  comparison on position indices, and reads partners outside the interval
+  from H sentinel entries past the end of its image list (b < 0 wraps onto
+  them), which fail the comparison, so it never tests b's range.
 
 Why the scan keeps the target: let K_a be the step at site a, and sigma the
 state pi with the images at a and b swapped.  At finite p, K_a proposes b
@@ -211,8 +218,9 @@ def _drive(
 ) -> ChainSummary:
     """Run the chain, invoking ``retain(step_index, image)`` on retained states.
 
-    The image list passed to retain is the live state; callbacks must not
-    mutate it.  retain runs exactly ``config.retained_count`` times.
+    retain receives a fresh list of the m images, a copy of the live state
+    without the p=inf sentinel tail, so a callback may keep it.  retain runs
+    exactly ``config.retained_count`` times.
     """
     n = params.n
     m = 2 * n + 1
@@ -227,11 +235,23 @@ def _drive(
     infinite = params.infinite_p
     # the partner's window has half-width H around pi(a) at p=inf and
     # around a at finite p; j + shift is b - centre as a position index
-    # (pi(a) is a point, hence the n), before a itself is skipped
+    # (pi(a) is a point, hence the n), before a itself is skipped, which
+    # at finite p is done to the whole block at once
     H = min(W, 2 * n) if infinite else min(2 * W, 2 * n)
     shift = n - H if infinite else -H
-    if not infinite:
+    if infinite:
+        # |pi(b) - a| <= W with a the position index: lo <= pb - a <= hi.
+        # b lies in [-H, m - 1 + H], so H sentinels past the end are read
+        # at b >= m and, through negative indexing, at b < 0; a sentinel
+        # minus any a exceeds hi, so it is never swapped in
+        lo, hi = -W - n, W - n
+        image += [W + m] * H
+    else:
+        # signed[y - x] = costs[|y - x + n|] for an image y and a position
+        # index x; y - x lies in [-3n, n], and a negative one is read from
+        # the end of the list
         costs = displacement_costs(params)
+        signed = [costs[abs(d + n)] for d in (*range(n + 1), *range(-3 * n, 0))]
 
     thinning = config.thinning
     next_retain = config.burn_in + thinning
@@ -239,9 +259,11 @@ def _drive(
     step = 0
     while step < steps:
         block = min(_BLOCK, steps - step)
-        jj = (rng.integers(0, 2 * H, size=block) + shift).tolist()
+        draws = rng.integers(0, 2 * H, size=block) + shift
         if not infinite:
+            draws += draws >= 0  # b = a + j skips a itself
             logu = np.log(rng.random(size=block)).tolist()
+        jj = draws.tolist()
         base, end = step, step + block
         # segments end at a retain point, a sweep end or the block end
         while step < end:
@@ -253,41 +275,32 @@ def _drive(
                     b = pa + j
                     if b >= a:
                         b += 1
-                    if 0 <= b < m:
-                        pb = image[b]
-                        if abs(pb - a + n) <= W:
-                            image[a] = pb
-                            image[b] = pa
-                            accepted += 1
+                    pb = image[b]
+                    if lo <= pb - a <= hi:
+                        image[a] = pb
+                        image[b] = pa
+                        accepted += 1
             else:
                 segment = zip(
                     range(first, m), jj[step - base : stop - base], logu[step - base : stop - base]
                 )
                 for a, j, lu in segment:
                     b = a + j
-                    if b >= a:
-                        b += 1
                     if 0 <= b < m:
                         pa = image[a]
                         pb = image[b]
-                        # core.swap_cost, inline: b and a are position
-                        # indices here, hence the + n
-                        delta = (
-                            costs[abs(pb - a + n)]
-                            + costs[abs(pa - b + n)]
-                            - costs[abs(pa - a + n)]
-                            - costs[abs(pb - b + n)]
-                        )
+                        # core.swap_cost, inline, in its order of terms
+                        delta = signed[pb - a] + signed[pa - b] - signed[pa - a] - signed[pb - b]
                         if delta <= 0.0 or lu < -delta:
                             image[a] = pb
                             image[b] = pa
                             accepted += 1
             step = stop
             if step == next_retain:
-                retain(step, image)
+                retain(step, image[:m])
                 next_retain += thinning
     rate = accepted / steps if steps else 0.0
-    return ChainSummary(config.retained_count, rate, Permutation(tuple(image)))
+    return ChainSummary(config.retained_count, rate, Permutation(tuple(image[:m])))
 
 
 def run_chain(

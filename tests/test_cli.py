@@ -191,6 +191,44 @@ GOLDEN_RUNS = {
             ),
         },
     ),
+    # two sample streams recorded from the chain step that tested 0 <= b < m
+    # and read costs[abs(x - y + n)], before the sentinel tail and the signed
+    # cost list replaced them: at p=1.5 the energy differences are not
+    # integers, and at p=inf, W=3, n=10 partners fall off both ends
+    "sample_soft": (
+        (
+            "sample", "--p", "1.5", "--W", "3", "--n", "10", "--seed", "4",
+            "--steps", "20000",
+        ),
+        {
+            "manifest.json": (
+                "10cf000b2f263369e451c466ee6090785a30d34e7730ed061e6b244680172225"
+            ),
+            "sample_summary_p1_5_W3_n10_seed4.json": (
+                "90c89bc87d4f41f31243d1aa80e59a44c6af475be11ee3047df77cd28e0cf358"
+            ),
+            "samples_p1_5_W3_n10_seed4.csv": (
+                "a6b869479c5580414cc793bf5cb46e7c350f549e66c26233cc7500c82ae7f1a1"
+            ),
+        },
+    ),
+    "sample_band": (
+        (
+            "sample", "--p", "inf", "--W", "3", "--n", "10", "--seed", "4",
+            "--steps", "20000",
+        ),
+        {
+            "manifest.json": (
+                "7b80ebd8c1e79d4a8bec9fa47c5b95644b42c610de089902ba8d5d1d4f4d6bfb"
+            ),
+            "sample_summary_pinf_W3_n10_seed4.json": (
+                "22e9e4a52f22c38deb85c5436524e5a6c26427f205a6e8c70a6dc5e4c4d13d51"
+            ),
+            "samples_pinf_W3_n10_seed4.csv": (
+                "f88256d66afd0bb67f5d689e466ca2295052086960350cff7a55fb3a6c4b2c84"
+            ),
+        },
+    ),
     "tail": (
         (
             "tail", "--p", "1", "--W", "1", "--n", "4", "--seed", "5",

@@ -357,24 +357,43 @@ class TestDetailedBalance:
         assert moved == {True, False}
 
     @pytest.mark.parametrize(
+        "p,W,n",
+        [
+            (INFINITY, 1, 2),
+            (1.0, 1, 2),
+            # H and R clipped at 2n
+            (INFINITY, 3, 1),
+            (1.0, 3, 1),
+            # W far past 2n: the sentinels must still fail the band test
+            (INFINITY, 12, 1),
+            # partners wrap below position 0 and past m - 1
+            (INFINITY, 2, 3),
+            (1.0, 2, 3),
+            (1.5, 2, 3),
+            # costs past 8 overflow to inf
+            (341.0, 1, 8),
+        ],
+    )
+    @pytest.mark.parametrize(
         "steps,burn_in,thinning", [(40, 4, 3), (40, 0, 5), (37, 12, 7), (23, 23, 1)]
     )
-    def test_scan_retains_the_replayed_states(self, monkeypatch, steps, burn_in, thinning):
-        # blocks of 6 steps at m = 5 make retain points, sweep ends and block
-        # ends fall in every order; at both p each retained state and its
-        # step index must be the replay's
+    def test_scan_retains_the_replayed_states(
+        self, monkeypatch, p, W, n, steps, burn_in, thinning
+    ):
+        # blocks of 6 steps make retain points, sweep ends and block ends fall
+        # in every order; each retained state and its step index must be the
+        # replay's, and no retained image may be longer than the interval
         monkeypatch.setattr(sampler, "_BLOCK", 6)
         cfg = SamplerConfig(seed=11, steps=steps, burn_in=burn_in, thinning=thinning)
-        for p in (INFINITY, 1.0):
-            params = ModelParams(p=p, W=1, n=2)
-            seen = []
-            summary = sampler._drive(
-                params, cfg, lambda step, image: seen.append((step, Permutation(tuple(image))))
-            )
-            retained, final = replay_chain(params, 11, steps, burn_in, thinning, 6)
-            assert seen == retained
-            assert summary.final_state == final
-            assert summary.retained_samples == len(retained) == cfg.retained_count
+        params = ModelParams(p=p, W=W, n=n)
+        seen = []
+        summary = sampler._drive(
+            params, cfg, lambda step, image: seen.append((step, Permutation(tuple(image))))
+        )
+        retained, final = replay_chain(params, 11, steps, burn_in, thinning, 6)
+        assert seen == retained
+        assert summary.final_state == final
+        assert summary.retained_samples == len(retained) == cfg.retained_count
 
     def test_band_acceptance_is_indicator(self):
         params = ModelParams(p=INFINITY, W=1, n=1)
